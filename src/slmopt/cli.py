@@ -3,7 +3,9 @@
 Subcommands: optimize, bench, trace, list-functions. A flat key=value
 config file (--config) can hold any long flag name without the leading
 dashes; explicit flags always win. Diagnostics go to stderr, payload to
-stdout or files, exit status is 0 on success and 2 on any error.
+stdout or files, exit status is 0 on success and 2 on any error. Every
+error, including any exception an objective raises, becomes one
+`error: ...` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -327,11 +329,11 @@ def dispatch(invocation: CliInvocation, stdout=None) -> int:
         if invocation.subcommand == "list-functions":
             return _cmd_list_functions(stdout)
         raise CliError(f"unknown subcommand {invocation.subcommand!r}")
-    except CliError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except Exception as e:  # an objective may raise anything
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

@@ -10,6 +10,16 @@ split in floating point.
 
 The reported best is the best point ever evaluated, including probe
 candidates, not just grid vertices.
+
+Probes at half the grid spacing land on a shared dyadic lattice: the
+next generation's grid points are this generation's probe points, and
+neighbouring vertices and boxes probe the same points. So each run
+keeps a point -> value store, keyed on the exact float tuple, and each
+generation labels the distinct grid points of all its boxes together.
+Each lattice point is then evaluated once per run and labeled at most
+once per generation, and `evaluations` counts distinct points. First-time
+evaluations happen in the same order as without the store, so results
+do not depend on it. Nothing is kept across runs.
 """
 
 from __future__ import annotations
@@ -156,16 +166,17 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
     vertex per surviving cell.
     """
     sense = config.sense
-    evaluations = 0
+    store: dict[Point, float] = {}
     best_point: Point | None = None
     best_value = math.nan
 
     def counted(p: Point) -> float:
-        nonlocal evaluations, best_point, best_value
-        v = float(f(p))
-        evaluations += 1
-        if math.isfinite(v) and (best_point is None or sense.better(v, best_value)):
-            best_point, best_value = p, v
+        nonlocal best_point, best_value
+        v = store.get(p)
+        if v is None:
+            v = store[p] = float(f(p))
+            if math.isfinite(v) and (best_point is None or sense.better(v, best_value)):
+                best_point, best_value = p, v
         return v
 
     generations: list[GenerationRecord] = []
@@ -177,17 +188,25 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
 
     while termination is None:
         probe_s = tuple(v / 2.0 for v in spacing)
-        staged = []
+        layouts = []
+        # distinct grid points of all boxes, in order of first appearance
+        position: dict[Point, int] = {}
         for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
             if gen == 0:
                 grid: tuple[Point, ...] = corners(box)
                 cells: tuple[Cell, ...] = (Cell(box, tuple(range(len(grid)))),)
             else:
                 grid, cells = subdivide(box)
-            try:
-                vertices = label_grid(counted, grid, probe_s, domain, sense)
-            except ObjectiveEvaluationError as e:
-                raise ObjectiveEvaluationError(e.point, e.value, generation=gen) from e
+            layouts.append((box, grid, cells))
+            for p in grid:
+                position.setdefault(p, len(position))
+        try:
+            labeled = label_grid(counted, tuple(position), probe_s, domain, sense)
+        except ObjectiveEvaluationError as e:
+            raise ObjectiveEvaluationError(e.point, e.value, generation=gen) from e
+        staged = []
+        for box, grid, cells in layouts:
+            vertices = tuple(labeled[position[p]] for p in grid)
             labels = [v.label for v in vertices]
             staged.append((box, vertices, complete_cells(cells, labels), cells))
         last_staged = staged
@@ -265,6 +284,6 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
         best_value=best_value,
         candidates=candidates,
         generations=tuple(generations),
-        evaluations=evaluations,
+        evaluations=len(store),
         termination=termination,
     )

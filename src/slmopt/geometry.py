@@ -75,9 +75,8 @@ def initial_spacing(box: SearchBox) -> Spacing:
     return box.widths()
 
 
-def probe_offsets(n: int, s: Sequence[float]) -> tuple[Point, ...]:
-    """All 3**n - 1 nonzero displacement vectors with components in
-    {-s[i], 0, +s[i]}, lexicographic (minus before zero before plus)."""
+def check_spacing(n: int, s: Sequence[float]) -> None:
+    """Raise ValueError unless s is a positive spacing of dimension n."""
     if n < 1:
         raise ValueError("dimension must be positive")
     if len(s) != n:
@@ -85,6 +84,12 @@ def probe_offsets(n: int, s: Sequence[float]) -> tuple[Point, ...]:
     for v in s:
         if not v > 0:
             raise ValueError("spacing components must be positive")
+
+
+def probe_offsets(n: int, s: Sequence[float]) -> tuple[Point, ...]:
+    """All 3**n - 1 nonzero displacement vectors with components in
+    {-s[i], 0, +s[i]}, lexicographic (minus before zero before plus)."""
+    check_spacing(n, s)
     zero = (0.0,) * n
     axes = [(-v, 0.0, v) for v in s]
     return tuple(d for d in itertools.product(*axes) if d != zero)

@@ -10,11 +10,12 @@ otherwise the largest 1-based index of a negative component.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import Point, SearchBox, Spacing, probe_offsets
+from .geometry import Point, SearchBox, Spacing, check_spacing
 
 Objective = Callable[[Point], float]
 
@@ -62,14 +63,25 @@ def _checked(f: Objective, p: Point) -> float:
 def _probe(f: Objective, p: Point, s: Spacing, domain: SearchBox,
            sense: Sense) -> tuple[Point, float, float]:
     """Returns (target, target value, value at p). Out-of-domain
-    candidates are discarded, never clamped; ties keep the incumbent."""
+    candidates are discarded, never clamped; ties keep the incumbent.
+
+    Candidates are the points p + delta of probe_offsets, in the same
+    order, with each axis's deltas filtered against the domain first.
+    """
     if not domain.contains(p):
         raise ValueError(f"probe point {p!r} lies outside the domain")
+    check_spacing(len(p), s)
     fp = _checked(f, p)
     best, best_v = p, fp
-    for off in probe_offsets(len(p), s):
-        q = tuple(x + d for x, d in zip(p, off))
-        if not domain.contains(q):
+    axes = []
+    home = 0  # index of the all-zero delta in the product below
+    for x, h, a, b in zip(p, s, domain.lo, domain.hi):
+        below = x + -h
+        axis = [q for q in (below, x + 0.0, x + h) if a <= q <= b]
+        home = home * len(axis) + int(a <= below)
+        axes.append(axis)
+    for i, q in enumerate(itertools.product(*axes)):
+        if i == home:
             continue
         v = _checked(f, q)
         if sense.better(v, best_v):
@@ -108,6 +120,10 @@ def label_grid(f: Objective, grid: Sequence[Point], s: Spacing,
 
     s is the probe spacing (half the grid spacing of the generation
     being labeled). Vertices are independent, so evaluation order
-    cannot change the result.
+    cannot change the result. Each vertex calls f for itself and for
+    every admissible neighbour; f does no caching here. run_slm passes
+    the distinct points of a whole generation in one grid and an f
+    backed by a per-run store, so there each lattice point is labeled
+    once per generation and evaluated once per run.
     """
     return tuple(label_vertex(f, p, s, domain, sense) for p in grid)

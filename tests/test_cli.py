@@ -7,6 +7,9 @@ import pytest
 
 from slmopt.bench import parse_csv
 from slmopt.cli import CliError, main, read_config
+from slmopt.geometry import SearchBox
+from slmopt.labeling import Sense
+from slmopt.objectives import ObjectiveSpec, all_names, register_objective
 
 SPHERE_LINE = "sphere_min: minimize on [-2, 2] x [-2, 2]; optimum (0, 0.4) value 0"
 
@@ -125,6 +128,33 @@ def test_optimize_unknown_function(capsys):
     rc, _, err = run_cli(capsys, "optimize", "--function", "nope")
     assert rc == 2
     assert "unknown objective 'nope'" in err
+
+
+def _raising_objective():
+    name = "test_raising_xyzzy"
+    if name not in all_names():
+        register_objective(ObjectiveSpec(
+            name=name,
+            dimension=1,
+            domain=SearchBox((0.0,), (1.0,)),
+            sense=Sense.MINIMIZE,
+            known_optima=(((0.5,), 0.0),),
+            evaluator=lambda p: 1.0 / 0.0,
+        ))
+    return name
+
+
+@pytest.mark.parametrize("argv", (
+    ("optimize",),
+    ("optimize", "--method", "sa"),
+    ("bench", "--method", "slm,rs"),
+    ("trace", "--out", "{tmp}"),
+))
+def test_raising_objective_is_one_line_error(argv, tmp_path, capsys):
+    rc, out, err = run_cli(capsys, argv[0], "--function", _raising_objective(),
+                           *(a.format(tmp=tmp_path) for a in argv[1:]))
+    assert rc == 2 and out == ""
+    assert err == "error: ZeroDivisionError: float division by zero\n"
 
 
 def test_optimize_unknown_method_via_config(tmp_path, capsys):

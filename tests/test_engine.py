@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slmopt.bench import default_tolerance
 from slmopt.engine import (
     GENERATION_CAP,
     NO_COMPLETE_CELL,
@@ -14,9 +17,9 @@ from slmopt.engine import (
     run_slm,
     select_cell,
 )
-from slmopt.geometry import SearchBox, subdivide
+from slmopt.geometry import Cell, SearchBox, corners, splittable, subdivide
 from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid
-from slmopt.objectives import registry_lookup
+from slmopt.objectives import builtin_names, registry_lookup
 
 TRIG_FAMILY = tuple(
     (float(x1), float(x2)) for x1 in (-6, -2, 2, 6) for x2 in (-3, 1, 5)
@@ -288,3 +291,131 @@ def test_config_validation():
         SlmConfig(sense=Sense.MINIMIZE, tolerance=1.0, max_generations=0)
     with pytest.raises(ValueError):
         SlmConfig(sense=Sense.MINIMIZE, tolerance=1.0, cell_budget=0)
+
+
+# ---------------------------------------------------------------------------
+# Point store: each lattice point evaluated and labeled once per run
+# ---------------------------------------------------------------------------
+
+def unstored_run(f, domain, cfg):
+    """The search loop without the point store: every frontier box is
+    labeled on its own through label_grid and every probe calls f.
+    Returns what run_slm returns apart from the evaluation count."""
+    sense = cfg.sense
+    rank = (lambda v: v) if sense is Sense.MINIMIZE else (lambda v: -v)
+    best = []
+
+    def tracked(p):
+        v = f(p)
+        if not best or sense.better(v, best[1]):
+            best[:] = [p, v]
+        return v
+
+    def cell_rank(cell, vertices):
+        return min(rank(vertices[i].value) for i in cell.vertex_indices), cell.box.lo
+
+    records, frontier, spacing, gen = [], [domain], domain.widths(), 0
+    while True:
+        staged = []
+        for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
+            if gen == 0:
+                grid = corners(box)
+                cells = (Cell(box, tuple(range(len(grid)))),)
+            else:
+                grid, cells = subdivide(box)
+            vertices = label_grid(tracked, grid, tuple(v / 2.0 for v in spacing),
+                                  domain, sense)
+            complete = complete_cells(cells, [v.label for v in vertices])
+            staged.append((box, vertices, complete, cells))
+        termination = (TOLERANCE_REACHED if max(spacing) <= cfg.tolerance
+                       else GENERATION_CAP if gen >= cfg.max_generations else None)
+        chosen = None
+        if termination is None and cfg.explore_all:
+            sure = [(cell_rank(c, vs), c) for _, vs, cm, _ in staged for c in cm]
+            unsure = [(cell_rank(c, vs), c) for _, vs, cm, cs in staged if not cm
+                      for c in cs]
+            ranked = [c for _, c in sorted(sure, key=lambda rc: rc[0])]
+            ranked += [c for _, c in sorted(unsure, key=lambda rc: rc[0])]
+            frontier = [c.box for c in ranked[:cfg.cell_budget]]
+        elif termination is None:
+            _, vertices, complete, cells = staged[0]
+            if complete:
+                chosen = select_cell(complete, vertices, sense)
+            else:
+                top = min(range(len(vertices)), key=lambda i: (rank(vertices[i].value), i))
+                chosen = next(c for c in cells if top in c.vertex_indices)
+            frontier = [chosen.box]
+        for i, (box, vertices, complete, _) in enumerate(staged):
+            records.append((gen, box, spacing, vertices, complete,
+                            chosen if i == 0 else None, not complete))
+        if termination is None and not all(splittable(b) for b in frontier):
+            termination = NO_COMPLETE_CELL
+        if termination is not None:
+            break
+        spacing = tuple(v / 2.0 for v in spacing)
+        gen += 1
+    candidates = ()
+    if cfg.explore_all:
+        reps = {}
+        for _, vertices, _, _ in staged:
+            top = min(vertices, key=lambda v: rank(v.value))
+            reps.setdefault(top.point, top.value)
+        candidates = tuple(sorted(reps.items(), key=lambda pv: (rank(pv[1]), pv[0])))
+    return best[0], best[1], candidates, records, termination
+
+
+def assert_store_invisible(f, domain, cfg):
+    seen = []
+
+    def recorded(p):
+        seen.append(p)
+        return f(p)
+
+    res = run_slm(recorded, domain, cfg)
+    assert res.evaluations == len(set(seen)) == len(seen)
+    best_point, best_value, candidates, records, termination = unstored_run(f, domain, cfg)
+    assert (res.best_point, res.best_value) == (best_point, best_value)
+    assert res.candidates == candidates
+    assert res.termination == termination
+    assert [(g.index, g.box, g.spacing, g.vertices, g.complete_cells, g.chosen,
+             g.fallback_used) for g in res.generations] == records
+    return res
+
+
+# distinct points per builtin at its default tolerance: (descent, explore-all)
+DISTINCT_POINTS = {
+    "sphere_min": (372, 2626),
+    "trig": (304, 6994),
+    "sphere_max": (268, 1145),
+    "rosenbrock": (387, 2861),
+    "shekel": (387, 5196),
+}
+
+
+@pytest.mark.parametrize("explore_all", (False, True))
+@pytest.mark.parametrize("name", builtin_names())
+def test_point_store_changes_no_result(name, explore_all):
+    spec = registry_lookup(name)
+    cfg = SlmConfig(sense=spec.sense, tolerance=default_tolerance(spec),
+                    explore_all=explore_all)
+    res = assert_store_invisible(spec.evaluator, spec.domain, cfg)
+    assert res.evaluations == DISTINCT_POINTS[name][explore_all]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    halvings=st.integers(1, 5),
+    explore_all=st.booleans(),
+    cell_budget=st.integers(1, 4),
+    sense=st.sampled_from(Sense),
+)
+def test_point_store_invisible_on_shifted_spheres(n, data, halvings, explore_all,
+                                                  cell_budget, sense):
+    centre = data.draw(st.tuples(*[st.floats(-2.5, 2.5) for _ in range(n)]))
+    domain = SearchBox((-2.0,) * n, (2.0,) * n)
+    cfg = SlmConfig(sense=sense, tolerance=4.0 / 2 ** halvings,
+                    explore_all=explore_all, cell_budget=cell_budget)
+    assert_store_invisible(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)),
+                           domain, cfg)
