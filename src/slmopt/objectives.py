@@ -93,10 +93,12 @@ def eval_shekel(p: Sequence[float]) -> float:
     return 1.0 / (0.002 + total)
 
 
+# cos(pi*x1/2) = -1 at x1 = 2 mod 4 and sin(pi*x2/2) = 1 at x2 = 1 mod 4;
+# [-7, 7]^2 holds 4 x 4 of them, the row x2 = -7 on the boundary included
 _TRIG_OPTIMA = tuple(
     ((float(x1), float(x2)), -2.0)
     for x1 in (-6, -2, 2, 6)
-    for x2 in (-3, 1, 5)
+    for x2 in (-7, -3, 1, 5)
 )
 
 _REGISTRY: dict[str, ObjectiveSpec] = {}

@@ -65,6 +65,22 @@ def test_trig_spot_values():
             assert math.isclose(eval_trig((x1, x2)), -2.0, abs_tol=1e-12)
 
 
+def test_trig_optima_table_is_complete():
+    spec = registry_lookup("trig")
+    listed = [point for point, _ in spec.known_optima]
+    assert len(listed) == 16
+    for point, value in spec.known_optima:
+        assert value == -2.0
+        assert math.isclose(eval_trig(point), -2.0, abs_tol=1e-12)
+    # the minima sit on integer coordinates; every one in the domain is listed
+    found = {
+        (float(x1), float(x2))
+        for x1 in range(-7, 8) for x2 in range(-7, 8)
+        if math.isclose(eval_trig((x1, x2)), -2.0, abs_tol=1e-12)
+    }
+    assert found == set(listed)
+
+
 def test_trig_periodicity():
     rng = random.Random(3)
     for _ in range(100):
