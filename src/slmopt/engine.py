@@ -14,10 +14,12 @@ candidates, not just grid vertices.
 Probes at half the grid spacing land on a shared dyadic lattice: the
 next generation's grid points are this generation's probe points, and
 neighbouring vertices and boxes probe the same points. So each run
-keeps a point -> value store, keyed on the exact float tuple, and each
+keeps a point -> value store keyed on the float tuple, and each
 generation labels the distinct grid points of all its boxes together.
 Each lattice point is then evaluated once per run and labeled at most
-once per generation, and `evaluations` counts distinct points. First-time
+once per generation, and `evaluations` counts distinct points. A point
+reached by two sums that round differently is two keys, evaluated as
+before; 0.0 and -0.0 compare equal and share one key. First-time
 evaluations happen in the same order as without the store, so results
 do not depend on it. Nothing is kept across runs.
 """

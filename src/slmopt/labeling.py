@@ -121,9 +121,9 @@ def label_grid(f: Objective, grid: Sequence[Point], s: Spacing,
     s is the probe spacing (half the grid spacing of the generation
     being labeled). Vertices are independent, so evaluation order
     cannot change the result. Each vertex calls f for itself and for
-    every admissible neighbour; f does no caching here. run_slm passes
-    the distinct points of a whole generation in one grid and an f
-    backed by a per-run store, so there each lattice point is labeled
-    once per generation and evaluated once per run.
+    every admissible neighbour, and nothing is cached here. run_slm
+    passes the distinct grid points of a whole generation at once and an
+    f backed by its per-run store, so there each lattice point is
+    labeled once per generation and evaluated once per run.
     """
     return tuple(label_vertex(f, p, s, domain, sense) for p in grid)

@@ -154,7 +154,7 @@ def test_raising_objective_is_one_line_error(argv, tmp_path, capsys):
     rc, out, err = run_cli(capsys, argv[0], "--function", _raising_objective(),
                            *(a.format(tmp=tmp_path) for a in argv[1:]))
     assert rc == 2 and out == ""
-    assert err == "error: ZeroDivisionError: float division by zero\n"
+    assert err.startswith("error: ZeroDivisionError: ") and err.count("\n") == 1
 
 
 def test_optimize_unknown_method_via_config(tmp_path, capsys):
