@@ -5,7 +5,8 @@ Reproducibility contract: every run owns a fresh stdlib
 ``random.Random(seed)`` (Mersenne Twister), and all randomness flows
 through ``rng.random()`` alone, drawn dimension-major (one draw per
 coordinate per proposal, in coordinate order). Equal (spec, cfg) gives
-bit-identical results on any platform.
+bit-identical results on any platform. A non-finite value raises
+ObjectiveEvaluationError with its point, as in run_slm.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .geometry import Point, SearchBox
+from .labeling import _checked
 from .objectives import ObjectiveSpec
 
 
@@ -90,7 +92,7 @@ def random_search(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResult:
     trajectory = []
     for k in range(cfg.iterations):
         p = _uniform_point(rng, spec.domain)
-        v = spec.evaluator(p)
+        v = _checked(spec.evaluator, p)
         if best_p is None or better(v, best_v):
             best_p, best_v = p, v
             trajectory.append((k + 1, v))
@@ -118,12 +120,12 @@ def random_search_walk(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResu
     rng = random.Random(cfg.seed)
     better = spec.sense.better
     x, notes = _initial(spec, cfg)
-    fx = spec.evaluator(x)
+    fx = _checked(spec.evaluator, x)
     evals = 1
     trajectory = [(evals, fx)]
     for t in range(cfg.iterations):
         p = _propose(rng, x, spec.domain, _step_sigma(cfg, spec.domain, t))
-        v = spec.evaluator(p)
+        v = _checked(spec.evaluator, p)
         evals += 1
         if better(v, fx):
             x, fx = p, v
@@ -147,7 +149,7 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
     better = spec.sense.better
     evals = 0
     if cfg.temperature_initial is None:
-        samples = [spec.evaluator(_uniform_point(rng, spec.domain)) for _ in range(10)]
+        samples = [_checked(spec.evaluator, _uniform_point(rng, spec.domain)) for _ in range(10)]
         evals += 10
         temperature = max(samples) - min(samples)
         if temperature <= 0.0:
@@ -155,13 +157,13 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
     else:
         temperature = cfg.temperature_initial
     x, notes = _initial(spec, cfg)
-    fx = spec.evaluator(x)
+    fx = _checked(spec.evaluator, x)
     evals += 1
     best_p, best_v = x, fx
     trajectory = [(evals, fx)]
     for t in range(cfg.iterations):
         p = _propose(rng, x, spec.domain, _step_sigma(cfg, spec.domain, t))
-        v = spec.evaluator(p)
+        v = _checked(spec.evaluator, p)
         evals += 1
         if v == fx or better(v, fx):
             x, fx = p, v

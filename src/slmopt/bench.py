@@ -19,12 +19,13 @@ from typing import Sequence
 
 from .baselines import (
     BaselineConfig,
+    OptimRunResult,
     random_search,
     random_search_walk,
     simulated_annealing,
 )
-from .engine import SlmConfig, run_slm
-from .geometry import Point
+from .engine import RunResult, SlmConfig, run_slm
+from .geometry import Point, format_point
 from .objectives import ObjectiveSpec, registry_lookup
 
 FORMATS = ("markdown", "csv", "json-lines")
@@ -34,15 +35,17 @@ _BASELINE_FNS = {
     "rsw": random_search_walk,
     "sa": simulated_annealing,
 }
+METHODS = ("slm",) + tuple(_BASELINE_FNS)
 
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """One column of the benchmark matrix.
 
-    kind is one of slm, rs, rsw, sa. iterations applies to the
-    baselines (defaults per DEFAULT_ITERATIONS); tolerance applies to
-    slm (default: widest domain side / 2**10).
+    kind is one of METHODS. iterations and initial_point apply to the
+    baselines (iterations defaults per DEFAULT_ITERATIONS); tolerance,
+    max_generations and explore_all apply to slm (tolerance defaults to
+    the widest domain side / 2**10).
     """
 
     kind: str
@@ -50,10 +53,11 @@ class AlgorithmSpec:
     tolerance: float | None = None
     explore_all: bool = False
     initial_point: Point | None = None
+    max_generations: int = 60
 
     def __post_init__(self) -> None:
-        if self.kind not in ("slm",) + tuple(_BASELINE_FNS):
-            raise ValueError(f"unknown algorithm kind {self.kind!r}")
+        if self.kind not in METHODS:
+            raise ValueError(f"unknown method {self.kind!r}; expected one of {', '.join(METHODS)}")
 
 
 @dataclass(frozen=True)
@@ -98,34 +102,42 @@ def default_tolerance(spec: ObjectiveSpec) -> float:
     return max(spec.domain.widths()) / 2**10
 
 
+def slm_config(ospec: ObjectiveSpec, algo: AlgorithmSpec) -> SlmConfig:
+    return SlmConfig(
+        sense=ospec.sense,
+        tolerance=algo.tolerance if algo.tolerance is not None else default_tolerance(ospec),
+        max_generations=algo.max_generations,
+        explore_all=algo.explore_all,
+    )
+
+
+def run_method(ospec: ObjectiveSpec, algo: AlgorithmSpec,
+               seed: int) -> tuple[RunResult | OptimRunResult, int]:
+    """The one run path: run one method on one objective. Returns the
+    result and its iteration count: the last generation index for slm,
+    which ignores the seed, and the configured iterations for a baseline."""
+    if algo.kind == "slm":
+        res = run_slm(ospec.evaluator, ospec.domain, slm_config(ospec, algo))
+        return res, res.generations[-1].index
+    cfg = BaselineConfig(
+        iterations=algo.iterations if algo.iterations is not None else DEFAULT_ITERATIONS[algo.kind],
+        seed=seed,
+        initial_point=algo.initial_point,
+    )
+    return _BASELINE_FNS[algo.kind](ospec, cfg), cfg.iterations
+
+
 def _run_one(ospec: ObjectiveSpec, algo: AlgorithmSpec, seed: int) -> BenchRow:
     start = time.perf_counter()
-    if algo.kind == "slm":
-        cfg = SlmConfig(
-            sense=ospec.sense,
-            tolerance=algo.tolerance if algo.tolerance is not None else default_tolerance(ospec),
-            explore_all=algo.explore_all,
-        )
-        res = run_slm(ospec.evaluator, ospec.domain, cfg)
-        found, value = res.best_point, res.best_value
-        iterations = res.generations[-1].index
-    else:
-        cfg = BaselineConfig(
-            iterations=algo.iterations if algo.iterations is not None else DEFAULT_ITERATIONS[algo.kind],
-            seed=seed,
-            initial_point=algo.initial_point,
-        )
-        res = _BASELINE_FNS[algo.kind](ospec, cfg)
-        found, value = res.best_point, res.best_value
-        iterations = cfg.iterations
+    res, iterations = run_method(ospec, algo, seed)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return BenchRow(
         algorithm=algo.kind,
         objective=ospec.name,
         iterations=iterations,
-        found_point=found,
-        found_value=value,
-        deviation=deviation(found, [p for p, _ in ospec.known_optima]),
+        found_point=res.best_point,
+        found_value=res.best_value,
+        deviation=deviation(res.best_point, [p for p, _ in ospec.known_optima]),
         wall_time_ms=elapsed_ms,
         seed=seed,
     )
@@ -135,22 +147,8 @@ def run_bench(spec: BenchSpec) -> list[BenchRow]:
     """One row per (objective, algorithm, seed), in that nesting order.
     Unknown objective names abort before any run starts."""
     specs = [registry_lookup(name) for name in spec.objectives]
-    rows = []
-    for ospec in specs:
-        for algo in spec.algorithms:
-            for seed in range(spec.repeats):
-                rows.append(_run_one(ospec, algo, seed))
-    return rows
-
-
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def _fmt_point(p: Sequence[float]) -> str:
-    return "(" + ", ".join(_fmt_num(v) for v in p) + ")"
+    return [_run_one(ospec, algo, seed) for ospec in specs
+            for algo in spec.algorithms for seed in range(spec.repeats)]
 
 
 def emit_markdown(rows: Sequence[BenchRow]) -> str:
@@ -166,7 +164,7 @@ def emit_markdown(rows: Sequence[BenchRow]) -> str:
         for row in group:
             out.append(
                 f"| {row.algorithm} | {row.iterations} "
-                f"| {_fmt_point(row.found_point)} | {_fmt_point(row.deviation)} |"
+                f"| {format_point(row.found_point)} | {format_point(row.deviation)} |"
             )
         out.append("")
     return "\n".join(out)

@@ -6,6 +6,10 @@ dashes; explicit flags always win. Diagnostics go to stderr, payload to
 stdout or files, exit status is 0 on success and 2 on any error. Every
 error, including any exception an objective raises, becomes one
 `error: ...` line on stderr, never a traceback.
+
+optimize and bench run every method through bench.run_method; trace
+takes its SlmConfig from bench.slm_config and calls run_slm itself,
+because it draws the full per-generation record.
 """
 
 from __future__ import annotations
@@ -15,30 +19,23 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .baselines import (
-    BaselineConfig,
-    random_search,
-    random_search_walk,
-    simulated_annealing,
-)
+# cli._BASELINES is the same dict as bench._BASELINE_FNS: nothing here
+# calls it, but perfbench's traced runs patch both names.
+from .bench import _BASELINE_FNS as _BASELINES  # noqa: F401
 from .bench import (
     FORMATS,
+    METHODS,
     AlgorithmSpec,
     BenchSpec,
-    default_tolerance,
     emit_table,
     run_bench,
+    run_method,
+    slm_config,
 )
-from .engine import SlmConfig, run_slm
-from .objectives import UnknownObjectiveError, builtin_names, registry_lookup
+from .engine import run_slm
+from .geometry import format_box, format_number, format_point
+from .objectives import ObjectiveSpec, UnknownObjectiveError, builtin_names, registry_lookup
 from .trace import build_trace_document, write_trace
-
-METHODS = ("slm", "rs", "rsw", "sa")
-_BASELINES = {
-    "rs": random_search,
-    "rsw": random_search_walk,
-    "sa": simulated_annealing,
-}
 
 
 class CliError(Exception):
@@ -137,14 +134,18 @@ def parse_invocation(argv: Sequence[str]) -> CliInvocation:
 
 
 class _Options:
-    """Flag values backed by the config file where flags are unset."""
+    """Flag values backed by the config file where flags are unset. A key
+    the subcommand has no flag for reads as unset, config entry or not."""
 
     def __init__(self, flags: dict, config: dict[str, str]):
         self.flags = flags
         self.config = config
 
     def get(self, key: str, cast: Callable | None = None, default=None):
-        flag_val = self.flags.get(key.replace("-", "_"))
+        name = key.replace("-", "_")
+        if name not in self.flags:
+            return default
+        flag_val = self.flags[name]
         if flag_val is not None:
             # argparse already typed numeric flags; strings still need
             # the same parse the config path gets
@@ -155,76 +156,57 @@ class _Options:
             raw = self.config[key]
             try:
                 return cast(raw) if cast is not None else raw
-            except CliError:
-                raise
             except (TypeError, ValueError) as e:
                 raise CliError(f"bad config value for {key}: {raw!r} ({e})") from None
         return default
 
 
-def _lookup(name: str):
-    try:
-        return registry_lookup(name)
-    except UnknownObjectiveError as e:
-        raise CliError(str(e.args[0])) from None
+def _algorithm(opts: _Options, kind: str) -> AlgorithmSpec:
+    """The AlgorithmSpec for one method, from that method's flags only."""
+    if kind == "slm":
+        return AlgorithmSpec(
+            kind,
+            tolerance=opts.get("tol", float),
+            max_generations=opts.get("max-generations", int, AlgorithmSpec.max_generations),
+            explore_all=opts.get("explore-all", _parse_bool, False),
+        )
+    return AlgorithmSpec(
+        kind,
+        iterations=opts.get("iterations", int),
+        initial_point=opts.get("initial", _parse_point),
+    )
+
+
+def _objective(opts: _Options, command: str) -> ObjectiveSpec:
+    function = opts.get("function")
+    if function is None:
+        raise CliError(f"{command} needs --function (or a config entry)")
+    return registry_lookup(function)
 
 
 def _cmd_optimize(opts: _Options, stdout) -> int:
-    function = opts.get("function")
-    if function is None:
-        raise CliError("optimize needs --function (or a config entry)")
-    spec = _lookup(function)
-    method = opts.get("method", str, "slm")
-    if method not in METHODS:
-        raise CliError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
-
-    lines = [f"objective: {spec.name}", f"method: {method}"]
-    if method == "slm":
-        cfg = SlmConfig(
-            sense=spec.sense,
-            tolerance=opts.get("tol", float, default_tolerance(spec)),
-            max_generations=opts.get("max-generations", int, 60),
-            explore_all=opts.get("explore-all", _parse_bool, False),
-        )
-        res = run_slm(spec.evaluator, spec.domain, cfg)
-        lines += [
-            f"best point: {_point_str(res.best_point)}",
-            f"best value: {res.best_value!r}",
-            f"iterations: {res.generations[-1].index}",
-            f"evaluations: {res.evaluations}",
-            f"termination: {res.termination}",
-        ]
-        if cfg.explore_all:
+    spec = _objective(opts, "optimize")
+    algo = _algorithm(opts, opts.get("method", str, "slm"))
+    seed = 0 if algo.kind == "slm" else opts.get("seed", int, 0)
+    res, iterations = run_method(spec, algo, seed)
+    lines = [
+        f"objective: {spec.name}",
+        f"method: {algo.kind}",
+        f"best point: {format_point(res.best_point)}",
+        f"best value: {res.best_value!r}",
+        f"iterations: {iterations}",
+        f"evaluations: {res.evaluations}",
+    ]
+    if algo.kind == "slm":
+        lines.append(f"termination: {res.termination}")
+        if algo.explore_all:
             lines.append("candidates:")
-            lines += [
-                f"  {_point_str(p)} value {v!r}" for p, v in res.candidates
-            ]
+            lines += [f"  {format_point(p)} value {v!r}" for p, v in res.candidates]
     else:
-        from .bench import DEFAULT_ITERATIONS
-
-        cfg = BaselineConfig(
-            iterations=opts.get("iterations", int, DEFAULT_ITERATIONS[method]),
-            seed=opts.get("seed", int, 0),
-            initial_point=opts.get("initial", _parse_point),
-        )
-        res = _BASELINES[method](spec, cfg)
         for note in res.notes:
             print(f"note: {note}", file=sys.stderr)
-        lines += [
-            f"best point: {_point_str(res.best_point)}",
-            f"best value: {res.best_value!r}",
-            f"iterations: {cfg.iterations}",
-            f"evaluations: {res.evaluations}",
-        ]
     print("\n".join(lines), file=stdout)
     return 0
-
-
-def _point_str(p) -> str:
-    parts = []
-    for v in p:
-        parts.append(str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v))
-    return "(" + ", ".join(parts) + ")"
 
 
 def _cmd_bench(opts: _Options, stdout) -> int:
@@ -233,30 +215,14 @@ def _cmd_bench(opts: _Options, stdout) -> int:
         part.strip() for part in raw_fn.split(",") if part.strip()
     )
     raw_methods = opts.get("method", str, ",".join(METHODS))
-    methods = tuple(part.strip() for part in raw_methods.split(",") if part.strip())
-    for m in methods:
-        if m not in METHODS:
-            raise CliError(f"unknown method {m!r}; expected a subset of {', '.join(METHODS)}")
-    algorithms = tuple(
-        AlgorithmSpec(
-            kind=m,
-            iterations=opts.get("iterations", int) if m != "slm" else None,
-            tolerance=opts.get("tol", float) if m == "slm" else None,
-            explore_all=opts.get("explore-all", _parse_bool, False) if m == "slm" else False,
-        )
-        for m in methods
-    )
     spec = BenchSpec(
         objectives=names,
-        algorithms=algorithms,
+        algorithms=tuple(_algorithm(opts, part.strip())
+                         for part in raw_methods.split(",") if part.strip()),
         repeats=opts.get("repeats", int, 1),
         output_format=opts.get("format", str, "markdown"),
     )
-    try:
-        rows = run_bench(spec)
-    except UnknownObjectiveError as e:
-        raise CliError(str(e.args[0])) from None
-    text = emit_table(rows, spec.output_format)
+    text = emit_table(run_bench(spec), spec.output_format)
     out_path = opts.get("out")
     if out_path is None:
         stdout.write(text)
@@ -272,16 +238,8 @@ def _cmd_bench(opts: _Options, stdout) -> int:
 
 
 def _cmd_trace(opts: _Options, stdout) -> int:
-    function = opts.get("function")
-    if function is None:
-        raise CliError("trace needs --function (or a config entry)")
-    spec = _lookup(function)
-    cfg = SlmConfig(
-        sense=spec.sense,
-        tolerance=opts.get("tol", float, default_tolerance(spec)),
-        max_generations=opts.get("max-generations", int, 60),
-        explore_all=opts.get("explore-all", _parse_bool, False),
-    )
+    spec = _objective(opts, "trace")
+    cfg = slm_config(spec, _algorithm(opts, "slm"))
     res = run_slm(spec.evaluator, spec.domain, cfg)
     doc = build_trace_document(res, spec.name, cfg.tolerance, spec.sense.value)
     directory = opts.get("out", str, "slm-trace")
@@ -297,22 +255,12 @@ def _cmd_trace(opts: _Options, stdout) -> int:
 def _cmd_list_functions(stdout) -> int:
     for name in builtin_names():
         spec = registry_lookup(name)
-        domain = " x ".join(
-            f"[{_num(a)}, {_num(b)}]" for a, b in zip(spec.domain.lo, spec.domain.hi)
-        )
-        optima = spec.known_optima
-        if len(optima) == 1:
-            point, value = optima[0]
-            summary = f"optimum {_point_str(point)} value {_num(value)}"
-        else:
-            point, value = optima[0]
-            summary = f"{len(optima)} optima incl {_point_str(point)} value {_num(value)}"
-        print(f"{spec.name}: {spec.sense.value} on {domain}; {summary}", file=stdout)
+        point, value = spec.known_optima[0]
+        count = len(spec.known_optima)
+        which = "optimum" if count == 1 else f"{count} optima incl"
+        print(f"{spec.name}: {spec.sense.value} on {format_box(spec.domain)}; "
+              f"{which} {format_point(point)} value {format_number(value)}", file=stdout)
     return 0
-
-
-def _num(v: float) -> str:
-    return str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
 
 
 def dispatch(invocation: CliInvocation, stdout=None) -> int:
@@ -331,6 +279,9 @@ def dispatch(invocation: CliInvocation, stdout=None) -> int:
         raise CliError(f"unknown subcommand {invocation.subcommand!r}")
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except UnknownObjectiveError as e:
+        print(f"error: {e.args[0]}", file=sys.stderr)
         return 2
     except Exception as e:  # an objective may raise anything
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

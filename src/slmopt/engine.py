@@ -1,12 +1,16 @@
 """The subdivision search loop.
 
-One generation = label a grid, collect the completely labeled cells
-(vertex labels covering {0..n}), pick where to descend, halve the
-spacing. Generation 0 labels only the 2**n corners of the domain as a
-single cell; every later generation labels the 3**n grid of the chosen
-box. The search stops when the largest spacing component reaches the
-tolerance, when the generation cap hits, or when a box can no longer be
-split in floating point.
+One generation is three steps. _label_frontier labels the grid of every
+frontier box and finds the completely labeled cells (vertex labels
+covering {0..n}); _next_cells, the frontier policy, picks the cells to
+refine; their boxes, at half the spacing, are the next frontier.
+Generation 0 labels only the 2**n corners of the domain as a single
+cell; every later generation labels the 3**n grid of each frontier box.
+run_slm stops with TOLERANCE_REACHED when the largest spacing component
+reaches the tolerance, GENERATION_CAP at max_generations, or
+NO_COMPLETE_CELL ("box_unsplittable") when a box picked for refinement
+can no longer be halved in floating point. For explore-all, _candidates
+then lists one best vertex per final box.
 
 The reported best is the best point ever evaluated, including probe
 candidates, not just grid vertices.
@@ -50,7 +54,9 @@ from .labeling import (
 
 TOLERANCE_REACHED = "tolerance_reached"
 GENERATION_CAP = "generation_cap"
-NO_COMPLETE_CELL = "no_complete_cell_exhausted"
+NO_COMPLETE_CELL = "box_unsplittable"  # a box to refine can no longer be halved in floats
+
+_Staged = tuple[SearchBox, tuple[Cell, ...], tuple[LabeledVertex, ...], tuple[Cell, ...]]
 
 
 @dataclass(frozen=True)
@@ -105,9 +111,9 @@ def _vertex_rank(value: float, sense: Sense) -> float:
     return value if sense is Sense.MINIMIZE else -value
 
 
-def _cell_best_value(cell: Cell, vertices: Sequence[LabeledVertex], sense: Sense) -> float:
-    vals = [vertices[i].value for i in cell.vertex_indices]
-    return min(vals) if sense is Sense.MINIMIZE else max(vals)
+def _cell_rank(cell: Cell, vertices: Sequence[LabeledVertex], sense: Sense) -> float:
+    """Rank of the cell's best vertex value; lower ranks are better."""
+    return min(_vertex_rank(vertices[i].value, sense) for i in cell.vertex_indices)
 
 
 def select_cell(complete: Sequence[Cell], vertices: Sequence[LabeledVertex],
@@ -116,11 +122,7 @@ def select_cell(complete: Sequence[Cell], vertices: Sequence[LabeledVertex],
     lexicographically smallest lower corner."""
     if not complete:
         raise ValueError("no complete cells to select from")
-    return min(
-        complete,
-        key=lambda c: (_vertex_rank(_cell_best_value(c, vertices, sense), sense),
-                       c.box.lo),
-    )
+    return min(complete, key=lambda c: (_cell_rank(c, vertices, sense), c.box.lo))
 
 
 def _best_vertex_index(vertices: Sequence[LabeledVertex], sense: Sense) -> int:
@@ -159,6 +161,71 @@ def generation_bound(domain: SearchBox, tolerance: float) -> int:
     return count
 
 
+def _label_frontier(f: Objective, frontier: Sequence[SearchBox], gen: int,
+                    spacing: Spacing, domain: SearchBox, sense: Sense) -> list[_Staged]:
+    """Label the grids of all frontier boxes, ordered by corners, with
+    one label_grid call over their distinct points (in order of first
+    appearance). Returns (box, cells, vertices, complete cells) per box."""
+    layouts = []
+    position: dict[Point, int] = {}
+    for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
+        if gen == 0:
+            grid: tuple[Point, ...] = corners(box)
+            cells: tuple[Cell, ...] = (Cell(box, tuple(range(len(grid)))),)
+        else:
+            grid, cells = subdivide(box)
+        layouts.append((box, grid, cells))
+        for p in grid:
+            position.setdefault(p, len(position))
+    try:
+        labeled = label_grid(f, tuple(position), tuple(v / 2.0 for v in spacing), domain, sense)
+    except ObjectiveEvaluationError as e:
+        raise ObjectiveEvaluationError(e.point, e.value, generation=gen) from e
+    staged = []
+    for box, grid, cells in layouts:
+        vertices = tuple(labeled[position[p]] for p in grid)
+        staged.append((box, cells, vertices, complete_cells(cells, [v.label for v in vertices])))
+    return staged
+
+
+def _next_cells(staged: Sequence[_Staged], config: SlmConfig) -> list[Cell]:
+    """The frontier policy: the cells whose boxes the next generation labels.
+
+    Single descent refines one cell of its one box: the best complete
+    cell (select_cell), else the first cell holding the best vertex
+    (_fallback_cell). Explore-all ranks every complete cell, then every
+    cell of a box with none, each group by best vertex value and lower
+    corner, and keeps the first cell_budget; a box with no complete cell
+    keeps all its children so enumeration breadth survives flat or
+    aliased generations. The policies stay apart because, when no cell
+    is complete, they break ties differently: descent takes the first
+    cell containing the best vertex, explore-all the smallest lower
+    corner among equal-valued cells.
+    """
+    sense = config.sense
+    if not config.explore_all:
+        _, cells, vertices, complete = staged[0]
+        if complete:
+            return [select_cell(complete, vertices, sense)]
+        return [_fallback_cell(cells, vertices, sense)]
+    ranked = sorted(
+        (((not complete, _cell_rank(c, vertices, sense), c.box.lo), c)
+         for _, cells, vertices, complete in staged for c in complete or cells),
+        key=lambda kc: kc[0],
+    )
+    return [c for _, c in ranked[: config.cell_budget]]
+
+
+def _candidates(staged: Sequence[_Staged], sense: Sense) -> tuple[tuple[Point, float], ...]:
+    """The best vertex of each final box, one entry per point (the first
+    box's wins), best value first and ties by point."""
+    reps: dict[Point, float] = {}
+    for _, _, vertices, _ in staged:
+        v = vertices[_best_vertex_index(vertices, sense)]
+        reps.setdefault(v.point, v.value)
+    return tuple(sorted(reps.items(), key=lambda pv: (_vertex_rank(pv[1], sense), pv[0])))
+
+
 def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
     """Run the subdividing labeling search on one objective.
 
@@ -185,106 +252,35 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
     frontier: list[SearchBox] = [domain]
     spacing: Spacing = initial_spacing(domain)
     gen = 0
-    termination = None
-    last_staged: list[tuple[SearchBox, tuple[LabeledVertex, ...], tuple[Cell, ...], tuple[Cell, ...]]] = []
-
-    while termination is None:
-        probe_s = tuple(v / 2.0 for v in spacing)
-        layouts = []
-        # distinct grid points of all boxes, in order of first appearance
-        position: dict[Point, int] = {}
-        for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
-            if gen == 0:
-                grid: tuple[Point, ...] = corners(box)
-                cells: tuple[Cell, ...] = (Cell(box, tuple(range(len(grid)))),)
-            else:
-                grid, cells = subdivide(box)
-            layouts.append((box, grid, cells))
-            for p in grid:
-                position.setdefault(p, len(position))
-        try:
-            labeled = label_grid(counted, tuple(position), probe_s, domain, sense)
-        except ObjectiveEvaluationError as e:
-            raise ObjectiveEvaluationError(e.point, e.value, generation=gen) from e
-        staged = []
-        for box, grid, cells in layouts:
-            vertices = tuple(labeled[position[p]] for p in grid)
-            labels = [v.label for v in vertices]
-            staged.append((box, vertices, complete_cells(cells, labels), cells))
-        last_staged = staged
-
-        if max(spacing) <= config.tolerance:
-            termination = TOLERANCE_REACHED
-        elif gen >= config.max_generations:
-            termination = GENERATION_CAP
-
-        chosen_for: dict[int, Cell] = {}
-        next_frontier: list[SearchBox] = []
-        if termination is None:
-            if config.explore_all:
-                # complete cells are the signal and always rank first; a
-                # box with none keeps all its children so enumeration
-                # breadth survives flat or aliased generations, with
-                # cell_budget capping the growth
-                sure, unsure = [], []
-                for box, vertices, complete, cells in staged:
-                    if complete:
-                        for c in complete:
-                            rank = _vertex_rank(_cell_best_value(c, vertices, sense), sense)
-                            sure.append(((rank, c.box.lo), c))
-                    else:
-                        for c in cells:
-                            rank = _vertex_rank(_cell_best_value(c, vertices, sense), sense)
-                            unsure.append(((rank, c.box.lo), c))
-                sure.sort(key=lambda rc: rc[0])
-                unsure.sort(key=lambda rc: rc[0])
-                ranked = [c for _, c in sure] + [c for _, c in unsure]
-                next_frontier = [c.box for c in ranked[: config.cell_budget]]
-            else:
-                box, vertices, complete, cells = staged[0]
-                if complete:
-                    cell = select_cell(complete, vertices, sense)
-                else:
-                    cell = _fallback_cell(cells, vertices, sense)
-                chosen_for[0] = cell
-                next_frontier = [cell.box]
-
-        for i, (box, vertices, complete, cells) in enumerate(staged):
-            generations.append(
-                GenerationRecord(
-                    index=gen,
-                    box=box,
-                    spacing=spacing,
-                    vertices=vertices,
-                    complete_cells=complete,
-                    chosen=chosen_for.get(i),
-                    fallback_used=not complete,
-                )
-            )
-
-        if termination is None:
-            if not all(splittable(b) for b in next_frontier):
-                termination = NO_COMPLETE_CELL
-            else:
-                frontier = next_frontier
-                spacing = tuple(v / 2.0 for v in spacing)
-                gen += 1
-
-    candidates: tuple[tuple[Point, float], ...] = ()
-    if config.explore_all:
-        reps: dict[Point, float] = {}
-        for box, vertices, complete, cells in last_staged:
-            v = vertices[_best_vertex_index(vertices, sense)]
-            reps.setdefault(v.point, v.value)
-        candidates = tuple(
-            sorted(reps.items(), key=lambda pv: (_vertex_rank(pv[1], sense), pv[0]))
-        )
+    while True:
+        staged = _label_frontier(counted, frontier, gen, spacing, domain, sense)
+        termination = (TOLERANCE_REACHED if max(spacing) <= config.tolerance
+                       else GENERATION_CAP if gen >= config.max_generations else None)
+        refine = _next_cells(staged, config) if termination is None else []
+        chosen = refine[0] if refine and not config.explore_all else None
+        for i, (box, _, vertices, complete) in enumerate(staged):
+            generations.append(GenerationRecord(
+                index=gen,
+                box=box,
+                spacing=spacing,
+                vertices=vertices,
+                complete_cells=complete,
+                chosen=chosen if i == 0 else None,
+                fallback_used=not complete,
+            ))
+        if termination is None and not all(splittable(c.box) for c in refine):
+            termination = NO_COMPLETE_CELL
+        if termination is not None:
+            break
+        frontier = [c.box for c in refine]
+        spacing = tuple(v / 2.0 for v in spacing)
+        gen += 1
 
     assert best_point is not None
     return RunResult(
         best_point=best_point,
         best_value=best_value,
-        candidates=candidates,
+        candidates=_candidates(staged, sense) if config.explore_all else (),
         generations=tuple(generations),
         evaluations=len(store),
         termination=termination,

@@ -1,4 +1,5 @@
-"""Axis-aligned box geometry: corners, subdivision grids, probe offsets.
+"""Axis-aligned box geometry: corners, subdivision grids, probe offsets,
+and the one text form of numbers, points and boxes.
 
 Points are plain tuples of floats. Every enumeration in this module
 (corners, grid points, cells, offsets) is in lexicographic order so
@@ -54,6 +55,21 @@ class SearchBox:
         if len(p) != self.dimension:
             raise ValueError("point dimension mismatch")
         return tuple(min(max(float(x), a), b) for x, a, b in zip(p, self.lo, self.hi))
+
+
+def format_number(v: float) -> str:
+    """Integral values without a fraction ("2", not "2.0"), others as repr."""
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
+def format_point(p: Sequence[float]) -> str:
+    return "(" + ", ".join(format_number(v) for v in p) + ")"
+
+
+def format_box(box: SearchBox) -> str:
+    return " x ".join(f"[{format_number(a)}, {format_number(b)}]" for a, b in zip(box.lo, box.hi))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 from .engine import GenerationRecord, RunResult
+from .geometry import format_box, format_number, format_point
 
 
 class UnsupportedDimensionError(ValueError):
@@ -46,28 +46,14 @@ class TraceDocument:
     entries: tuple[TraceEntry, ...]
 
 
-def _fmt(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def _fmt_point(p: Sequence[float]) -> str:
-    return "(" + ", ".join(_fmt(v) for v in p) + ")"
-
-
-def _fmt_box(box) -> str:
-    return " x ".join(f"[{_fmt(a)}, {_fmt(b)}]" for a, b in zip(box.lo, box.hi))
-
-
 def render_generation_table(g: GenerationRecord) -> str:
     """Text table: point | probe_target | label, one row per vertex in
     grid order, under header lines for spacing and the chosen cell."""
     lines = [
         f"generation {g.index}",
-        f"spacing: {_fmt_point(g.spacing)}",
-        f"box: {_fmt_box(g.box)}",
-        f"chosen: {_fmt_box(g.chosen.box) if g.chosen is not None else 'none'}",
+        f"spacing: {format_point(g.spacing)}",
+        f"box: {format_box(g.box)}",
+        f"chosen: {format_box(g.chosen.box) if g.chosen is not None else 'none'}",
     ]
     if g.fallback_used:
         lines.append("fallback: no completely labeled cell this generation")
@@ -75,7 +61,7 @@ def render_generation_table(g: GenerationRecord) -> str:
         lines.append("")
         lines.append("point | probe_target | label")
         for v in g.vertices:
-            lines.append(f"{_fmt_point(v.point)} | {_fmt_point(v.probe_target)} | {v.label}")
+            lines.append(f"{format_point(v.point)} | {format_point(v.probe_target)} | {v.label}")
     return "\n".join(lines) + "\n"
 
 
@@ -185,7 +171,7 @@ def write_trace(doc: TraceDocument, directory: str) -> list[str]:
     header = (
         f"objective: {doc.objective}\n"
         f"sense: {doc.sense}\n"
-        f"tolerance: {_fmt(doc.tolerance)}\n"
+        f"tolerance: {format_number(doc.tolerance)}\n"
     )
     text = header + "\n" + "\n".join(e.table for e in doc.entries)
     path = os.path.join(directory, "trace.txt")

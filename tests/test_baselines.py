@@ -1,5 +1,7 @@
 """Seeded baselines: stream contract, evaluation accounting, quality."""
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from slmopt.baselines import (
     random_search_walk,
     simulated_annealing,
 )
+from slmopt.labeling import ObjectiveEvaluationError
 from slmopt.objectives import registry_lookup
 
 SPHERE = registry_lookup("sphere_min")
@@ -178,3 +181,26 @@ def test_config_validation():
     # equal step scales are fine: constant-radius proposals
     BaselineConfig(iterations=1, seed=0, step_scale_initial=0.3,
                    step_scale_final=0.3)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize("run", ALL_RUNNERS)
+def test_non_finite_value_raises_with_the_point(run, bad):
+    # nan on the first call only, or inf on every call: both must stop
+    # the run at that first evaluation, as run_slm does
+    seen = []
+
+    def f(p):
+        seen.append(p)
+        return bad if math.isinf(bad) or len(seen) == 1 else SPHERE.evaluator(p)
+
+    spec = dataclasses.replace(SPHERE, evaluator=f)
+    with pytest.raises(ObjectiveEvaluationError) as err:
+        run(spec, cfg(iterations=20))
+    assert len(seen) == 1
+    assert err.value.point == seen[0]
+    assert repr(err.value.value) == repr(bad)

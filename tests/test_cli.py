@@ -1,5 +1,8 @@
 """Command-line front end: flags, config files, payload/diagnostic split."""
 
+import itertools
+import json
+import math
 import subprocess
 import sys
 
@@ -7,7 +10,7 @@ import pytest
 
 from slmopt.bench import parse_csv
 from slmopt.cli import CliError, main, read_config
-from slmopt.geometry import SearchBox
+from slmopt.geometry import SearchBox, format_point
 from slmopt.labeling import Sense
 from slmopt.objectives import ObjectiveSpec, all_names, register_objective
 
@@ -157,6 +160,39 @@ def test_raising_objective_is_one_line_error(argv, tmp_path, capsys):
     assert err.startswith("error: ZeroDivisionError: ") and err.count("\n") == 1
 
 
+_non_finite_ids = itertools.count()
+
+
+def _non_finite_objective(bad):
+    """Register a fresh 1-D objective that returns bad on its first call
+    (nan) or on every call (inf); returns its name."""
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return bad if math.isinf(bad) or len(calls) == 1 else p[0]
+
+    name = f"test_non_finite_{next(_non_finite_ids)}"
+    register_objective(ObjectiveSpec(
+        name=name,
+        dimension=1,
+        domain=SearchBox((0.0,), (1.0,)),
+        sense=Sense.MINIMIZE,
+        known_optima=(((0.0,), 0.0),),
+        evaluator=f,
+    ))
+    return name
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize("method", ("rs", "rsw", "sa"))
+def test_baseline_non_finite_value_is_one_line_error(method, bad, capsys):
+    rc, out, err = run_cli(capsys, "optimize", "--function", _non_finite_objective(bad),
+                           "--method", method)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: objective returned {bad!r} at (") and err.count("\n") == 1
+
+
 def test_optimize_unknown_method_via_config(tmp_path, capsys):
     path = tmp_path / "run.conf"
     path.write_text("function = sphere_min\nmethod = newton\n")
@@ -183,6 +219,23 @@ def test_bad_config_value_reports_key(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "optimize", "--config", str(path))
     assert rc == 2
     assert "iterations" in err
+
+
+@pytest.mark.parametrize("function", ("sphere_min", "trig"))
+@pytest.mark.parametrize("method", ("slm", "rs", "rsw", "sa"))
+def test_optimize_matches_the_bench_row(method, function, capsys):
+    rc, out, _ = run_cli(capsys, "optimize", "--function", function,
+                         "--method", method, "--seed", "0")
+    assert rc == 0
+    fields = dict(line.split(": ", 1) for line in out.splitlines())
+    rc, text, _ = run_cli(capsys, "bench", "--function", function,
+                          "--method", method, "--format", "csv")
+    assert rc == 0
+    [row] = parse_csv(text)
+    assert row.seed == 0
+    assert fields["best point"] == format_point(row.found_point)
+    assert fields["best value"] == repr(row.found_value)
+    assert fields["iterations"] == str(row.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +278,23 @@ def test_bench_missing_config_file(capsys):
     rc, out, err = run_cli(capsys, "bench", "--config", "missing.conf")
     assert rc == 2 and out == ""
     assert "missing.conf" in err
+
+
+def parse_json_lines(text):
+    return [{k: v for k, v in json.loads(line).items() if k != "wall_time_ms"}
+            for line in text.splitlines()]
+
+
+def test_bench_ignores_config_keys_it_has_no_flag_for(tmp_path, capsys):
+    # optimize and trace take these; a shared config must not change bench
+    path = tmp_path / "run.conf"
+    path.write_text("max-generations = 1\ninitial = 1,1\nseed = 5\n")
+    argv = ("bench", "--function", "sphere_min", "--method", "slm,rsw",
+            "--iterations", "30", "--format", "json-lines")
+    _, plain, _ = run_cli(capsys, *argv)
+    rc, configured, _ = run_cli(capsys, *argv, "--config", str(path))
+    assert rc == 0
+    assert parse_json_lines(configured) == parse_json_lines(plain)
 
 
 def test_bench_payload_is_byte_deterministic(capsys):

@@ -419,3 +419,42 @@ def test_point_store_invisible_on_shifted_spheres(n, data, halvings, explore_all
                     explore_all=explore_all, cell_budget=cell_budget)
     assert_store_invisible(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)),
                            domain, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Structure of the generations: labels, spacing, nesting, frontier size
+# ---------------------------------------------------------------------------
+
+def _inside(inner, outer):
+    return all(a <= x and y <= b for x, y, a, b in zip(inner.lo, inner.hi, outer.lo, outer.hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    halvings=st.integers(1, 5),
+    explore_all=st.booleans(),
+    cell_budget=st.integers(1, 8),
+    sense=st.sampled_from(Sense),
+)
+def test_generations_halve_nest_and_stay_in_budget(n, data, halvings, explore_all,
+                                                   cell_budget, sense):
+    centre = data.draw(st.tuples(*[st.floats(-2.5, 2.5) for _ in range(n)]))
+    domain = SearchBox((-2.0,) * n, (2.0,) * n)
+    cfg = SlmConfig(sense=sense, tolerance=4.0 / 2 ** halvings,
+                    explore_all=explore_all, cell_budget=cell_budget)
+    res = run_slm(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)), domain, cfg)
+    assert res.termination in (TOLERANCE_REACHED, GENERATION_CAP, NO_COMPLETE_CELL)
+    by_gen = {}
+    for g in res.generations:
+        assert all(0 <= v.label <= n for v in g.vertices)
+        by_gen.setdefault(g.index, []).append(g)
+    assert list(by_gen) == list(range(len(by_gen)))
+    for k in range(1, len(by_gen)):
+        prev, cur = by_gen[k - 1], by_gen[k]
+        assert all(g.spacing == tuple(s / 2.0 for s in prev[0].spacing) for g in cur)
+        assert len(cur) <= (cell_budget if explore_all else 1)
+        assert all(any(_inside(g.box, h.box) for h in prev) for g in cur)
+        if not explore_all:
+            assert cur[0].box == prev[0].chosen.box
