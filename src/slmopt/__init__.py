@@ -27,7 +27,6 @@ from .engine import (
     RunResult,
     SlmConfig,
     complete_cells,
-    generation_bound,
     run_slm,
     select_cell,
 )
@@ -37,7 +36,6 @@ from .geometry import (
     SearchBox,
     Spacing,
     corners,
-    initial_spacing,
     probe_offsets,
     subdivide,
 )
@@ -47,7 +45,6 @@ from .labeling import (
     Sense,
     label_grid,
     label_of,
-    probe,
 )
 from .objectives import (
     ObjectiveSpec,
@@ -57,7 +54,6 @@ from .objectives import (
     registry_lookup,
 )
 from .trace import (
-    SvgStyle,
     TraceDocument,
     UnsupportedDimensionError,
     build_trace_document,
@@ -85,7 +81,6 @@ __all__ = [
     "Sense",
     "SlmConfig",
     "Spacing",
-    "SvgStyle",
     "TraceDocument",
     "UnknownObjectiveError",
     "UnsupportedDimensionError",
@@ -95,11 +90,8 @@ __all__ = [
     "corners",
     "deviation",
     "emit_table",
-    "generation_bound",
-    "initial_spacing",
     "label_grid",
     "label_of",
-    "probe",
     "probe_offsets",
     "random_search",
     "random_search_walk",

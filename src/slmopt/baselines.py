@@ -19,29 +19,29 @@ from .geometry import Point, SearchBox
 from .labeling import _checked
 from .objectives import ObjectiveSpec
 
+# proposal radius per dimension, as a fraction of the domain width,
+# decaying geometrically from the first iteration to the last
+STEP_SCALE_INITIAL = 0.5
+STEP_SCALE_FINAL = 0.01
+# annealing starts at the value spread of this many uniform samples
+TEMPERATURE_SAMPLES = 10
+COOLING_RATIO = 0.95
+
 
 @dataclass(frozen=True)
 class BaselineConfig:
     iterations: int
     seed: int
     initial_point: Point | None = None
-    step_scale_initial: float = 0.5
-    step_scale_final: float = 0.01
-    temperature_initial: float | None = None
-    cooling_ratio: float = 0.95
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        # 0 is allowed on purpose: a zero step scale freezes the walk
-        if not 0.0 <= self.step_scale_final <= self.step_scale_initial:
-            raise ValueError("need 0 <= step_scale_final <= step_scale_initial")
-        if self.temperature_initial is not None and not self.temperature_initial > 0:
-            raise ValueError("temperature_initial must be positive")
-        if not 0.0 < self.cooling_ratio < 1.0:
-            raise ValueError("cooling_ratio must be in (0, 1)")
+        # an infinite coordinate clamps to a bound; NaN has no place to go
+        if self.initial_point is not None and any(math.isnan(float(v)) for v in self.initial_point):
+            raise ValueError(f"initial point {tuple(self.initial_point)!r} has a NaN coordinate")
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,12 @@ def _uniform_point(rng: random.Random, box: SearchBox) -> Point:
 
 def _step_sigma(cfg: BaselineConfig, box: SearchBox, t: int) -> tuple[float, ...]:
     """Per-dimension proposal radius at iteration t: geometric decay
-    from step_scale_initial*width to step_scale_final*width."""
-    s0, sf = cfg.step_scale_initial, cfg.step_scale_final
-    if s0 <= 0.0:
-        scale = 0.0
-    elif cfg.iterations == 1:
+    from STEP_SCALE_INITIAL*width to STEP_SCALE_FINAL*width."""
+    s0 = STEP_SCALE_INITIAL
+    if cfg.iterations == 1:
         scale = s0
     else:
-        scale = s0 * (sf / s0) ** (t / (cfg.iterations - 1))
+        scale = s0 * (STEP_SCALE_FINAL / s0) ** (t / (cfg.iterations - 1))
     return tuple(scale * w for w in box.widths())
 
 
@@ -138,27 +136,21 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
 
     Improvements and value ties are always accepted; a worsening of
     |delta| is accepted with probability exp(-|delta|/T). T starts at
-    cfg.temperature_initial, or, when that is None, at the value spread
-    of 10 uniform probe samples (drawn and evaluated first, so the
-    default costs 10 extra evaluations: evaluations ==
-    cfg.iterations + 1 + 10; with an explicit temperature it is
-    cfg.iterations + 1). T multiplies by cooling_ratio each iteration.
+    the value spread of TEMPERATURE_SAMPLES (10) uniform samples, drawn
+    and evaluated first (1.0 when they are all equal), so evaluations ==
+    cfg.iterations + 11. T multiplies by COOLING_RATIO each iteration.
     Returns the best point ever visited, not the final state.
     """
     rng = random.Random(cfg.seed)
     better = spec.sense.better
-    evals = 0
-    if cfg.temperature_initial is None:
-        samples = [_checked(spec.evaluator, _uniform_point(rng, spec.domain)) for _ in range(10)]
-        evals += 10
-        temperature = max(samples) - min(samples)
-        if temperature <= 0.0:
-            temperature = 1.0
-    else:
-        temperature = cfg.temperature_initial
+    samples = [_checked(spec.evaluator, _uniform_point(rng, spec.domain))
+               for _ in range(TEMPERATURE_SAMPLES)]
+    temperature = max(samples) - min(samples)
+    if temperature <= 0.0:
+        temperature = 1.0
     x, notes = _initial(spec, cfg)
     fx = _checked(spec.evaluator, x)
-    evals += 1
+    evals = TEMPERATURE_SAMPLES + 1
     best_p, best_v = x, fx
     trajectory = [(evals, fx)]
     for t in range(cfg.iterations):
@@ -169,10 +161,11 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
             x, fx = p, v
         else:
             u = rng.random()
+            # T underflows to 0.0 after about 14 500 iterations
             if temperature > 0.0 and u < math.exp(-abs(v - fx) / temperature):
                 x, fx = p, v
         if better(fx, best_v):
             best_p, best_v = x, fx
             trajectory.append((evals, fx))
-        temperature *= cfg.cooling_ratio
+        temperature *= COOLING_RATIO
     return OptimRunResult(best_p, best_v, evals, tuple(trajectory), notes)

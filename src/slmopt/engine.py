@@ -40,7 +40,6 @@ from .geometry import (
     SearchBox,
     Spacing,
     corners,
-    initial_spacing,
     splittable,
     subdivide,
 )
@@ -68,8 +67,8 @@ class SlmConfig:
     cell_budget: int = 32
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_generations < 1:
             raise ValueError("max_generations must be at least 1")
         if self.cell_budget < 1:
@@ -142,23 +141,6 @@ def _fallback_cell(cells: Sequence[Cell], vertices: Sequence[LabeledVertex],
         if target in c.vertex_indices:
             return c
     raise AssertionError("subdivision cells must cover the grid")
-
-
-def generation_bound(domain: SearchBox, tolerance: float) -> int:
-    """Number of halvings of the widest side until it is <= tolerance.
-
-    Computed by the same halving loop the run itself performs, so the
-    bound agrees with run_slm even where floating-point log2 would
-    round the wrong way.
-    """
-    if not tolerance > 0:
-        raise ValueError("tolerance must be positive")
-    widest = max(domain.widths())
-    count = 0
-    while widest > tolerance:
-        widest /= 2.0
-        count += 1
-    return count
 
 
 def _label_frontier(f: Objective, frontier: Sequence[SearchBox], gen: int,
@@ -250,7 +232,7 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
 
     generations: list[GenerationRecord] = []
     frontier: list[SearchBox] = [domain]
-    spacing: Spacing = initial_spacing(domain)
+    spacing: Spacing = domain.widths()
     gen = 0
     while True:
         staged = _label_frontier(counted, frontier, gen, spacing, domain, sense)

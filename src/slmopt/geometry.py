@@ -86,11 +86,6 @@ def corners(box: SearchBox) -> tuple[Point, ...]:
     return tuple(itertools.product(*zip(box.lo, box.hi)))
 
 
-def initial_spacing(box: SearchBox) -> Spacing:
-    """Generation-zero spacing: the full box width per dimension."""
-    return box.widths()
-
-
 def check_spacing(n: int, s: Sequence[float]) -> None:
     """Raise ValueError unless s is a positive spacing of dimension n."""
     if n < 1:

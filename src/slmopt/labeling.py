@@ -89,13 +89,6 @@ def _probe(f: Objective, p: Point, s: Spacing, domain: SearchBox,
     return best, best_v, fp
 
 
-def probe(f: Objective, p: Point, s: Spacing, domain: SearchBox,
-          sense: Sense) -> Point:
-    """Best point among p and its admissible offset neighbors."""
-    target, _, _ = _probe(f, p, s, domain, sense)
-    return target
-
-
 def label_of(displacement: Sequence[float]) -> int:
     """0 if every component is >= 0, else the largest 1-based index
     whose component is negative."""

@@ -50,11 +50,6 @@ def eval_sphere_min(p: Sequence[float]) -> float:
     return p[0] ** 2 + (p[1] - 0.4) ** 2
 
 
-def eval_sphere_max(p: Sequence[float]) -> float:
-    """Same surface as eval_sphere_min; registered with maximize sense."""
-    return eval_sphere_min(p)
-
-
 def eval_trig(p: Sequence[float]) -> float:
     _need_2d(p)
     return math.cos(math.pi * p[0] / 2.0) - math.sin(math.pi * p[1] / 2.0)
@@ -155,7 +150,7 @@ register_objective(ObjectiveSpec(
     domain=SearchBox((-2.0, -2.0), (2.0, 2.0)),
     sense=Sense.MAXIMIZE,
     known_optima=(((-2.0, -2.0), 9.76), ((2.0, -2.0), 9.76)),
-    evaluator=eval_sphere_max,
+    evaluator=eval_sphere_min,
 ))
 register_objective(ObjectiveSpec(
     name="rosenbrock",

@@ -2,7 +2,7 @@
 2-D runs, standalone SVG drawings of the labeled grid.
 
 Both renderers are pure functions of their inputs; identical records
-and style give identical bytes.
+give identical bytes.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ class UnsupportedDimensionError(ValueError):
         super().__init__(f"svg rendering supports 2-D only, got {dimension}-D")
 
 
-@dataclass(frozen=True)
-class SvgStyle:
-    plot_size: float = 440.0
-    pad: float = 18.0
-    legend_height: float = 72.0
-    # marker fill by label: 0, 1, 2
-    palette: tuple[str, str, str] = ("#2a9d8f", "#e76f51", "#4361ee")
-    chosen_fill: str = "#ffd166"
-    arrow_color: str = "#555555"
+PLOT_SIZE = 440.0
+PAD = 18.0
+LEGEND_HEIGHT = 72.0
+# marker fill by label: 0, 1, 2 (SVG is 2-D only, so no other label occurs)
+PALETTE = ("#2a9d8f", "#e76f51", "#4361ee")
+CHOSEN_FILL = "#ffd166"
+ARROW_COLOR = "#555555"
 
 
 @dataclass(frozen=True)
@@ -65,29 +63,28 @@ def render_generation_table(g: GenerationRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_generation_svg(g: GenerationRecord, style: SvgStyle | None = None) -> str:
+def render_generation_svg(g: GenerationRecord) -> str:
     """Standalone SVG 1.1 of one 2-D generation: box outline, chosen
     cell highlight, label-colored vertex markers, probe arrows for
     nonzero displacements, and a legend."""
     if g.box.dimension != 2:
         raise UnsupportedDimensionError(g.box.dimension)
-    st = style or SvgStyle()
 
     # viewport covers the box expanded by the probe radius, so arrows
     # to targets just outside the box stay inside the drawing
     ex = [s / 2.0 for s in g.spacing]
     x0, y0 = g.box.lo[0] - ex[0], g.box.lo[1] - ex[1]
     x1, y1 = g.box.hi[0] + ex[0], g.box.hi[1] + ex[1]
-    plot_w = st.plot_size
-    plot_h = st.plot_size * (y1 - y0) / (x1 - x0)
-    width = plot_w + 2 * st.pad
-    height = plot_h + 2 * st.pad + st.legend_height
+    plot_w = PLOT_SIZE
+    plot_h = PLOT_SIZE * (y1 - y0) / (x1 - x0)
+    width = plot_w + 2 * PAD
+    height = plot_h + 2 * PAD + LEGEND_HEIGHT
 
     def px(x: float) -> float:
-        return st.pad + (x - x0) / (x1 - x0) * plot_w
+        return PAD + (x - x0) / (x1 - x0) * plot_w
 
     def py(y: float) -> float:
-        return st.pad + (y1 - y) / (y1 - y0) * plot_h
+        return PAD + (y1 - y) / (y1 - y0) * plot_h
 
     def rect(box, klass: str, fill: str, opacity: str, stroke: str) -> str:
         return (
@@ -105,12 +102,12 @@ def render_generation_svg(g: GenerationRecord, style: SvgStyle | None = None) ->
         "  <defs>",
         '    <marker id="arrowhead" markerWidth="8" markerHeight="8" '
         'refX="7" refY="3" orient="auto">'
-        f'<path d="M0,0 L7,3 L0,6 z" fill="{st.arrow_color}"/></marker>',
+        f'<path d="M0,0 L7,3 L0,6 z" fill="{ARROW_COLOR}"/></marker>',
         "  </defs>",
         f'  <rect width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
     ]
     if g.chosen is not None:
-        parts.append(rect(g.chosen.box, "chosen", st.chosen_fill, "0.35", "none"))
+        parts.append(rect(g.chosen.box, "chosen", CHOSEN_FILL, "0.35", "none"))
     parts.append(rect(g.box, "box", "none", "1", "#222222"))
 
     for v in g.vertices:
@@ -118,29 +115,28 @@ def render_generation_svg(g: GenerationRecord, style: SvgStyle | None = None) ->
             parts.append(
                 f'  <line class="arrow" x1="{px(v.point[0]):.2f}" y1="{py(v.point[1]):.2f}"'
                 f' x2="{px(v.probe_target[0]):.2f}" y2="{py(v.probe_target[1]):.2f}"'
-                f' stroke="{st.arrow_color}" stroke-width="1.5" marker-end="url(#arrowhead)"/>'
+                f' stroke="{ARROW_COLOR}" stroke-width="1.5" marker-end="url(#arrowhead)"/>'
             )
     for v in g.vertices:
-        color = st.palette[v.label] if v.label < len(st.palette) else "#888888"
         parts.append(
             f'  <circle class="vertex" cx="{px(v.point[0]):.2f}" cy="{py(v.point[1]):.2f}"'
-            f' r="5" fill="{color}" stroke="#ffffff" stroke-width="1"/>'
+            f' r="5" fill="{PALETTE[v.label]}" stroke="#ffffff" stroke-width="1"/>'
         )
         parts.append(
             f'  <text class="vlabel" x="{px(v.point[0]) + 7:.2f}" y="{py(v.point[1]) - 7:.2f}"'
             f' font-family="sans-serif" font-size="11">{v.label}</text>'
         )
 
-    ly = plot_h + 2 * st.pad + 16
+    ly = plot_h + 2 * PAD + 16
     legend = [f'  <g id="legend" font-family="sans-serif" font-size="12">']
-    lx = st.pad
-    for label, color in enumerate(st.palette):
+    lx = PAD
+    for label, color in enumerate(PALETTE):
         legend.append(f'    <circle cx="{lx + 6:.2f}" cy="{ly:.2f}" r="5" fill="{color}"/>')
         legend.append(f'    <text x="{lx + 16:.2f}" y="{ly + 4:.2f}">label {label}</text>')
         lx += 88
     legend.append(
         f'    <rect x="{lx:.2f}" y="{ly - 7:.2f}" width="14" height="14"'
-        f' fill="{st.chosen_fill}" fill-opacity="0.35" stroke="#999999"/>'
+        f' fill="{CHOSEN_FILL}" fill-opacity="0.35" stroke="#999999"/>'
     )
     legend.append(f'    <text x="{lx + 20:.2f}" y="{ly + 4:.2f}">chosen cell</text>')
     legend.append("  </g>")
@@ -150,11 +146,11 @@ def render_generation_svg(g: GenerationRecord, style: SvgStyle | None = None) ->
 
 
 def build_trace_document(result: RunResult, objective: str, tolerance: float,
-                         sense: str, style: SvgStyle | None = None) -> TraceDocument:
+                         sense: str) -> TraceDocument:
     """One entry per GenerationRecord; SVG only for 2-D records."""
     entries = []
     for g in result.generations:
-        svg = render_generation_svg(g, style) if g.box.dimension == 2 else None
+        svg = render_generation_svg(g) if g.box.dimension == 2 else None
         entries.append(TraceEntry(index=g.index, table=render_generation_table(g), svg=svg))
     return TraceDocument(objective=objective, sense=sense, tolerance=tolerance,
                          entries=tuple(entries))

@@ -78,9 +78,6 @@ def test_walk_evaluations():
 def test_annealing_evaluations():
     default_t = simulated_annealing(SPHERE, cfg(iterations=50))
     assert default_t.evaluations == 50 + 1 + 10
-    explicit_t = simulated_annealing(
-        SPHERE, cfg(iterations=50, temperature_initial=2.0))
-    assert explicit_t.evaluations == 50 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +125,6 @@ def test_initial_point_clamped_with_note():
     assert inside.notes == ()
 
 
-def test_zero_step_scale_freezes_the_walk():
-    frozen = cfg(iterations=50, seed=2, step_scale_initial=0.0,
-                 step_scale_final=0.0, initial_point=(1.0, 1.0))
-    res = random_search_walk(SPHERE, frozen)
-    assert res.best_point == (1.0, 1.0)
-    assert res.trajectory == ((1, SPHERE.evaluator((1.0, 1.0))),)
-    assert res.evaluations == 51
-
-
 # ---------------------------------------------------------------------------
 # Quality spot checks (deterministic given the seed)
 # ---------------------------------------------------------------------------
@@ -167,20 +155,17 @@ def test_config_validation():
         BaselineConfig(iterations=0, seed=0)
     with pytest.raises(ValueError):
         BaselineConfig(iterations=1, seed=-1)
-    with pytest.raises(ValueError):
-        BaselineConfig(iterations=1, seed=0, step_scale_initial=0.1,
-                       step_scale_final=0.2)
-    with pytest.raises(ValueError):
-        BaselineConfig(iterations=1, seed=0, step_scale_final=-0.1)
-    with pytest.raises(ValueError):
-        BaselineConfig(iterations=1, seed=0, cooling_ratio=1.0)
-    with pytest.raises(ValueError):
-        BaselineConfig(iterations=1, seed=0, cooling_ratio=0.0)
-    with pytest.raises(ValueError):
-        BaselineConfig(iterations=1, seed=0, temperature_initial=0.0)
-    # equal step scales are fine: constant-radius proposals
-    BaselineConfig(iterations=1, seed=0, step_scale_initial=0.3,
-                   step_scale_final=0.3)
+
+
+def test_nan_initial_point_rejected():
+    for bad in ((math.nan, 0.0), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            BaselineConfig(iterations=1, seed=0, initial_point=bad)
+    # an infinite coordinate is not rejected: it clamps to the bound
+    res = random_search_walk(
+        SPHERE, cfg(iterations=10, seed=0, initial_point=(math.inf, -math.inf)))
+    assert res.notes and "clamped" in res.notes[0]
+    assert res.trajectory[0] == (1, SPHERE.evaluator((2.0, -2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,22 @@ def test_baseline_non_finite_value_is_one_line_error(method, bad, capsys):
     assert err.startswith(f"error: objective returned {bad!r} at (") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", (("optimize",), ("trace", "--out", "{tmp}")))
+def test_infinite_tolerance_is_one_line_error(argv, tmp_path, capsys):
+    rc, out, err = run_cli(capsys, argv[0], "--function", "trig", "--tol", "inf",
+                           *(a.format(tmp=tmp_path) for a in argv[1:]))
+    assert rc == 2 and out == ""
+    assert err == "error: tolerance must be positive and finite\n"
+
+
+@pytest.mark.parametrize("method", ("rs", "rsw", "sa"))
+def test_nan_initial_point_is_one_line_error(method, capsys):
+    rc, out, err = run_cli(capsys, "optimize", "--function", "trig",
+                           "--method", method, "--initial", "nan,nan")
+    assert rc == 2 and out == ""
+    assert err == "error: initial point (nan, nan) has a NaN coordinate\n"
+
+
 def test_optimize_unknown_method_via_config(tmp_path, capsys):
     path = tmp_path / "run.conf"
     path.write_text("function = sphere_min\nmethod = newton\n")

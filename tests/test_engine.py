@@ -13,7 +13,6 @@ from slmopt.engine import (
     TOLERANCE_REACHED,
     SlmConfig,
     complete_cells,
-    generation_bound,
     run_slm,
     select_cell,
 )
@@ -74,25 +73,13 @@ def test_select_cell_prefers_best_vertex_then_lex():
 
 
 # ---------------------------------------------------------------------------
-# generation_bound
+# Generation counts
 # ---------------------------------------------------------------------------
-
-def test_generation_bound_values():
-    sphere = SearchBox((-2.0, -2.0), (2.0, 2.0))
-    assert generation_bound(sphere, 0.0625) == 6
-    shekel = SearchBox((-65.536, -65.536), (65.536, 65.536))
-    assert generation_bound(shekel, 0.512) == 8
-    assert generation_bound(sphere, 4.0) == 0
-    assert generation_bound(sphere, 100.0) == 0
-    with pytest.raises(ValueError):
-        generation_bound(sphere, 0.0)
-
 
 def test_generation_bound_matches_runs():
     for k in (3, 5, 9):
-        res, spec = run_builtin("sphere_min", 4.0 / 2 ** k)
+        res, _ = run_builtin("sphere_min", 4.0 / 2 ** k)
         assert res.generations[-1].index == k
-        assert generation_bound(spec.domain, 4.0 / 2 ** k) == k
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +278,11 @@ def test_config_validation():
         SlmConfig(sense=Sense.MINIMIZE, tolerance=1.0, max_generations=0)
     with pytest.raises(ValueError):
         SlmConfig(sense=Sense.MINIMIZE, tolerance=1.0, cell_budget=0)
+
+
+def test_infinite_tolerance_rejected():
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        SlmConfig(sense=Sense.MINIMIZE, tolerance=math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from slmopt.geometry import (
     Cell,
     SearchBox,
     corners,
-    initial_spacing,
     probe_offsets,
     splittable,
     subdivide,
@@ -52,15 +51,15 @@ def test_box_metrics():
     assert box.dimension == 2
     assert box.widths() == (4.0, 4.0)
     assert box.center() == (0.0, 0.0)
-    assert initial_spacing(box) == (4.0, 4.0)
+    assert box.widths() == (4.0, 4.0)
 
 
 def test_builtin_domain_spacings():
-    assert initial_spacing(SearchBox((-7.0, -7.0), (7.0, 7.0))) == (14.0, 14.0)
-    assert initial_spacing(SearchBox((-2.048, -2.048), (2.048, 2.048))) == (4.096, 4.096)
-    assert initial_spacing(
-        SearchBox((-65.536, -65.536), (65.536, 65.536))
-    ) == (131.072, 131.072)
+    assert SearchBox((-7.0, -7.0), (7.0, 7.0)).widths() == (14.0, 14.0)
+    assert SearchBox((-2.048, -2.048), (2.048, 2.048)).widths() == (4.096, 4.096)
+    assert SearchBox(
+        (-65.536, -65.536), (65.536, 65.536)
+    ).widths() == (131.072, 131.072)
 
 
 def test_contains_and_clamp():

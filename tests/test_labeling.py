@@ -13,7 +13,6 @@ from slmopt.labeling import (
     label_grid,
     label_of,
     label_vertex,
-    probe,
 )
 from slmopt.objectives import eval_rosenbrock, eval_sphere_min
 
@@ -97,10 +96,8 @@ ROSEN_FINE_LABEL_ONLY = (
 
 def check_rows(f, domain, spacing, rows):
     for point, target, label in rows:
-        got = probe(f, point, spacing, domain, Sense.MINIMIZE)
-        assert got == target, f"probe target from {point}"
         lv = label_vertex(f, point, spacing, domain, Sense.MINIMIZE)
-        assert lv.probe_target == target
+        assert lv.probe_target == target, f"probe target from {point}"
         assert lv.label == label, f"label at {point}"
         assert lv.displacement == tuple(t - x for t, x in zip(target, point))
         assert brute_probe(f, point, spacing, domain, Sense.MINIMIZE) == target
@@ -197,7 +194,7 @@ def test_out_of_domain_neighbors_are_discarded():
 def test_probe_point_outside_domain_rejected():
     box = SearchBox((0.0, 0.0), (1.0, 1.0))
     with pytest.raises(ValueError):
-        probe(lambda p: 0.0, (2.0, 0.5), (0.5, 0.5), box, Sense.MINIMIZE)
+        label_vertex(lambda p: 0.0, (2.0, 0.5), (0.5, 0.5), box, Sense.MINIMIZE)
 
 
 def test_non_finite_objective_raises():
@@ -250,6 +247,6 @@ def test_probe_matches_oracle_on_random_cases():
         f, domain, sense = surfaces[rng.randrange(len(surfaces))]
         p = tuple(a + (b - a) * rng.random() for a, b in zip(domain.lo, domain.hi))
         s = tuple(w * rng.uniform(0.05, 0.6) for w in domain.widths())
-        assert probe(f, p, s, domain, sense) == brute_probe(f, p, s, domain, sense)
         lv = label_vertex(f, p, s, domain, sense)
+        assert lv.probe_target == brute_probe(f, p, s, domain, sense)
         assert 0 <= lv.label <= domain.dimension

@@ -15,7 +15,6 @@ from slmopt.objectives import (
     builtin_names,
     eval_rosenbrock,
     eval_shekel,
-    eval_sphere_max,
     eval_sphere_min,
     eval_trig,
     register_objective,
@@ -46,7 +45,7 @@ def test_sphere_spot_values():
     assert eval_sphere_min((0.0, 0.4)) == 0.0
     assert math.isclose(eval_sphere_min((0.0, 0.0)), 0.16, rel_tol=1e-12)
     assert math.isclose(eval_sphere_min((-2.0, -2.0)), 9.76, rel_tol=1e-12)
-    assert eval_sphere_max((1.0, 0.4)) == eval_sphere_min((1.0, 0.4))
+    assert registry_lookup("sphere_max").evaluator is eval_sphere_min
 
 
 def test_rosenbrock_spot_values():

@@ -10,7 +10,7 @@ from slmopt.geometry import SearchBox
 from slmopt.labeling import Sense
 from slmopt.objectives import registry_lookup
 from slmopt.trace import (
-    SvgStyle,
+    PALETTE,
     UnsupportedDimensionError,
     build_trace_document,
     render_generation_svg,
@@ -119,11 +119,14 @@ def test_svg_vertex_labels_match_record():
     assert texts == [str(v.label) for v in g.vertices]
 
 
-def test_svg_palette_is_styleable():
+def test_svg_vertex_fill_is_the_label_colour():
     res, _ = sphere_run()
-    style = SvgStyle(palette=("#111111", "#222222", "#333333"))
-    text = render_generation_svg(res.generations[0], style)
-    assert "#111111" in text and "#333333" in text
+    g = res.generations[1]
+    assert {v.label for v in g.vertices} == {0, 1, 2}
+    root = svg_root(render_generation_svg(g))
+    fills = [el.get("fill") for el in by_class(root, "vertex")]
+    assert fills == [PALETTE[v.label] for v in g.vertices]
+    assert len(set(PALETTE)) == 3
 
 
 def test_svg_rejects_non_planar_records():
