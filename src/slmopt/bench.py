@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 from .baselines import (
@@ -53,7 +53,7 @@ class AlgorithmSpec:
     tolerance: float | None = None
     explore_all: bool = False
     initial_point: Point | None = None
-    max_generations: int = 60
+    max_generations: int = SlmConfig.max_generations
 
     def __post_init__(self) -> None:
         if self.kind not in METHODS:
@@ -68,6 +68,10 @@ class BenchSpec:
     output_format: str = "markdown"
 
     def __post_init__(self) -> None:
+        if not self.objectives:
+            raise ValueError("bench needs at least one objective")
+        if not self.algorithms:
+            raise ValueError("bench needs at least one method")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.output_format not in FORMATS:
@@ -170,39 +174,28 @@ def emit_markdown(rows: Sequence[BenchRow]) -> str:
     return "\n".join(out)
 
 
-FIELD_NAMES = (
-    "algorithm", "objective", "iterations", "found_point",
-    "found_value", "deviation", "wall_time_ms", "seed",
-)
-
-
-def _row_dict(row: BenchRow) -> dict:
-    return {
-        "algorithm": row.algorithm,
-        "objective": row.objective,
-        "iterations": row.iterations,
-        "found_point": list(row.found_point),
-        "found_value": row.found_value,
-        "deviation": list(row.deviation),
-        "wall_time_ms": row.wall_time_ms,
-        "seed": row.seed,
-    }
+FIELD_NAMES = tuple(f.name for f in fields(BenchRow))
+_TEXT_FIELDS = ("algorithm", "objective")
 
 
 def emit_csv(rows: Sequence[BenchRow]) -> str:
-    """Vector fields are JSON arrays inside csv cells; floats use repr
-    digits, so parse_csv recovers every field exactly."""
+    """algorithm and objective are plain cells; every other cell is the
+    field's JSON text (vectors as arrays, floats in repr digits), so
+    parse_csv recovers every field exactly."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FIELD_NAMES)
     for row in rows:
-        d = _row_dict(row)
-        writer.writerow([
-            d["algorithm"], d["objective"], d["iterations"],
-            json.dumps(d["found_point"]), repr(d["found_value"]),
-            json.dumps(d["deviation"]), repr(d["wall_time_ms"]), d["seed"],
-        ])
+        writer.writerow([value if name in _TEXT_FIELDS else json.dumps(value)
+                         for name, value in asdict(row).items()])
     return buf.getvalue()
+
+
+def _parse_cell(name: str, cell: str):
+    if name in _TEXT_FIELDS:
+        return cell
+    value = json.loads(cell)
+    return tuple(value) if isinstance(value, list) else value
 
 
 def parse_csv(text: str) -> list[BenchRow]:
@@ -210,23 +203,12 @@ def parse_csv(text: str) -> list[BenchRow]:
     header = next(reader)
     if tuple(header) != FIELD_NAMES:
         raise ValueError(f"unexpected csv header: {header!r}")
-    rows = []
-    for rec in reader:
-        rows.append(BenchRow(
-            algorithm=rec[0],
-            objective=rec[1],
-            iterations=int(rec[2]),
-            found_point=tuple(json.loads(rec[3])),
-            found_value=float(rec[4]),
-            deviation=tuple(json.loads(rec[5])),
-            wall_time_ms=float(rec[6]),
-            seed=int(rec[7]),
-        ))
-    return rows
+    return [BenchRow(**{name: _parse_cell(name, cell) for name, cell in zip(FIELD_NAMES, rec)})
+            for rec in reader]
 
 
 def emit_json_lines(rows: Sequence[BenchRow]) -> str:
-    return "\n".join(json.dumps(_row_dict(row)) for row in rows) + ("\n" if rows else "")
+    return "\n".join(json.dumps(asdict(row)) for row in rows) + ("\n" if rows else "")
 
 
 def emit_table(rows: Sequence[BenchRow], output_format: str) -> str:

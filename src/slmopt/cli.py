@@ -1,11 +1,15 @@
 """Command-line front end.
 
-Subcommands: optimize, bench, trace, list-functions. A flat key=value
+Subcommands: optimize, bench, trace, list-functions. build_parser is the
+one place that states each flag's type and default. A flat key=value
 config file (--config) can hold any long flag name without the leading
-dashes; explicit flags always win. Diagnostics go to stderr, payload to
-stdout or files, exit status is 0 on success and 2 on any error. Every
-error, including any exception an objective raises, becomes one
-`error: ...` line on stderr, never a traceback.
+dashes; its entries become the subcommand's parser defaults, so they go
+through the flags' types, and explicit flags always win. Diagnostics go
+to stderr, payload to stdout or files, exit status is 0 on success and 2
+on any error. Every error, whether a usage error, a bad config value
+(named with its file) or any exception an objective raises, becomes one
+`error: ...` line on stderr, never a usage block or a traceback. --help
+prints usage to stdout and exits 0.
 
 optimize and bench run every method through bench.run_method; trace
 takes its SlmConfig from bench.slm_config and calls run_slm itself,
@@ -16,8 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 # cli._BASELINES is the same dict as bench._BASELINE_FNS: nothing here
 # calls it, but perfbench's traced runs patch both names.
@@ -42,11 +45,12 @@ class CliError(Exception):
     """User-facing error; its message becomes the one-line diagnostic."""
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    subcommand: str
-    flags: dict
-    config_path: str | None
+class _Parser(argparse.ArgumentParser):
+    """Turns every usage error into a CliError, so it prints as one line.
+    add_subparsers builds the subcommand parsers with this class too."""
+
+    def error(self, message: str):
+        raise CliError(message)
 
 
 def _parse_bool(text: str) -> bool:
@@ -84,8 +88,9 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand, by name."""
+    parser = _Parser(
         prog="slmopt",
         description="Derivative-free global optimization by subdividing labeled grids",
     )
@@ -93,102 +98,86 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="run one algorithm on one objective")
     opt.add_argument("--function")
-    opt.add_argument("--method", choices=METHODS)
+    opt.add_argument("--method", choices=METHODS, default="slm")
     opt.add_argument("--tol", type=float)
-    opt.add_argument("--max-generations", type=int)
-    opt.add_argument("--explore-all", action="store_const", const=True)
+    opt.add_argument("--max-generations", type=int, default=AlgorithmSpec.max_generations)
+    opt.add_argument("--explore-all", action="store_const", const=True, default=False)
     opt.add_argument("--iterations", type=int)
-    opt.add_argument("--seed", type=int)
-    opt.add_argument("--initial")
+    opt.add_argument("--seed", type=int, default=0)
+    opt.add_argument("--initial", type=_parse_point)
     opt.add_argument("--config")
 
     ben = sub.add_parser("bench", help="run the algorithm x objective matrix")
-    ben.add_argument("--function", help="comma-separated names, or 'all'")
-    ben.add_argument("--method", help="comma-separated subset of slm,rs,rsw,sa")
-    ben.add_argument("--repeats", type=int)
+    ben.add_argument("--function", default="all", help="comma-separated names, or 'all'")
+    ben.add_argument("--method", default=",".join(METHODS),
+                     help="comma-separated subset of slm,rs,rsw,sa")
+    ben.add_argument("--repeats", type=int, default=1)
     ben.add_argument("--tol", type=float)
     ben.add_argument("--iterations", type=int)
-    ben.add_argument("--explore-all", action="store_const", const=True)
-    ben.add_argument("--format", choices=FORMATS)
+    ben.add_argument("--explore-all", action="store_const", const=True, default=False)
+    ben.add_argument("--format", choices=FORMATS, default="markdown")
     ben.add_argument("--out")
     ben.add_argument("--config")
 
     tra = sub.add_parser("trace", help="run the subdivision search with trace capture")
     tra.add_argument("--function")
     tra.add_argument("--tol", type=float)
-    tra.add_argument("--max-generations", type=int)
-    tra.add_argument("--explore-all", action="store_const", const=True)
-    tra.add_argument("--out")
+    tra.add_argument("--max-generations", type=int, default=AlgorithmSpec.max_generations)
+    tra.add_argument("--explore-all", action="store_const", const=True, default=False)
+    tra.add_argument("--out", default="slm-trace")
     tra.add_argument("--config")
 
     sub.add_parser("list-functions", help="print the objective registry")
-    return parser
+    return parser, sub.choices
 
 
-def parse_invocation(argv: Sequence[str]) -> CliInvocation:
-    ns = build_parser().parse_args(argv)
-    flags = vars(ns).copy()
-    sub = flags.pop("subcommand")
-    config_path = flags.pop("config", None)
-    return CliInvocation(subcommand=sub, flags=flags, config_path=config_path)
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv; with --config, parse again with the file's entries as
+    the subcommand's defaults. Argparse types a string default only when
+    its flag is absent, so flags win and config values get the flags'
+    types. Keys the subcommand has no flag for are ignored."""
+    parser, commands = build_parser()
+    ns = parser.parse_args(argv)
+    path = getattr(ns, "config", None)
+    if path is None:
+        return ns
+    dests = {dest.replace("_", "-"): dest for dest in vars(ns)
+             if dest not in ("subcommand", "config")}
+    defaults = {dests[key]: value for key, value in read_config(path).items() if key in dests}
+    try:
+        if "explore_all" in defaults:  # a store_const flag has no type
+            defaults["explore_all"] = _parse_bool(defaults["explore_all"])
+        commands[ns.subcommand].set_defaults(**defaults)
+        # the flags parsed once already, so any error here is the file's
+        return parser.parse_args(argv)
+    except CliError as e:
+        raise CliError(f"bad config value in {path}: {e}") from None
 
 
-class _Options:
-    """Flag values backed by the config file where flags are unset. A key
-    the subcommand has no flag for reads as unset, config entry or not."""
-
-    def __init__(self, flags: dict, config: dict[str, str]):
-        self.flags = flags
-        self.config = config
-
-    def get(self, key: str, cast: Callable | None = None, default=None):
-        name = key.replace("-", "_")
-        if name not in self.flags:
-            return default
-        flag_val = self.flags[name]
-        if flag_val is not None:
-            # argparse already typed numeric flags; strings still need
-            # the same parse the config path gets
-            if isinstance(flag_val, str) and cast is not None and cast is not str:
-                return cast(flag_val)
-            return flag_val
-        if key in self.config:
-            raw = self.config[key]
-            try:
-                return cast(raw) if cast is not None else raw
-            except (TypeError, ValueError) as e:
-                raise CliError(f"bad config value for {key}: {raw!r} ({e})") from None
-        return default
-
-
-def _algorithm(opts: _Options, kind: str) -> AlgorithmSpec:
-    """The AlgorithmSpec for one method, from that method's flags only."""
+def _algorithm(ns: argparse.Namespace, kind: str) -> AlgorithmSpec:
+    """The AlgorithmSpec for one method, from that method's flags only.
+    bench has no --max-generations or --initial flag."""
     if kind == "slm":
-        return AlgorithmSpec(
-            kind,
-            tolerance=opts.get("tol", float),
-            max_generations=opts.get("max-generations", int, AlgorithmSpec.max_generations),
-            explore_all=opts.get("explore-all", _parse_bool, False),
-        )
-    return AlgorithmSpec(
-        kind,
-        iterations=opts.get("iterations", int),
-        initial_point=opts.get("initial", _parse_point),
-    )
+        return AlgorithmSpec(kind, tolerance=ns.tol, explore_all=ns.explore_all,
+                             max_generations=getattr(ns, "max_generations",
+                                                     AlgorithmSpec.max_generations))
+    return AlgorithmSpec(kind, iterations=ns.iterations, initial_point=getattr(ns, "initial", None))
 
 
-def _objective(opts: _Options, command: str) -> ObjectiveSpec:
-    function = opts.get("function")
-    if function is None:
-        raise CliError(f"{command} needs --function (or a config entry)")
-    return registry_lookup(function)
+def _objective(ns: argparse.Namespace) -> ObjectiveSpec:
+    if ns.function is None:
+        raise CliError(f"{ns.subcommand} needs --function (or a config entry)")
+    return registry_lookup(ns.function)
 
 
-def _cmd_optimize(opts: _Options, stdout) -> int:
-    spec = _objective(opts, "optimize")
-    algo = _algorithm(opts, opts.get("method", str, "slm"))
-    seed = 0 if algo.kind == "slm" else opts.get("seed", int, 0)
-    res, iterations = run_method(spec, algo, seed)
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _cmd_optimize(ns: argparse.Namespace) -> int:
+    spec = _objective(ns)
+    algo = _algorithm(ns, ns.method)
+    res, iterations = run_method(spec, algo, ns.seed)
     lines = [
         f"objective: {spec.name}",
         f"method: {algo.kind}",
@@ -205,78 +194,70 @@ def _cmd_optimize(opts: _Options, stdout) -> int:
     else:
         for note in res.notes:
             print(f"note: {note}", file=sys.stderr)
-    print("\n".join(lines), file=stdout)
+    print("\n".join(lines))
     return 0
 
 
-def _cmd_bench(opts: _Options, stdout) -> int:
-    raw_fn = opts.get("function", str, "all")
-    names = builtin_names() if raw_fn.strip() == "all" else tuple(
-        part.strip() for part in raw_fn.split(",") if part.strip()
-    )
-    raw_methods = opts.get("method", str, ",".join(METHODS))
+def _cmd_bench(ns: argparse.Namespace) -> int:
     spec = BenchSpec(
-        objectives=names,
-        algorithms=tuple(_algorithm(opts, part.strip())
-                         for part in raw_methods.split(",") if part.strip()),
-        repeats=opts.get("repeats", int, 1),
-        output_format=opts.get("format", str, "markdown"),
+        objectives=builtin_names() if ns.function.strip() == "all" else _names(ns.function),
+        algorithms=tuple(_algorithm(ns, kind) for kind in _names(ns.method)),
+        repeats=ns.repeats,
+        output_format=ns.format,
     )
     text = emit_table(run_bench(spec), spec.output_format)
-    out_path = opts.get("out")
-    if out_path is None:
-        stdout.write(text)
+    if ns.out is None:
+        sys.stdout.write(text)
         if text and not text.endswith("\n"):
-            stdout.write("\n")
+            sys.stdout.write("\n")
     else:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
+            with open(ns.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
-            raise CliError(f"cannot write {out_path}: {e.strerror or e}") from None
+            raise CliError(f"cannot write {ns.out}: {e.strerror or e}") from None
     return 0
 
 
-def _cmd_trace(opts: _Options, stdout) -> int:
-    spec = _objective(opts, "trace")
-    cfg = slm_config(spec, _algorithm(opts, "slm"))
+def _cmd_trace(ns: argparse.Namespace) -> int:
+    spec = _objective(ns)
+    cfg = slm_config(spec, _algorithm(ns, "slm"))
     res = run_slm(spec.evaluator, spec.domain, cfg)
     doc = build_trace_document(res, spec.name, cfg.tolerance, spec.sense.value)
-    directory = opts.get("out", str, "slm-trace")
     try:
-        written = write_trace(doc, directory)
+        written = write_trace(doc, ns.out)
     except OSError as e:
-        raise CliError(f"cannot write trace to {directory}: {e.strerror or e}") from None
+        raise CliError(f"cannot write trace to {ns.out}: {e.strerror or e}") from None
     for path in written:
-        print(path, file=stdout)
+        print(path)
     return 0
 
 
-def _cmd_list_functions(stdout) -> int:
+def _cmd_list_functions(ns: argparse.Namespace) -> int:
     for name in builtin_names():
         spec = registry_lookup(name)
         point, value = spec.known_optima[0]
         count = len(spec.known_optima)
         which = "optimum" if count == 1 else f"{count} optima incl"
         print(f"{spec.name}: {spec.sense.value} on {format_box(spec.domain)}; "
-              f"{which} {format_point(point)} value {format_number(value)}", file=stdout)
+              f"{which} {format_point(point)} value {format_number(value)}")
     return 0
 
 
-def dispatch(invocation: CliInvocation, stdout=None) -> int:
-    stdout = stdout or sys.stdout
+_COMMANDS = {
+    "optimize": _cmd_optimize,
+    "bench": _cmd_bench,
+    "trace": _cmd_trace,
+    "list-functions": _cmd_list_functions,
+}
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
-        config = read_config(invocation.config_path) if invocation.config_path else {}
-        opts = _Options(invocation.flags, config)
-        if invocation.subcommand == "optimize":
-            return _cmd_optimize(opts, stdout)
-        if invocation.subcommand == "bench":
-            return _cmd_bench(opts, stdout)
-        if invocation.subcommand == "trace":
-            return _cmd_trace(opts, stdout)
-        if invocation.subcommand == "list-functions":
-            return _cmd_list_functions(stdout)
-        raise CliError(f"unknown subcommand {invocation.subcommand!r}")
+        ns = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        return _COMMANDS[ns.subcommand](ns)
+    except SystemExit as e:  # --help
+        return int(e.code or 0)
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -286,14 +267,6 @@ def dispatch(invocation: CliInvocation, stdout=None) -> int:
     except Exception as e:  # an objective may raise anything
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    try:
-        invocation = parse_invocation(list(argv) if argv is not None else sys.argv[1:])
-    except SystemExit as e:
-        return int(e.code or 0)
-    return dispatch(invocation)
 
 
 if __name__ == "__main__":

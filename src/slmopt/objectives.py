@@ -24,11 +24,14 @@ from .labeling import Sense
 @dataclass(frozen=True)
 class ObjectiveSpec:
     name: str
-    dimension: int
     domain: SearchBox
     sense: Sense
     known_optima: tuple[tuple[Point, float], ...]
     evaluator: Callable[[Point], float]
+
+    @property
+    def dimension(self) -> int:
+        return self.domain.dimension
 
 
 class UnknownObjectiveError(KeyError):
@@ -128,7 +131,6 @@ _BUILTINS = ("sphere_min", "trig", "sphere_max", "rosenbrock", "shekel")
 
 register_objective(ObjectiveSpec(
     name="sphere_min",
-    dimension=2,
     domain=SearchBox((-2.0, -2.0), (2.0, 2.0)),
     sense=Sense.MINIMIZE,
     known_optima=(((0.0, 0.4), 0.0),),
@@ -136,7 +138,6 @@ register_objective(ObjectiveSpec(
 ))
 register_objective(ObjectiveSpec(
     name="trig",
-    dimension=2,
     domain=SearchBox((-7.0, -7.0), (7.0, 7.0)),
     sense=Sense.MINIMIZE,
     known_optima=_TRIG_OPTIMA,
@@ -146,7 +147,6 @@ register_objective(ObjectiveSpec(
 # deviation is measured against whichever one a run actually found
 register_objective(ObjectiveSpec(
     name="sphere_max",
-    dimension=2,
     domain=SearchBox((-2.0, -2.0), (2.0, 2.0)),
     sense=Sense.MAXIMIZE,
     known_optima=(((-2.0, -2.0), 9.76), ((2.0, -2.0), 9.76)),
@@ -154,7 +154,6 @@ register_objective(ObjectiveSpec(
 ))
 register_objective(ObjectiveSpec(
     name="rosenbrock",
-    dimension=2,
     domain=SearchBox((-2.048, -2.048), (2.048, 2.048)),
     sense=Sense.MINIMIZE,
     known_optima=(((1.0, 1.0), 0.0),),
@@ -162,7 +161,6 @@ register_objective(ObjectiveSpec(
 ))
 register_objective(ObjectiveSpec(
     name="shekel",
-    dimension=2,
     domain=SearchBox((-65.536, -65.536), (65.536, 65.536)),
     sense=Sense.MINIMIZE,
     known_optima=(((-32.0, -32.0), eval_shekel((-32.0, -32.0))),),

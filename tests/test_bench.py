@@ -82,6 +82,12 @@ def test_bench_spec_validation():
         small_spec(output_format="yaml")
 
 
+@pytest.mark.parametrize("field", ("objectives", "algorithms"))
+def test_bench_spec_rejects_an_empty_matrix(field):
+    with pytest.raises(ValueError, match="at least one"):
+        small_spec(**{field: ()})
+
+
 def test_unknown_objective_aborts_before_running():
     spec = small_spec(objectives=("sphere_min", "nope"))
     with pytest.raises(UnknownObjectiveError):
@@ -179,6 +185,20 @@ def test_csv_header_and_vector_cells():
     assert '"[' in lines[1]  # point serialized as a JSON array cell
     with pytest.raises(ValueError):
         parse_csv("a,b\n1,2\n")
+
+
+def test_row_encodings_are_pinned():
+    row = BenchRow("rs", "trig", 30, (0.5, -1.25), 0.1, (1e-17, 3.0), 2.5, 4)
+    assert FIELD_NAMES == ("algorithm", "objective", "iterations", "found_point",
+                           "found_value", "deviation", "wall_time_ms", "seed")
+    assert emit_csv([row]).splitlines()[1] == \
+        'rs,trig,30,"[0.5, -1.25]",0.1,"[1e-17, 3.0]",2.5,4'
+    assert emit_json_lines([row]) == (
+        '{"algorithm": "rs", "objective": "trig", "iterations": 30, '
+        '"found_point": [0.5, -1.25], "found_value": 0.1, "deviation": [1e-17, 3.0], '
+        '"wall_time_ms": 2.5, "seed": 4}\n')
+    [back] = parse_csv(emit_csv([row]))
+    assert back == row and isinstance(back.iterations, int)
 
 
 def test_json_lines_fields():

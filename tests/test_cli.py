@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -138,7 +139,6 @@ def _raising_objective():
     if name not in all_names():
         register_objective(ObjectiveSpec(
             name=name,
-            dimension=1,
             domain=SearchBox((0.0,), (1.0,)),
             sense=Sense.MINIMIZE,
             known_optima=(((0.5,), 0.0),),
@@ -175,7 +175,6 @@ def _non_finite_objective(bad):
     name = f"test_non_finite_{next(_non_finite_ids)}"
     register_objective(ObjectiveSpec(
         name=name,
-        dimension=1,
         domain=SearchBox((0.0,), (1.0,)),
         sense=Sense.MINIMIZE,
         known_optima=(((0.0,), 0.0),),
@@ -227,6 +226,34 @@ def test_flags_override_config(tmp_path, capsys):
     assert lines[0] == "objective: sphere_min"  # flag beat the config
     assert lines[1] == "method: rs"             # config filled the gap
     assert "iterations: 30" in lines
+
+
+@pytest.mark.parametrize("argv", (
+    ("optimize", "--tol", "abc"),
+    ("bench", "--format", "yaml"),
+    ("optimize", "--bogus", "1"),
+    (),
+))
+def test_usage_error_is_one_line(argv, capsys):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("subcommand, entry, message", (
+    ("optimize", "iterations = soon", "argument --iterations: invalid int value: 'soon'"),
+    ("optimize", "tol = abc", "argument --tol: invalid float value: 'abc'"),
+    ("optimize", "initial = 1;2", "not a comma-separated point: '1;2'"),
+    ("trace", "explore-all = maybe", "not a boolean: 'maybe'"),
+    ("bench", "repeats = two", "argument --repeats: invalid int value: 'two'"),
+))
+def test_bad_config_value_is_one_line_naming_the_file(subcommand, entry, message,
+                                                      tmp_path, capsys):
+    path = tmp_path / "run.conf"
+    path.write_text(f"function = sphere_min\n{entry}\n")
+    rc, out, err = run_cli(capsys, subcommand, "--config", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"error: bad config value in {path}: {message}\n"
 
 
 def test_bad_config_value_reports_key(tmp_path, capsys):
@@ -282,6 +309,13 @@ def test_bench_out_writes_file(tmp_path, capsys):
                          "--out", str(target))
     assert rc == 0 and out == ""
     assert target.read_text().startswith("## rosenbrock")
+
+
+@pytest.mark.parametrize("flag", ("--method", "--function"))
+def test_bench_empty_matrix_is_one_line_error(flag, capsys):
+    rc, out, err = run_cli(capsys, "bench", flag, ",")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: bench needs at least one ") and err.count("\n") == 1
 
 
 def test_bench_unknown_method(capsys):
@@ -349,12 +383,79 @@ def test_trace_explore_all_via_config(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Config entries act like flags
+# ---------------------------------------------------------------------------
+
+_WALL_TIME = re.compile(r'"wall_time_ms": [^,}]+')
+
+# (subcommand, base argv, key, value); a value of None is the bare flag
+# --key against the config entry key = true
+CONFIG_CASES = (
+    ("optimize", ("--function", "trig"), "tol", "0.5"),
+    ("optimize", ("--function", "trig"), "max-generations", "2"),
+    ("optimize", ("--function", "trig", "--tol", "0.875"), "explore-all", None),
+    ("optimize", ("--function", "trig", "--method", "rs"), "iterations", "30"),
+    ("optimize", ("--function", "trig", "--method", "rs", "--iterations", "30"), "seed", "5"),
+    ("optimize", ("--function", "trig", "--method", "rsw", "--iterations", "30"),
+     "initial", "1,-1"),
+    ("optimize", ("--function", "trig"), "method", "sa"),
+    ("optimize", (), "function", "sphere_min"),
+    ("bench", ("--function", "sphere_min", "--method", "slm,rs", "--iterations", "40"),
+     "repeats", "2"),
+    ("bench", ("--function", "sphere_min", "--method", "rs", "--iterations", "40"),
+     "format", "json-lines"),
+    ("bench", ("--method", "rs", "--iterations", "40"), "function", "trig,shekel"),
+    ("bench", ("--function", "sphere_min", "--iterations", "40"), "method", "rsw,slm"),
+    ("bench", ("--function", "trig", "--method", "slm"), "tol", "0.5"),
+    ("bench", ("--function", "sphere_min", "--method", "rs"), "iterations", "20"),
+    ("bench", ("--function", "trig", "--method", "slm", "--tol", "0.5"), "explore-all", None),
+    ("bench", ("--function", "sphere_min", "--method", "slm"), "out", "table.md"),
+    ("trace", ("--function", "sphere_min", "--tol", "0.5"), "out", "t"),
+    ("trace", ("--function", "sphere_min"), "tol", "0.25"),
+    ("trace", ("--function", "sphere_min", "--tol", "0.25"), "max-generations", "2"),
+    ("trace", ("--function", "trig", "--tol", "1.75"), "explore-all", None),
+    ("trace", ("--tol", "0.5"), "function", "trig"),
+)
+
+
+def _run_in(directory, capsys, monkeypatch, argv):
+    """rc, stdout and stderr of one run in an empty cwd, and every file it
+    wrote there; json-lines wall times masked."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    rc, out, err = run_cli(capsys, *argv)
+    files = {str(p.relative_to(directory)): _WALL_TIME.sub("", p.read_text())
+             for p in sorted(directory.rglob("*")) if p.is_file()}
+    return rc, _WALL_TIME.sub("", out), err, files
+
+
+@pytest.mark.parametrize("subcommand, base, key, value", CONFIG_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in CONFIG_CASES])
+def test_config_entry_matches_flag(subcommand, base, key, value,
+                                   tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {'true' if value is None else value}\n")
+    flag = (f"--{key}",) if value is None else (f"--{key}", value)
+    runs = {name: _run_in(tmp_path / name, capsys, monkeypatch, (subcommand,) + base + extra)
+            for name, extra in (("plain", ()), ("flag", flag), ("config", ("--config", str(conf))))}
+    assert runs["config"] == runs["flag"]
+    assert runs["flag"] != runs["plain"]  # the value took effect
+
+
+# ---------------------------------------------------------------------------
 # argparse passthrough and console script
 # ---------------------------------------------------------------------------
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", ((), ("optimize",)))
+def test_help_prints_usage_to_stdout(argv, capsys):
+    rc, out, err = run_cli(capsys, *argv, "--help")
+    assert rc == 0 and err == ""
+    assert out.startswith(" ".join(("usage: slmopt",) + argv))
 
 
 def test_bad_choice_exits_two(capsys):

@@ -186,7 +186,6 @@ def test_register_custom_objective():
     if name not in all_names():
         register_objective(ObjectiveSpec(
             name=name,
-            dimension=1,
             domain=SearchBox((0.0,), (1.0,)),
             sense=Sense.MINIMIZE,
             known_optima=(((0.5,), 0.0),),
@@ -198,7 +197,6 @@ def test_register_custom_objective():
     with pytest.raises(ValueError):
         register_objective(ObjectiveSpec(
             name=name,
-            dimension=1,
             domain=SearchBox((0.0,), (1.0,)),
             sense=Sense.MINIMIZE,
             known_optima=(),
@@ -210,7 +208,6 @@ def test_register_rejects_optimum_outside_domain():
     with pytest.raises(ValueError):
         register_objective(ObjectiveSpec(
             name="test_bad_optimum_xyzzy",
-            dimension=1,
             domain=SearchBox((0.0,), (1.0,)),
             sense=Sense.MINIMIZE,
             known_optima=(((2.0,), 0.0),),
