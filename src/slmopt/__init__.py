@@ -54,7 +54,6 @@ from .objectives import (
     registry_lookup,
 )
 from .trace import (
-    TraceDocument,
     UnsupportedDimensionError,
     build_trace_document,
     render_generation_svg,
@@ -81,7 +80,6 @@ __all__ = [
     "Sense",
     "SlmConfig",
     "Spacing",
-    "TraceDocument",
     "UnknownObjectiveError",
     "UnsupportedDimensionError",
     "builtin_names",

@@ -223,9 +223,9 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
     spec = _objective(ns)
     cfg = slm_config(spec, _algorithm(ns, "slm"))
     res = run_slm(spec.evaluator, spec.domain, cfg)
-    doc = build_trace_document(res, spec.name, cfg.tolerance, spec.sense.value)
+    files = build_trace_document(res, spec.name, cfg.tolerance, spec.sense.value)
     try:
-        written = write_trace(doc, ns.out)
+        written = write_trace(files, ns.out)
     except OSError as e:
         raise CliError(f"cannot write trace to {ns.out}: {e.strerror or e}") from None
     for path in written:

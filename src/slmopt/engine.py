@@ -12,20 +12,22 @@ NO_COMPLETE_CELL ("box_unsplittable") when a box picked for refinement
 can no longer be halved in floating point. For explore-all, _candidates
 then lists one best vertex per final box.
 
-The reported best is the best point ever evaluated, including probe
-candidates, not just grid vertices.
-
 Probes at half the grid spacing land on a shared dyadic lattice: the
 next generation's grid points are this generation's probe points, and
-neighbouring vertices and boxes probe the same points. So each run
-keeps a point -> value store keyed on the float tuple, and each
-generation labels the distinct grid points of all its boxes together.
-Each lattice point is then evaluated once per run and labeled at most
-once per generation, and `evaluations` counts distinct points. A point
-reached by two sums that round differently is two keys, evaluated as
-before; 0.0 and -0.0 compare equal and share one key. First-time
-evaluations happen in the same order as without the store, so results
-do not depend on it. Nothing is kept across runs.
+neighbouring vertices and boxes probe the same points. So run_slm owns
+a point -> value store keyed on the float tuple and hands it to every
+label_grid call, which evaluates and checks only the points missing
+from it; each generation labels the distinct grid points of all its
+boxes together. Each lattice point is then evaluated once per run and
+labeled at most once per generation, and `evaluations` counts distinct
+points. A point reached by two sums that round differently is two
+keys, evaluated as before; 0.0 and -0.0 compare equal and share one
+key. First-time evaluations happen in the same order as without the
+store, so results do not depend on it. Nothing is kept across runs.
+
+The reported best is the best point ever evaluated, including probe
+candidates, not just grid vertices: the first best entry of the store
+in evaluation order.
 """
 
 from __future__ import annotations
@@ -83,7 +85,10 @@ class GenerationRecord:
     vertices: tuple[LabeledVertex, ...]
     complete_cells: tuple[Cell, ...]
     chosen: Cell | None
-    fallback_used: bool
+
+    @property
+    def fallback_used(self) -> bool:
+        return not self.complete_cells
 
 
 @dataclass(frozen=True)
@@ -125,11 +130,8 @@ def select_cell(complete: Sequence[Cell], vertices: Sequence[LabeledVertex],
 
 
 def _best_vertex_index(vertices: Sequence[LabeledVertex], sense: Sense) -> int:
-    best = 0
-    for i in range(1, len(vertices)):
-        if sense.better(vertices[i].value, vertices[best].value):
-            best = i
-    return best
+    """Index of the first best-valued vertex."""
+    return min(range(len(vertices)), key=lambda i: _vertex_rank(vertices[i].value, sense))
 
 
 def _fallback_cell(cells: Sequence[Cell], vertices: Sequence[LabeledVertex],
@@ -143,11 +145,13 @@ def _fallback_cell(cells: Sequence[Cell], vertices: Sequence[LabeledVertex],
     raise AssertionError("subdivision cells must cover the grid")
 
 
-def _label_frontier(f: Objective, frontier: Sequence[SearchBox], gen: int,
-                    spacing: Spacing, domain: SearchBox, sense: Sense) -> list[_Staged]:
+def _label_frontier(f: Objective, store: dict[Point, float], frontier: Sequence[SearchBox],
+                    gen: int, spacing: Spacing, domain: SearchBox,
+                    sense: Sense) -> list[_Staged]:
     """Label the grids of all frontier boxes, ordered by corners, with
     one label_grid call over their distinct points (in order of first
-    appearance). Returns (box, cells, vertices, complete cells) per box."""
+    appearance) that reads and fills the run's store. Returns (box,
+    cells, vertices, complete cells) per box."""
     layouts = []
     position: dict[Point, int] = {}
     for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
@@ -160,7 +164,8 @@ def _label_frontier(f: Objective, frontier: Sequence[SearchBox], gen: int,
         for p in grid:
             position.setdefault(p, len(position))
     try:
-        labeled = label_grid(f, tuple(position), tuple(v / 2.0 for v in spacing), domain, sense)
+        labeled = label_grid(f, tuple(position), tuple(v / 2.0 for v in spacing), domain,
+                             sense, store)
     except ObjectiveEvaluationError as e:
         raise ObjectiveEvaluationError(e.point, e.value, generation=gen) from e
     staged = []
@@ -218,24 +223,12 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
     """
     sense = config.sense
     store: dict[Point, float] = {}
-    best_point: Point | None = None
-    best_value = math.nan
-
-    def counted(p: Point) -> float:
-        nonlocal best_point, best_value
-        v = store.get(p)
-        if v is None:
-            v = store[p] = float(f(p))
-            if math.isfinite(v) and (best_point is None or sense.better(v, best_value)):
-                best_point, best_value = p, v
-        return v
-
     generations: list[GenerationRecord] = []
     frontier: list[SearchBox] = [domain]
     spacing: Spacing = domain.widths()
     gen = 0
     while True:
-        staged = _label_frontier(counted, frontier, gen, spacing, domain, sense)
+        staged = _label_frontier(f, store, frontier, gen, spacing, domain, sense)
         termination = (TOLERANCE_REACHED if max(spacing) <= config.tolerance
                        else GENERATION_CAP if gen >= config.max_generations else None)
         refine = _next_cells(staged, config) if termination is None else []
@@ -248,7 +241,6 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
                 vertices=vertices,
                 complete_cells=complete,
                 chosen=chosen if i == 0 else None,
-                fallback_used=not complete,
             ))
         if termination is None and not all(splittable(c.box) for c in refine):
             termination = NO_COMPLETE_CELL
@@ -258,10 +250,12 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
         spacing = tuple(v / 2.0 for v in spacing)
         gen += 1
 
-    assert best_point is not None
+    # The first best entry in evaluation order: min and max keep the first
+    # of equal keys, so this is min by _vertex_rank at a C-level key.
+    best_point = (min if sense is Sense.MINIMIZE else max)(store, key=store.__getitem__)
     return RunResult(
         best_point=best_point,
-        best_value=best_value,
+        best_value=store[best_point],
         candidates=_candidates(staged, sense) if config.explore_all else (),
         generations=tuple(generations),
         evaluations=len(store),

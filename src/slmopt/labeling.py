@@ -60,35 +60,6 @@ def _checked(f: Objective, p: Point) -> float:
     return v
 
 
-def _probe(f: Objective, p: Point, s: Spacing, domain: SearchBox,
-           sense: Sense) -> tuple[Point, float, float]:
-    """Returns (target, target value, value at p). Out-of-domain
-    candidates are discarded, never clamped; ties keep the incumbent.
-
-    Candidates are the points p + delta of probe_offsets, in the same
-    order, with each axis's deltas filtered against the domain first.
-    """
-    if not domain.contains(p):
-        raise ValueError(f"probe point {p!r} lies outside the domain")
-    check_spacing(len(p), s)
-    fp = _checked(f, p)
-    best, best_v = p, fp
-    axes = []
-    home = 0  # index of the all-zero delta in the product below
-    for x, h, a, b in zip(p, s, domain.lo, domain.hi):
-        below = x + -h
-        axis = [q for q in (below, x + 0.0, x + h) if a <= q <= b]
-        home = home * len(axis) + int(a <= below)
-        axes.append(axis)
-    for i, q in enumerate(itertools.product(*axes)):
-        if i == home:
-            continue
-        v = _checked(f, q)
-        if sense.better(v, best_v):
-            best, best_v = q, v
-    return best, best_v, fp
-
-
 def label_of(displacement: Sequence[float]) -> int:
     """0 if every component is >= 0, else the largest 1-based index
     whose component is negative."""
@@ -101,22 +72,45 @@ def label_of(displacement: Sequence[float]) -> int:
 
 def label_vertex(f: Objective, p: Point, s: Spacing, domain: SearchBox,
                  sense: Sense) -> LabeledVertex:
-    target, _, fp = _probe(f, p, s, domain, sense)
-    d = tuple(t - x for t, x in zip(target, p))
-    return LabeledVertex(point=p, value=fp, probe_target=target,
-                         displacement=d, label=label_of(d))
+    return label_grid(f, (p,), s, domain, sense, {})[0]
 
 
-def label_grid(f: Objective, grid: Sequence[Point], s: Spacing,
-               domain: SearchBox, sense: Sense) -> tuple[LabeledVertex, ...]:
+def label_grid(f: Objective, grid: Sequence[Point], s: Spacing, domain: SearchBox,
+               sense: Sense, values: dict[Point, float]) -> tuple[LabeledVertex, ...]:
     """Label every grid point, same order as the input grid.
 
     s is the probe spacing (half the grid spacing of the generation
-    being labeled). Vertices are independent, so evaluation order
-    cannot change the result. Each vertex calls f for itself and for
-    every admissible neighbour, and nothing is cached here. run_slm
-    passes the distinct grid points of a whole generation at once and an
-    f backed by its per-run store, so there each lattice point is
-    labeled once per generation and evaluated once per run.
+    being labeled). A vertex p is compared with p itself, then with the
+    points p + delta of probe_offsets, in the same order, with each
+    axis's deltas filtered against the domain first. Out-of-domain
+    candidates are discarded, never clamped; ties keep the incumbent.
+
+    values is the caller's point -> value store. f is called, and its
+    value checked, only for points missing from it, and each new point
+    is added; run_slm passes one store per run, so there each lattice
+    point is evaluated once per run. Evaluation order is p, then its
+    candidates, vertex by vertex, whatever the store already holds.
     """
-    return tuple(label_vertex(f, p, s, domain, sense) for p in grid)
+    check_spacing(domain.dimension, s)
+    # any finite value improves on this, so each vertex's first probe is p
+    worst = math.inf if sense is Sense.MINIMIZE else -math.inf
+    labeled = []
+    for p in grid:
+        if not domain.contains(p):
+            raise ValueError(f"probe point {p!r} lies outside the domain")
+        axes = []
+        for x, h, a, b in zip(p, s, domain.lo, domain.hi):
+            axes.append([q for q in (x + -h, x + 0.0, x + h) if a <= q <= b])
+        best, best_v = p, worst
+        # the product holds p + 0 again, the same key as p (-0.0 == 0.0):
+        # a store hit that ties, so the incumbent p stays
+        for q in itertools.chain((p,), itertools.product(*axes)):
+            v = values.get(q)
+            if v is None:
+                v = values[q] = _checked(f, q)
+            if sense.better(v, best_v):
+                best, best_v = q, v
+        d = tuple(t - x for t, x in zip(best, p))
+        labeled.append(LabeledVertex(point=p, value=values[p], probe_target=best,
+                                     displacement=d, label=label_of(d)))
+    return tuple(labeled)

@@ -8,7 +8,6 @@ give identical bytes.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .engine import GenerationRecord, RunResult
 from .geometry import format_box, format_number, format_point
@@ -27,21 +26,6 @@ LEGEND_HEIGHT = 72.0
 PALETTE = ("#2a9d8f", "#e76f51", "#4361ee")
 CHOSEN_FILL = "#ffd166"
 ARROW_COLOR = "#555555"
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    index: int
-    table: str
-    svg: str | None
-
-
-@dataclass(frozen=True)
-class TraceDocument:
-    objective: str
-    sense: str
-    tolerance: float
-    entries: tuple[TraceEntry, ...]
 
 
 def render_generation_table(g: GenerationRecord) -> str:
@@ -146,43 +130,36 @@ def render_generation_svg(g: GenerationRecord) -> str:
 
 
 def build_trace_document(result: RunResult, objective: str, tolerance: float,
-                         sense: str) -> TraceDocument:
-    """One entry per GenerationRecord; SVG only for 2-D records."""
-    entries = []
+                         sense: str) -> dict[str, str]:
+    """The trace's files by name: trace.txt with every record's table,
+    then gen-<k>.svg per 2-D record. When several records share a
+    generation index (explore-all runs) the later files get a
+    -<ordinal> suffix."""
+    header = (
+        f"objective: {objective}\n"
+        f"sense: {sense}\n"
+        f"tolerance: {format_number(tolerance)}\n"
+    )
+    tables = "\n".join(render_generation_table(g) for g in result.generations)
+    files = {"trace.txt": header + "\n" + tables}
+    seen: dict[int, int] = {}
     for g in result.generations:
-        svg = render_generation_svg(g) if g.box.dimension == 2 else None
-        entries.append(TraceEntry(index=g.index, table=render_generation_table(g), svg=svg))
-    return TraceDocument(objective=objective, sense=sense, tolerance=tolerance,
-                         entries=tuple(entries))
+        if g.box.dimension != 2:
+            continue
+        ordinal = seen.get(g.index, 0)
+        seen[g.index] = ordinal + 1
+        name = f"gen-{g.index}.svg" if ordinal == 0 else f"gen-{g.index}-{ordinal}.svg"
+        files[name] = render_generation_svg(g)
+    return files
 
 
-def write_trace(doc: TraceDocument, directory: str) -> list[str]:
-    """Write trace.txt plus gen-<k>.svg files; returns written paths.
-
-    When several records share a generation index (explore-all runs)
-    the later files get a -<ordinal> suffix.
-    """
+def write_trace(files: dict[str, str], directory: str) -> list[str]:
+    """Write each file of a trace document; returns written paths."""
     os.makedirs(directory, exist_ok=True)
     written = []
-    header = (
-        f"objective: {doc.objective}\n"
-        f"sense: {doc.sense}\n"
-        f"tolerance: {format_number(doc.tolerance)}\n"
-    )
-    text = header + "\n" + "\n".join(e.table for e in doc.entries)
-    path = os.path.join(directory, "trace.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    written.append(path)
-    seen: dict[int, int] = {}
-    for e in doc.entries:
-        if e.svg is None:
-            continue
-        ordinal = seen.get(e.index, 0)
-        seen[e.index] = ordinal + 1
-        name = f"gen-{e.index}.svg" if ordinal == 0 else f"gen-{e.index}-{ordinal}.svg"
+    for name, text in files.items():
         path = os.path.join(directory, name)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(e.svg)
+            fh.write(text)
         written.append(path)
     return written

@@ -17,7 +17,7 @@ from slmopt.engine import (
     select_cell,
 )
 from slmopt.geometry import Cell, SearchBox, corners, splittable, subdivide
-from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid
+from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid, label_vertex
 from slmopt.objectives import builtin_names, registry_lookup
 
 TRIG_FAMILY = tuple(
@@ -60,13 +60,13 @@ def test_select_cell_prefers_best_vertex_then_lex():
     spec = registry_lookup("sphere_min")
     domain = spec.domain
     grid, cells = subdivide(domain)
-    vertices = label_grid(spec.evaluator, grid, (1.0, 1.0), domain, spec.sense)
+    vertices = label_grid(spec.evaluator, grid, (1.0, 1.0), domain, spec.sense, {})
     labels = [v.label for v in vertices]
     kept = complete_cells(cells, labels)
     chosen = select_cell(kept, vertices, spec.sense)
     assert chosen.box.lo == (0.0, 0.0) and chosen.box.hi == (2.0, 2.0)
     # constant surface: every cell ties, lex-smallest lower corner wins
-    flat = label_grid(lambda p: 1.0, grid, (1.0, 1.0), domain, Sense.MINIMIZE)
+    flat = label_grid(lambda p: 1.0, grid, (1.0, 1.0), domain, Sense.MINIMIZE, {})
     assert select_cell(cells, flat, Sense.MINIMIZE) is cells[0]
     with pytest.raises(ValueError):
         select_cell((), vertices, spec.sense)
@@ -290,8 +290,8 @@ def test_infinite_tolerance_rejected():
 # ---------------------------------------------------------------------------
 
 def unstored_run(f, domain, cfg):
-    """The search loop without the point store: every frontier box is
-    labeled on its own through label_grid and every probe calls f.
+    """The search loop without the point store: every vertex is labeled
+    on its own through label_vertex and every probe calls f.
     Returns what run_slm returns apart from the evaluation count."""
     sense = cfg.sense
     rank = (lambda v: v) if sense is Sense.MINIMIZE else (lambda v: -v)
@@ -315,8 +315,8 @@ def unstored_run(f, domain, cfg):
                 cells = (Cell(box, tuple(range(len(grid)))),)
             else:
                 grid, cells = subdivide(box)
-            vertices = label_grid(tracked, grid, tuple(v / 2.0 for v in spacing),
-                                  domain, sense)
+            s = tuple(v / 2.0 for v in spacing)
+            vertices = tuple(label_vertex(tracked, p, s, domain, sense) for p in grid)
             complete = complete_cells(cells, [v.label for v in vertices])
             staged.append((box, vertices, complete, cells))
         termination = (TOLERANCE_REACHED if max(spacing) <= cfg.tolerance

@@ -229,9 +229,58 @@ def test_scaling_by_powers_of_two_preserves_labels():
 def test_label_grid_order_and_corner_labels():
     grid = corners(SPHERE_DOMAIN)
     out = label_grid(eval_sphere_min, grid, (2.0, 2.0), SPHERE_DOMAIN,
-                     Sense.MINIMIZE)
+                     Sense.MINIMIZE, {})
     assert tuple(v.point for v in out) == grid
     assert [v.label for v in out] == [0, 2, 1, 2]
+
+
+def test_label_grid_skips_stored_points():
+    grid = corners(SPHERE_DOMAIN)
+    values = {p: eval_sphere_min(p) for p in grid}
+    values[(0.0, 0.0)] = eval_sphere_min((0.0, 0.0))
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return eval_sphere_min(p)
+
+    out = label_grid(f, grid, (2.0, 2.0), SPHERE_DOMAIN, Sense.MINIMIZE, values)
+    assert not set(calls) & {*grid, (0.0, 0.0)}
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= set(values)
+    assert out == label_grid(eval_sphere_min, grid, (2.0, 2.0), SPHERE_DOMAIN,
+                             Sense.MINIMIZE, {})
+
+
+def test_label_grid_calls_f_once_per_distinct_point():
+    # the 3x3 grid at spacing 1 probes at spacing 1: every stencil
+    # overlaps its neighbours' and stays on the 5x5 lattice of [-2, 2]^2
+    box = SearchBox((-2.0, -2.0), (2.0, 2.0))
+    grid = tuple((x, y) for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0))
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return eval_sphere_min(p)
+
+    values = {}
+    out = label_grid(f, grid, (1.0, 1.0), box, Sense.MINIMIZE, values)
+    assert len(calls) == len(set(calls)) == 25
+    assert set(values) == set(calls)
+    assert out == tuple(label_vertex(eval_sphere_min, p, (1.0, 1.0), box, Sense.MINIMIZE)
+                        for p in grid)
+
+
+def test_non_finite_value_is_not_stored():
+    box = SearchBox((0.0, 0.0), (1.0, 1.0))
+    bad = (0.75, 0.75)
+    values = {}
+    with pytest.raises(ObjectiveEvaluationError) as err:
+        label_grid(lambda p: math.nan if p == bad else 0.0, ((0.5, 0.5),),
+                   (0.25, 0.25), box, Sense.MINIMIZE, values)
+    assert err.value.point == bad
+    assert bad not in values
+    assert all(math.isfinite(v) for v in values.values())
 
 
 def test_probe_matches_oracle_on_random_cases():

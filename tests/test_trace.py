@@ -84,7 +84,8 @@ def test_final_generation_has_no_chosen_cell():
 def test_vertexless_record_renders_header_only():
     record = GenerationRecord(
         index=0, box=SearchBox((0.0, 0.0), (1.0, 1.0)), spacing=(1.0, 1.0),
-        vertices=(), complete_cells=(), chosen=None, fallback_used=False)
+        vertices=(), complete_cells=(), chosen=None)
+    assert record.fallback_used  # derived: no complete cell
     table = render_generation_table(record)
     assert "point | probe_target | label" not in table
     assert table.startswith("generation 0\n")
@@ -142,17 +143,17 @@ def test_document_skips_svg_for_non_planar_runs():
     domain = SearchBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     res = run_slm(lambda p: sum(p), domain,
                   SlmConfig(sense=Sense.MINIMIZE, tolerance=10.0))
-    doc = build_trace_document(res, "custom", 10.0, "minimize")
-    assert all(e.svg is None for e in doc.entries)
-    assert all(e.table for e in doc.entries)
+    files = build_trace_document(res, "custom", 10.0, "minimize")
+    assert list(files) == ["trace.txt"]
+    assert files["trace.txt"].count("generation ") == len(res.generations)
 
 
 def test_rendering_is_deterministic():
     res1, _ = sphere_run()
     res2, _ = sphere_run()
-    doc1 = build_trace_document(res1, "sphere_min", 0.0625, "minimize")
-    doc2 = build_trace_document(res2, "sphere_min", 0.0625, "minimize")
-    assert doc1 == doc2
+    files1 = build_trace_document(res1, "sphere_min", 0.0625, "minimize")
+    files2 = build_trace_document(res2, "sphere_min", 0.0625, "minimize")
+    assert files1 == files2
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +162,8 @@ def test_rendering_is_deterministic():
 
 def test_write_trace_single_path(tmp_path):
     res, spec = sphere_run(tolerance=0.5)
-    doc = build_trace_document(res, spec.name, 0.5, spec.sense.value)
-    written = write_trace(doc, str(tmp_path))
+    files = build_trace_document(res, spec.name, 0.5, spec.sense.value)
+    written = write_trace(files, str(tmp_path))
     names = [os.path.basename(p) for p in written]
     assert names[0] == "trace.txt"
     assert names[1:] == [f"gen-{k}.svg" for k in range(len(res.generations))]
@@ -180,8 +181,8 @@ def test_write_trace_numbers_explore_all_duplicates(tmp_path):
     res = run_slm(spec.evaluator, spec.domain, cfg)
     indexes = [g.index for g in res.generations]
     assert len(indexes) > len(set(indexes))  # at least one duplicated index
-    doc = build_trace_document(res, spec.name, cfg.tolerance, spec.sense.value)
-    written = write_trace(doc, str(tmp_path))
+    files = build_trace_document(res, spec.name, cfg.tolerance, spec.sense.value)
+    written = write_trace(files, str(tmp_path))
     names = [os.path.basename(p) for p in written]
     expected, seen = ["trace.txt"], {}
     for k in indexes:
@@ -190,3 +191,6 @@ def test_write_trace_numbers_explore_all_duplicates(tmp_path):
         expected.append(f"gen-{k}.svg" if ordinal == 0 else f"gen-{k}-{ordinal}.svg")
     assert names == expected
     assert sorted(os.listdir(tmp_path)) == sorted(expected)
+    for path in written:
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == files[os.path.basename(path)]
