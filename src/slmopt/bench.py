@@ -28,7 +28,6 @@ from .engine import RunResult, SlmConfig, run_slm
 from .geometry import Point, format_point
 from .objectives import ObjectiveSpec, registry_lookup
 
-FORMATS = ("markdown", "csv", "json-lines")
 DEFAULT_ITERATIONS = {"rs": 1000, "rsw": 500, "sa": 150}
 _BASELINE_FNS = {
     "rs": random_search,
@@ -65,7 +64,6 @@ class BenchSpec:
     objectives: tuple[str, ...]
     algorithms: tuple[AlgorithmSpec, ...]
     repeats: int = 1
-    output_format: str = "markdown"
 
     def __post_init__(self) -> None:
         if not self.objectives:
@@ -74,8 +72,6 @@ class BenchSpec:
             raise ValueError("bench needs at least one method")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -211,11 +207,11 @@ def emit_json_lines(rows: Sequence[BenchRow]) -> str:
     return "\n".join(json.dumps(asdict(row)) for row in rows) + ("\n" if rows else "")
 
 
+_EMITTERS = {"markdown": emit_markdown, "csv": emit_csv, "json-lines": emit_json_lines}
+FORMATS = tuple(_EMITTERS)
+
+
 def emit_table(rows: Sequence[BenchRow], output_format: str) -> str:
-    if output_format == "markdown":
-        return emit_markdown(rows)
-    if output_format == "csv":
-        return emit_csv(rows)
-    if output_format == "json-lines":
-        return emit_json_lines(rows)
-    raise ValueError(f"unknown output format {output_format!r}")
+    if output_format not in _EMITTERS:
+        raise ValueError(f"unknown output format {output_format!r}")
+    return _EMITTERS[output_format](rows)

@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands: optimize, bench, trace, list-functions. build_parser is the
-one place that states each flag's type and default. A flat key=value
-config file (--config) can hold any long flag name without the leading
-dashes; its entries become the subcommand's parser defaults, so they go
-through the flags' types, and explicit flags always win. Diagnostics go
-to stderr, payload to stdout or files, exit status is 0 on success and 2
-on any error. Every error, whether a usage error, a bad config value
-(named with its file) or any exception an objective raises, becomes one
-`error: ...` line on stderr, never a usage block or a traceback. --help
-prints usage to stdout and exits 0.
+one place that states each flag's type and default; it is built once per
+process and never changed. A flat key=value config file (--config) can
+hold any long flag name without the leading dashes; each entry acts as a
+--key=value flag placed before the command line's flags, so it goes
+through the flag's type and choices, and explicit flags always win.
+Diagnostics go to stderr, payload to stdout or files, exit status is 0
+on success and 2 on any error. Every error, whether a usage error, a bad
+config value (named with its file, even if a flag overrides it) or any
+exception an objective raises, becomes one `error: ...` line on stderr,
+never a usage block or a traceback. --help prints usage to stdout and
+exits 0.
 
 optimize and bench run every method through bench.run_method; trace
 takes its SlmConfig from bench.slm_config and calls run_slm itself,
@@ -19,6 +21,7 @@ because it draws the full per-generation record.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -88,8 +91,9 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each subcommand, by name."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; one object per process, never mutated."""
     parser = _Parser(
         prog="slmopt",
         description="Derivative-free global optimization by subdividing labeled grids",
@@ -128,28 +132,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     tra.add_argument("--config")
 
     sub.add_parser("list-functions", help="print the objective registry")
-    return parser, sub.choices
+    return parser
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse argv; with --config, parse again with the file's entries as
-    the subcommand's defaults. Argparse types a string default only when
-    its flag is absent, so flags win and config values get the flags'
-    types. Keys the subcommand has no flag for are ignored."""
-    parser, commands = build_parser()
+    --key=value flags between the subcommand and the command line's
+    flags. Argparse keeps a flag's last value, so flags win, and every
+    entry goes through its flag's type and choices even when a flag
+    overrides it. Keys the subcommand has no flag for are ignored."""
+    parser = build_parser()
     ns = parser.parse_args(argv)
     path = getattr(ns, "config", None)
     if path is None:
         return ns
-    dests = {dest.replace("_", "-"): dest for dest in vars(ns)
-             if dest not in ("subcommand", "config")}
-    defaults = {dests[key]: value for key, value in read_config(path).items() if key in dests}
+    flags = {dest.replace("_", "-") for dest in vars(ns)} - {"subcommand", "config"}
+    entries = {key: value for key, value in read_config(path).items() if key in flags}
     try:
-        if "explore_all" in defaults:  # a store_const flag has no type
-            defaults["explore_all"] = _parse_bool(defaults["explore_all"])
-        commands[ns.subcommand].set_defaults(**defaults)
-        # the flags parsed once already, so any error here is the file's
-        return parser.parse_args(argv)
+        tokens = [f"--{key}={value}" for key, value in entries.items() if key != "explore-all"]
+        if "explore-all" in entries and _parse_bool(entries["explore-all"]):
+            tokens.append("--explore-all")  # a store_const flag takes no value
+        # argv[0] is the subcommand; the flags parsed once already, so
+        # any error here is the file's
+        return parser.parse_args([argv[0], *tokens, *argv[1:]])
     except CliError as e:
         raise CliError(f"bad config value in {path}: {e}") from None
 
@@ -203,9 +208,8 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         objectives=builtin_names() if ns.function.strip() == "all" else _names(ns.function),
         algorithms=tuple(_algorithm(ns, kind) for kind in _names(ns.method)),
         repeats=ns.repeats,
-        output_format=ns.format,
     )
-    text = emit_table(run_bench(spec), spec.output_format)
+    text = emit_table(run_bench(spec), ns.format)
     if ns.out is None:
         sys.stdout.write(text)
         if text and not text.endswith("\n"):

@@ -9,6 +9,7 @@ for identical inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,6 +107,16 @@ def probe_offsets(n: int, s: Sequence[float]) -> tuple[Point, ...]:
     return tuple(d for d in itertools.product(*axes) if d != zero)
 
 
+@functools.cache
+def _cell_corner_indices(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each of the 2**n cells of a halved n-box, lexicographic, the
+    indices of its corners (corners(box) order) in the 3**n grid."""
+    index = {m: i for i, m in enumerate(itertools.product(range(3), repeat=n))}
+    bits = tuple(itertools.product((0, 1), repeat=n))
+    return tuple(tuple(index[tuple(c + d for c, d in zip(cell, corner))] for corner in bits)
+                 for cell in bits)
+
+
 def subdivide(box: SearchBox) -> tuple[tuple[Point, ...], tuple[Cell, ...]]:
     """Halve the box along every dimension.
 
@@ -114,22 +125,10 @@ def subdivide(box: SearchBox) -> tuple[tuple[Point, ...], tuple[Cell, ...]]:
     grid. Midpoints are (lo + hi) / 2, so binary-representable bounds
     subdivide exactly under repeated halving.
     """
-    n = box.dimension
-    axes = [(a, (a + b) / 2.0, b) for a, b in zip(box.lo, box.hi)]
-    grid = tuple(itertools.product(*axes))
-    strides = [3 ** (n - 1 - i) for i in range(n)]
-    cells = []
-    for choice in itertools.product((0, 1), repeat=n):
-        sub = SearchBox(
-            tuple(axes[i][c] for i, c in enumerate(choice)),
-            tuple(axes[i][c + 1] for i, c in enumerate(choice)),
-        )
-        indices = tuple(
-            sum((choice[i] + corner[i]) * strides[i] for i in range(n))
-            for corner in itertools.product((0, 1), repeat=n)
-        )
-        cells.append(Cell(sub, indices))
-    return grid, tuple(cells)
+    grid = tuple(itertools.product(*((a, (a + b) / 2.0, b) for a, b in zip(box.lo, box.hi))))
+    cells = tuple(Cell(SearchBox(grid[ix[0]], grid[ix[-1]]), ix)
+                  for ix in _cell_corner_indices(box.dimension))
+    return grid, cells
 
 
 def splittable(box: SearchBox) -> bool:

@@ -29,7 +29,6 @@ def small_spec(**kw):
         algorithms=(AlgorithmSpec("slm", tolerance=0.0625),
                     AlgorithmSpec("rs", iterations=50)),
         repeats=1,
-        output_format="markdown",
     )
     defaults.update(kw)
     return BenchSpec(**defaults)
@@ -78,8 +77,6 @@ def test_algorithm_spec_rejects_unknown_kind():
 def test_bench_spec_validation():
     with pytest.raises(ValueError):
         small_spec(repeats=0)
-    with pytest.raises(ValueError):
-        small_spec(output_format="yaml")
 
 
 @pytest.mark.parametrize("field", ("objectives", "algorithms"))
@@ -104,7 +101,6 @@ def test_row_order_is_objective_major():
         algorithms=(AlgorithmSpec("slm", tolerance=0.25),
                     AlgorithmSpec("rs", iterations=20)),
         repeats=2,
-        output_format="markdown",
     )
     rows = run_bench(spec)
     key = [(r.objective, r.algorithm, r.seed) for r in rows]

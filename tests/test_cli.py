@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from slmopt.bench import parse_csv
-from slmopt.cli import CliError, main, read_config
+from slmopt.cli import CliError, build_parser, main, read_config
 from slmopt.geometry import SearchBox, format_point
 from slmopt.labeling import Sense
 from slmopt.objectives import ObjectiveSpec, all_names, register_objective
@@ -208,14 +208,6 @@ def test_nan_initial_point_is_one_line_error(method, capsys):
     assert err == "error: initial point (nan, nan) has a NaN coordinate\n"
 
 
-def test_optimize_unknown_method_via_config(tmp_path, capsys):
-    path = tmp_path / "run.conf"
-    path.write_text("function = sphere_min\nmethod = newton\n")
-    rc, _, err = run_cli(capsys, "optimize", "--config", str(path))
-    assert rc == 2
-    assert "unknown method" in err
-
-
 def test_flags_override_config(tmp_path, capsys):
     path = tmp_path / "run.conf"
     path.write_text("function = trig\nmethod = rs\niterations = 30\nseed = 4\n")
@@ -246,6 +238,10 @@ def test_usage_error_is_one_line(argv, capsys):
     ("optimize", "initial = 1;2", "not a comma-separated point: '1;2'"),
     ("trace", "explore-all = maybe", "not a boolean: 'maybe'"),
     ("bench", "repeats = two", "argument --repeats: invalid int value: 'two'"),
+    ("optimize", "method = newton",
+     "argument --method: invalid choice: 'newton' (choose from 'slm', 'rs', 'rsw', 'sa')"),
+    ("bench", "format = yaml",
+     "argument --format: invalid choice: 'yaml' (choose from 'markdown', 'csv', 'json-lines')"),
 ))
 def test_bad_config_value_is_one_line_naming_the_file(subcommand, entry, message,
                                                       tmp_path, capsys):
@@ -254,6 +250,40 @@ def test_bad_config_value_is_one_line_naming_the_file(subcommand, entry, message
     rc, out, err = run_cli(capsys, subcommand, "--config", str(path))
     assert rc == 2 and out == ""
     assert err == f"error: bad config value in {path}: {message}\n"
+
+
+@pytest.mark.parametrize("subcommand, entry, flag", (
+    ("optimize", "iterations = soon", ("--iterations", "30")),
+    ("optimize", "method = newton", ("--method", "rs")),
+    ("bench", "format = yaml", ("--format", "csv")),
+    ("trace", "explore-all = maybe", ("--explore-all",)),
+))
+def test_bad_config_value_is_an_error_even_when_a_flag_overrides_it(subcommand, entry, flag,
+                                                                    tmp_path, capsys):
+    path = tmp_path / "run.conf"
+    path.write_text(f"function = sphere_min\n{entry}\n")
+    rc, out, err = run_cli(capsys, subcommand, "--config", str(path), *flag)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: bad config value in {path}: ") and err.count("\n") == 1
+
+
+def test_config_does_not_leak_into_a_later_run(tmp_path, capsys):
+    path = tmp_path / "run.conf"
+    path.write_text("method = rs\niterations = 30\nseed = 4\ntol = 0.5\n")
+    argv = ("optimize", "--function", "sphere_min")
+    plain = run_cli(capsys, *argv)
+    configured = run_cli(capsys, *argv, "--config", str(path))
+    assert configured[0] == 0 and configured != plain
+    assert run_cli(capsys, *argv) == plain
+
+
+def test_parser_is_built_once_and_not_at_import():
+    assert build_parser() is build_parser()
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from slmopt.cli import build_parser; print(build_parser.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "0\n"
 
 
 def test_bad_config_value_reports_key(tmp_path, capsys):
