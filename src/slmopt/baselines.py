@@ -49,7 +49,6 @@ class OptimRunResult:
     best_point: Point
     best_value: float
     evaluations: int
-    trajectory: tuple[tuple[int, float], ...]
     notes: tuple[str, ...] = ()
 
 
@@ -61,10 +60,7 @@ def _step_sigma(cfg: BaselineConfig, box: SearchBox, t: int) -> tuple[float, ...
     """Per-dimension proposal radius at iteration t: geometric decay
     from STEP_SCALE_INITIAL*width to STEP_SCALE_FINAL*width."""
     s0 = STEP_SCALE_INITIAL
-    if cfg.iterations == 1:
-        scale = s0
-    else:
-        scale = s0 * (STEP_SCALE_FINAL / s0) ** (t / (cfg.iterations - 1))
+    scale = s0 * (STEP_SCALE_FINAL / s0) ** (t / max(1, cfg.iterations - 1))
     return tuple(scale * w for w in box.widths())
 
 
@@ -80,22 +76,18 @@ def _propose(rng: random.Random, x: Point, box: SearchBox,
 def random_search(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResult:
     """Uniform sampling over the domain; best of cfg.iterations draws.
 
-    evaluations == cfg.iterations. Trajectory entries are
-    (evaluation count, best value) at each improvement.
+    evaluations == cfg.iterations.
     """
     rng = random.Random(cfg.seed)
     better = spec.sense.better
-    best_p: Point | None = None
-    best_v = math.nan
-    trajectory = []
-    for k in range(cfg.iterations):
+    best_p = _uniform_point(rng, spec.domain)
+    best_v = _checked(spec.evaluator, best_p)
+    for _ in range(cfg.iterations - 1):
         p = _uniform_point(rng, spec.domain)
         v = _checked(spec.evaluator, p)
-        if best_p is None or better(v, best_v):
+        if better(v, best_v):
             best_p, best_v = p, v
-            trajectory.append((k + 1, v))
-    assert best_p is not None
-    return OptimRunResult(best_p, best_v, cfg.iterations, tuple(trajectory))
+    return OptimRunResult(best_p, best_v, cfg.iterations)
 
 
 def _initial(spec: ObjectiveSpec, cfg: BaselineConfig) -> tuple[Point, tuple[str, ...]]:
@@ -119,16 +111,12 @@ def random_search_walk(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResu
     better = spec.sense.better
     x, notes = _initial(spec, cfg)
     fx = _checked(spec.evaluator, x)
-    evals = 1
-    trajectory = [(evals, fx)]
     for t in range(cfg.iterations):
         p = _propose(rng, x, spec.domain, _step_sigma(cfg, spec.domain, t))
         v = _checked(spec.evaluator, p)
-        evals += 1
         if better(v, fx):
             x, fx = p, v
-            trajectory.append((evals, v))
-    return OptimRunResult(x, fx, evals, tuple(trajectory), notes)
+    return OptimRunResult(x, fx, cfg.iterations + 1, notes)
 
 
 def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResult:
@@ -138,8 +126,9 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
     |delta| is accepted with probability exp(-|delta|/T). T starts at
     the value spread of TEMPERATURE_SAMPLES (10) uniform samples, drawn
     and evaluated first (1.0 when they are all equal), so evaluations ==
-    cfg.iterations + 11. T multiplies by COOLING_RATIO each iteration.
-    Returns the best point ever visited, not the final state.
+    cfg.iterations + TEMPERATURE_SAMPLES + 1. T multiplies by
+    COOLING_RATIO each iteration. Returns the best point ever visited,
+    not the final state.
     """
     rng = random.Random(cfg.seed)
     better = spec.sense.better
@@ -150,13 +139,10 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
         temperature = 1.0
     x, notes = _initial(spec, cfg)
     fx = _checked(spec.evaluator, x)
-    evals = TEMPERATURE_SAMPLES + 1
     best_p, best_v = x, fx
-    trajectory = [(evals, fx)]
     for t in range(cfg.iterations):
         p = _propose(rng, x, spec.domain, _step_sigma(cfg, spec.domain, t))
         v = _checked(spec.evaluator, p)
-        evals += 1
         if v == fx or better(v, fx):
             x, fx = p, v
         else:
@@ -166,6 +152,5 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
                 x, fx = p, v
         if better(fx, best_v):
             best_p, best_v = x, fx
-            trajectory.append((evals, fx))
         temperature *= COOLING_RATIO
-    return OptimRunResult(best_p, best_v, evals, tuple(trajectory), notes)
+    return OptimRunResult(best_p, best_v, cfg.iterations + TEMPERATURE_SAMPLES + 1, notes)

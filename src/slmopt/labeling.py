@@ -49,7 +49,6 @@ class LabeledVertex:
     point: Point
     value: float
     probe_target: Point
-    displacement: Point
     label: int
 
 
@@ -87,7 +86,7 @@ def label_grid(f: Objective, grid: Sequence[Point], s: Spacing, domain: SearchBo
 
     values is the caller's point -> value store. f is called, and its
     value checked, only for points missing from it, and each new point
-    is added; run_slm passes one store per run, so there each lattice
+    is added; run_slm passes one store per run, so there each distinct
     point is evaluated once per run. Evaluation order is p, then its
     candidates, vertex by vertex, whatever the store already holds.
     """
@@ -110,7 +109,6 @@ def label_grid(f: Objective, grid: Sequence[Point], s: Spacing, domain: SearchBo
                 v = values[q] = _checked(f, q)
             if sense.better(v, best_v):
                 best, best_v = q, v
-        d = tuple(t - x for t, x in zip(best, p))
         labeled.append(LabeledVertex(point=p, value=values[p], probe_target=best,
-                                     displacement=d, label=label_of(d)))
+                                     label=label_of([t - x for t, x in zip(best, p)])))
     return tuple(labeled)

@@ -66,15 +66,9 @@ def eval_rosenbrock(p: Sequence[float]) -> float:
 _SHEKEL_BASE = (-32.0, -16.0, 0.0, 16.0, 32.0)
 
 
-def shekel_coeff(i: int) -> tuple[float, float]:
-    """Well center i of the 5x5 foxhole grid: column by i mod 5, row by
-    i div 5."""
-    if not 0 <= i <= 24:
-        raise ValueError(f"well index {i} out of range 0..24")
-    return _SHEKEL_BASE[i % 5], _SHEKEL_BASE[i // 5]
-
-
-SHEKEL_TABLE: tuple[tuple[float, float], ...] = tuple(shekel_coeff(i) for i in range(25))
+# well centre i of the 5x5 foxhole grid: column i mod 5, row i div 5
+SHEKEL_TABLE: tuple[tuple[float, float], ...] = tuple(
+    (a0, a1) for a1 in _SHEKEL_BASE for a0 in _SHEKEL_BASE)
 
 
 def eval_shekel(p: Sequence[float]) -> float:

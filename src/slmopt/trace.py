@@ -50,7 +50,7 @@ def render_generation_table(g: GenerationRecord) -> str:
 def render_generation_svg(g: GenerationRecord) -> str:
     """Standalone SVG 1.1 of one 2-D generation: box outline, chosen
     cell highlight, label-colored vertex markers, probe arrows for
-    nonzero displacements, and a legend."""
+    vertices whose probe target moved, and a legend."""
     if g.box.dimension != 2:
         raise UnsupportedDimensionError(g.box.dimension)
 
@@ -95,7 +95,7 @@ def render_generation_svg(g: GenerationRecord) -> str:
     parts.append(rect(g.box, "box", "none", "1", "#222222"))
 
     for v in g.vertices:
-        if any(d != 0.0 for d in v.displacement):
+        if v.probe_target != v.point:
             parts.append(
                 f'  <line class="arrow" x1="{px(v.point[0]):.2f}" y1="{py(v.point[1]):.2f}"'
                 f' x2="{px(v.probe_target[0]):.2f}" y2="{py(v.probe_target[1]):.2f}"'

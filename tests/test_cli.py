@@ -3,17 +3,24 @@
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import slmopt
 from slmopt.bench import parse_csv
 from slmopt.cli import CliError, build_parser, main, read_config
 from slmopt.geometry import SearchBox, format_point
 from slmopt.labeling import Sense
 from slmopt.objectives import ObjectiveSpec, all_names, register_objective
+
+# child interpreters import the same slmopt as this one, installed or not
+SRC_DIR = os.path.dirname(os.path.dirname(slmopt.__file__))
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (SRC_DIR, os.environ.get("PYTHONPATH"))))}
 
 SPHERE_LINE = "sphere_min: minimize on [-2, 2] x [-2, 2]; optimum (0, 0.4) value 0"
 
@@ -282,7 +289,7 @@ def test_parser_is_built_once_and_not_at_import():
     proc = subprocess.run(
         [sys.executable, "-c",
          "from slmopt.cli import build_parser; print(build_parser.cache_info().currsize)"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0 and proc.stdout == "0\n"
 
 
@@ -496,6 +503,6 @@ def test_bad_choice_exits_two(capsys):
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "slmopt.cli", "list-functions"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == SPHERE_LINE

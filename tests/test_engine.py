@@ -394,6 +394,29 @@ def test_point_store_changes_no_result(name, explore_all):
     assert res.evaluations == DISTINCT_POINTS[name][explore_all]
 
 
+# bounds that are not binary fractions let one lattice point be reached
+# by a midpoint and a probe sum that round to different floats, each
+# evaluated: explore-all (float keys, lattice points) at default tolerance
+LATTICE_REPEATS = {"rosenbrock": (2861, 2612), "shekel": (5196, 4718)}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_REPEATS))
+def test_explore_all_repeats_lattice_points_on_non_dyadic_bounds(name):
+    spec = registry_lookup(name)
+    seen = []
+
+    def recorded(p):
+        seen.append(p)
+        return spec.evaluator(p)
+
+    cfg = SlmConfig(sense=spec.sense, tolerance=default_tolerance(spec), explore_all=True)
+    run_slm(recorded, spec.domain, cfg)
+    lo, widths = spec.domain.lo, spec.domain.widths()
+    lattice = {tuple(round((x - a) / w * 2**11) for x, a, w in zip(p, lo, widths))
+               for p in seen}
+    assert (len(set(seen)), len(lattice)) == LATTICE_REPEATS[name]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 3),

@@ -99,7 +99,6 @@ def check_rows(f, domain, spacing, rows):
         lv = label_vertex(f, point, spacing, domain, Sense.MINIMIZE)
         assert lv.probe_target == target, f"probe target from {point}"
         assert lv.label == label, f"label at {point}"
-        assert lv.displacement == tuple(t - x for t, x in zip(target, point))
         assert brute_probe(f, point, spacing, domain, Sense.MINIMIZE) == target
 
 
@@ -170,7 +169,7 @@ def test_constant_objective_keeps_incumbent():
     box = SearchBox((0.0, 0.0), (4.0, 4.0))
     lv = label_vertex(lambda p: 1.0, (2.0, 2.0), (1.0, 1.0), box, Sense.MINIMIZE)
     assert lv.probe_target == (2.0, 2.0)
-    assert lv.displacement == (0.0, 0.0)
+    assert lv.probe_target == lv.point
     assert lv.label == 0
 
 

@@ -19,7 +19,6 @@ from slmopt.objectives import (
     eval_trig,
     register_objective,
     registry_lookup,
-    shekel_coeff,
 )
 
 BASE = (-32.0, -16.0, 0.0, 16.0, 32.0)
@@ -125,19 +124,15 @@ def test_shekel_range():
 
 
 def test_shekel_coeff_enumeration():
-    assert shekel_coeff(0) == (-32.0, -32.0)
-    assert shekel_coeff(4) == (32.0, -32.0)
-    assert shekel_coeff(5) == (-32.0, -16.0)
-    assert shekel_coeff(7) == (0.0, -16.0)
-    assert shekel_coeff(12) == (0.0, 0.0)
-    assert shekel_coeff(24) == (32.0, 32.0)
+    assert SHEKEL_TABLE[0] == (-32.0, -32.0)
+    assert SHEKEL_TABLE[4] == (32.0, -32.0)
+    assert SHEKEL_TABLE[5] == (-32.0, -16.0)
+    assert SHEKEL_TABLE[7] == (0.0, -16.0)
+    assert SHEKEL_TABLE[12] == (0.0, 0.0)
+    assert SHEKEL_TABLE[24] == (32.0, 32.0)
     assert SHEKEL_TABLE == tuple(
         (BASE[i % 5], BASE[i // 5]) for i in range(25)
     )
-    with pytest.raises(ValueError):
-        shekel_coeff(-1)
-    with pytest.raises(ValueError):
-        shekel_coeff(25)
 
 
 def test_wrong_dimension_rejected():

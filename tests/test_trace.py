@@ -102,7 +102,7 @@ def test_svg_is_well_formed_and_complete():
     assert root.tag == SVG_NS + "svg"
     assert root.get("version") == "1.1"
     assert len(by_class(root, "vertex")) == len(g.vertices)
-    moved = sum(1 for v in g.vertices if any(d != 0.0 for d in v.displacement))
+    moved = sum(1 for v in g.vertices if v.probe_target != v.point)
     assert len(by_class(root, "arrow")) == moved
     assert len(by_class(root, "chosen")) == 1
     assert len(by_class(root, "box")) == 1
