@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .geometry import Point, SearchBox
 from .labeling import _checked
@@ -52,16 +53,19 @@ class OptimRunResult:
     notes: tuple[str, ...] = ()
 
 
-def _uniform_point(rng: random.Random, box: SearchBox) -> Point:
-    return tuple(a + (b - a) * rng.random() for a, b in zip(box.lo, box.hi))
+def _uniform_point(rng: random.Random, lo: Point, widths: tuple[float, ...]) -> Point:
+    return tuple(a + w * rng.random() for a, w in zip(lo, widths))
 
 
-def _step_sigma(cfg: BaselineConfig, box: SearchBox, t: int) -> tuple[float, ...]:
-    """Per-dimension proposal radius at iteration t: geometric decay
+def _step_sigmas(cfg: BaselineConfig, box: SearchBox) -> Iterator[tuple[float, ...]]:
+    """Per-dimension proposal radius for each iteration: geometric decay
     from STEP_SCALE_INITIAL*width to STEP_SCALE_FINAL*width."""
     s0 = STEP_SCALE_INITIAL
-    scale = s0 * (STEP_SCALE_FINAL / s0) ** (t / max(1, cfg.iterations - 1))
-    return tuple(scale * w for w in box.widths())
+    widths = box.widths()
+    last = max(1, cfg.iterations - 1)
+    for t in range(cfg.iterations):
+        scale = s0 * (STEP_SCALE_FINAL / s0) ** (t / last)
+        yield tuple(scale * w for w in widths)
 
 
 def _propose(rng: random.Random, x: Point, box: SearchBox,
@@ -80,10 +84,11 @@ def random_search(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResult:
     """
     rng = random.Random(cfg.seed)
     better = spec.sense.better
-    best_p = _uniform_point(rng, spec.domain)
+    lo, widths = spec.domain.lo, spec.domain.widths()
+    best_p = _uniform_point(rng, lo, widths)
     best_v = _checked(spec.evaluator, best_p)
     for _ in range(cfg.iterations - 1):
-        p = _uniform_point(rng, spec.domain)
+        p = _uniform_point(rng, lo, widths)
         v = _checked(spec.evaluator, p)
         if better(v, best_v):
             best_p, best_v = p, v
@@ -111,8 +116,8 @@ def random_search_walk(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResu
     better = spec.sense.better
     x, notes = _initial(spec, cfg)
     fx = _checked(spec.evaluator, x)
-    for t in range(cfg.iterations):
-        p = _propose(rng, x, spec.domain, _step_sigma(cfg, spec.domain, t))
+    for sigma in _step_sigmas(cfg, spec.domain):
+        p = _propose(rng, x, spec.domain, sigma)
         v = _checked(spec.evaluator, p)
         if better(v, fx):
             x, fx = p, v
@@ -132,7 +137,8 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
     """
     rng = random.Random(cfg.seed)
     better = spec.sense.better
-    samples = [_checked(spec.evaluator, _uniform_point(rng, spec.domain))
+    lo, widths = spec.domain.lo, spec.domain.widths()
+    samples = [_checked(spec.evaluator, _uniform_point(rng, lo, widths))
                for _ in range(TEMPERATURE_SAMPLES)]
     temperature = max(samples) - min(samples)
     if temperature <= 0.0:
@@ -140,8 +146,8 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
     x, notes = _initial(spec, cfg)
     fx = _checked(spec.evaluator, x)
     best_p, best_v = x, fx
-    for t in range(cfg.iterations):
-        p = _propose(rng, x, spec.domain, _step_sigma(cfg, spec.domain, t))
+    for sigma in _step_sigmas(cfg, spec.domain):
+        p = _propose(rng, x, spec.domain, sigma)
         v = _checked(spec.evaluator, p)
         if v == fx or better(v, fx):
             x, fx = p, v

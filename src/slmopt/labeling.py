@@ -4,7 +4,9 @@ Each grid vertex p is compared against its admissible neighbors
 p + delta for the 3**n - 1 offsets delta of the probe spacing. The
 winner (ties prefer p, then the earliest offset) defines a displacement
 d = winner - p, and the label is 0 when no component of d is negative,
-otherwise the largest 1-based index of a negative component.
+otherwise the largest 1-based index of a negative component. label_grid
+builds each vertex's neighbours from per-axis memos of in-domain
+coordinates and reads the caller's point store before calling f.
 """
 
 from __future__ import annotations
@@ -82,7 +84,10 @@ def label_grid(f: Objective, grid: Sequence[Point], s: Spacing, domain: SearchBo
     being labeled). A vertex p is compared with p itself, then with the
     points p + delta of probe_offsets, in the same order, with each
     axis's deltas filtered against the domain first. Out-of-domain
-    candidates are discarded, never clamped; ties keep the incumbent.
+    candidates are discarded, never clamped; ties keep the incumbent,
+    which starts as p (the product's p + 0 is the same key, a tie).
+    Each axis memoizes x -> its in-domain (x - h, x, x + h) for the
+    call; x is range-checked when first seen, so every vertex is checked.
 
     values is the caller's point -> value store. f is called, and its
     value checked, only for points missing from it, and each new point
@@ -90,25 +95,32 @@ def label_grid(f: Objective, grid: Sequence[Point], s: Spacing, domain: SearchBo
     point is evaluated once per run. Evaluation order is p, then its
     candidates, vertex by vertex, whatever the store already holds.
     """
-    check_spacing(domain.dimension, s)
-    # any finite value improves on this, so each vertex's first probe is p
-    worst = math.inf if sense is Sense.MINIMIZE else -math.inf
+    n = domain.dimension
+    check_spacing(n, s)
+    minimize = sense is Sense.MINIMIZE
+    per_axis = tuple(zip(s, domain.lo, domain.hi, [{} for _ in range(n)]))
     labeled = []
     for p in grid:
-        if not domain.contains(p):
-            raise ValueError(f"probe point {p!r} lies outside the domain")
+        if len(p) != n:
+            raise ValueError("point dimension mismatch")
         axes = []
-        for x, h, a, b in zip(p, s, domain.lo, domain.hi):
-            axes.append([q for q in (x + -h, x + 0.0, x + h) if a <= q <= b])
-        best, best_v = p, worst
-        # the product holds p + 0 again, the same key as p (-0.0 == 0.0):
-        # a store hit that ties, so the incumbent p stays
-        for q in itertools.chain((p,), itertools.product(*axes)):
+        for x, (h, a, b, memo) in zip(p, per_axis):
+            candidates = memo.get(x)
+            if candidates is None:
+                if not a <= x <= b:
+                    raise ValueError(f"probe point {p!r} lies outside the domain")
+                candidates = memo[x] = tuple(q for q in (x + -h, x + 0.0, x + h) if a <= q <= b)
+            axes.append(candidates)
+        value = values.get(p)
+        if value is None:
+            value = values[p] = _checked(f, p)
+        best, best_v = p, value
+        for q in itertools.product(*axes):
             v = values.get(q)
             if v is None:
                 v = values[q] = _checked(f, q)
-            if sense.better(v, best_v):
+            if (v < best_v) if minimize else (v > best_v):
                 best, best_v = q, v
-        labeled.append(LabeledVertex(point=p, value=values[p], probe_target=best,
+        labeled.append(LabeledVertex(point=p, value=value, probe_target=best,
                                      label=label_of([t - x for t, x in zip(best, p)])))
     return tuple(labeled)

@@ -13,7 +13,7 @@ from slmopt.baselines import (
     simulated_annealing,
 )
 from slmopt.labeling import ObjectiveEvaluationError
-from slmopt.objectives import registry_lookup
+from slmopt.objectives import builtin_names, registry_lookup
 
 SPHERE = registry_lookup("sphere_min")
 SPHERE_MAX = registry_lookup("sphere_max")
@@ -180,6 +180,50 @@ def test_nan_initial_point_rejected():
         spec, cfg(iterations=10, seed=0, initial_point=(math.inf, -math.inf)))
     assert res.notes and "clamped" in res.notes[0]
     assert calls[0] == (2.0, -2.0)
+
+
+# float.hex of (best point, best value) at seed 5, 300 iterations,
+# start (9, 9); speed work must leave each one bit for bit
+BEST_HEX = {
+    ("sphere_min", "random_search"):
+        (('-0x1.b90e693aa6f40p-5', '0x1.248b6f8947040p-2'), '0x1.0595f763eccaap-6'),
+    ("sphere_min", "random_search_walk"):
+        (('-0x1.17464075b9114p-7', '0x1.96e7570dde22bp-2'), '0x1.4dbedef215983p-14'),
+    ("sphere_min", "simulated_annealing"):
+        (('0x1.01e727576bf14p-8', '0x1.a0c3b6e0eea9fp-2'), '0x1.0e469983034e4p-14'),
+    ("trig", "random_search"):
+        (('0x1.0c3f92a804784p+1', '0x1.2116a17d9dc28p+0'), '-0x1.f7dafdd4598abp+0'),
+    ("trig", "random_search_walk"):
+        (('0x1.00705761a7425p+1', '-0x1.c000000000000p+2'), '-0x1.ffff0cb81b9abp+0'),
+    ("trig", "simulated_annealing"):
+        (('0x1.01f9ed48a946cp+1', '0x1.3ee811ad9aaf3p+2'), '-0x1.ffd5206217b3cp+0'),
+    ("sphere_max", "random_search"):
+        (('0x1.e6d78f22a6aaap+0', '-0x1.f993a744dffe0p+0'), '0x1.28375d4147038p+3'),
+    ("sphere_max", "random_search_walk"):
+        (('0x1.0000000000000p+1', '0x1.0000000000000p+1'), '0x1.a3d70a3d70a3ep+2'),
+    ("sphere_max", "simulated_annealing"):
+        (('0x1.0000000000000p+1', '-0x1.0000000000000p+1'), '0x1.3851eb851eb85p+3'),
+    ("rosenbrock", "random_search"):
+        (('0x1.e744b956643b8p-1', '0x1.c9076af9ab5acp-1'), '0x1.3f013d453478cp-6'),
+    ("rosenbrock", "random_search_walk"):
+        (('0x1.fdbf7fdbec468p-1', '0x1.fb6db9fbdb220p-1'), '0x1.6ae1317d5d3a4p-16'),
+    ("rosenbrock", "simulated_annealing"):
+        (('0x1.9824c324d0dccp-1', '0x1.40b877cdd292ap-1'), '0x1.9427665e26369p-5'),
+    ("shekel", "random_search"):
+        (('-0x1.06e94efb6947ap+4', '-0x1.df9658551c09cp+3'), '0x1.fd4ae386ce163p+2'),
+    ("shekel", "random_search_walk"):
+        (('0x1.0210cab6b819ep+4', '-0x1.00705ad9d6017p+5'), '0x1.fbefc5687d232p+1'),
+    ("shekel", "simulated_annealing"):
+        (('0x1.a42c23561ece8p-4', '0x1.ddc3b4f1b6500p-3'), '0x1.95760bcaac812p+3'),
+}
+
+
+@pytest.mark.parametrize("run", ALL_RUNNERS)
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_bests_are_bit_stable(name, run):
+    res = run(registry_lookup(name), cfg(iterations=300, seed=5, initial_point=(9.0, 9.0)))
+    got = (tuple(v.hex() for v in res.best_point), res.best_value.hex())
+    assert got == BEST_HEX[name, run.__name__]
 
 
 # ---------------------------------------------------------------------------

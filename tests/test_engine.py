@@ -1,5 +1,6 @@
 """Subdivision search: cell selection, descent trajectories, stopping."""
 
+import hashlib
 import math
 
 import pytest
@@ -434,6 +435,35 @@ def test_point_store_invisible_on_shifted_spheres(n, data, halvings, explore_all
                     explore_all=explore_all, cell_budget=cell_budget)
     assert_store_invisible(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)),
                            domain, cfg)
+
+
+# sha256 of every float, label and box a builtin run produces at its
+# default tolerance; speed work must leave each one bit for bit
+RUN_DIGESTS = {
+    ("sphere_min", False): "14bb25d20103ba5efaf458ec7522da15c1bc3bc4f0db9fb9ed07f1b825212b4b",
+    ("sphere_min", True): "aa0eb696e87ef0a9eebfc4216be6b1b85295d35fb2c6b22e0d31c2e507e5799f",
+    ("trig", False): "81737effffad6d795f9f43a2b73e483aa2940bcacf383587ba5a4bec67b9295d",
+    ("trig", True): "7f705f342adcda2d91e881346a94375ce1300c21b8f9892b5916d6a79c01e5b4",
+    ("sphere_max", False): "0616b7c1efc00878bd2aa7df119b2ee154b96ce468e16fa0badb5550038d5f27",
+    ("sphere_max", True): "be820cedb8c5a44dd682d6e183f647f3ca494d11d6e5e8c95b66c75ad5f3257d",
+    ("rosenbrock", False): "7a0c2def8477a8fbeb77404da402c932f00470211d26012ba89c7fb3472ea184",
+    ("rosenbrock", True): "1fdec036ab25115d171fa47af021cba8b521eef614cd4f5801adfc2bf03c14af",
+    ("shekel", False): "1f1d9b139dabd45e764f6451a388758dad407e99b352f79f55de2823b3a8e926",
+    ("shekel", True): "d4226e14f7e89d9db282018dce8971176756c8fc8cbac523ed8f7dcb46d735b4",
+}
+
+
+@pytest.mark.parametrize("explore_all", (False, True))
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_runs_are_bit_stable(name, explore_all):
+    res, _ = run_builtin(name, default_tolerance(registry_lookup(name)),
+                         explore_all=explore_all)
+    parts = [res.best_point, res.best_value, res.termination, res.candidates]
+    for g in res.generations:
+        parts.append((g.box, g.spacing, g.chosen and g.chosen.box,
+                      [(v.point, v.value, v.probe_target, v.label) for v in g.vertices]))
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == RUN_DIGESTS[name, explore_all]
 
 
 # ---------------------------------------------------------------------------

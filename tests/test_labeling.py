@@ -5,8 +5,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from slmopt.geometry import SearchBox, corners, probe_offsets
+from slmopt.geometry import SearchBox, corners, probe_offsets, subdivide
 from slmopt.labeling import (
     ObjectiveEvaluationError,
     Sense,
@@ -298,3 +300,71 @@ def test_probe_matches_oracle_on_random_cases():
         lv = label_vertex(f, p, s, domain, sense)
         assert lv.probe_target == brute_probe(f, p, s, domain, sense)
         assert 0 <= lv.label <= domain.dimension
+
+
+# ---------------------------------------------------------------------------
+# label_grid's per-axis candidate memo
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    sense=st.sampled_from(Sense),
+    use_subdivide=st.booleans(),
+    quantized=st.booleans(),
+)
+def test_label_grid_matches_brute_probe_on_boundary_boxes(n, data, sense, use_subdivide,
+                                                          quantized):
+    # sub-boxes with one face on the domain boundary, so stencils are cut
+    # there; one store is shared by the grid, as in a run
+    domain = SearchBox((-2.0,) * n, (2.0,) * n)
+    coord = st.floats(-2.0, 2.0)
+    lo, hi = [], []
+    for _ in range(n):
+        a, b = sorted(data.draw(st.tuples(coord, coord)))
+        assume(a < b)
+        lo.append(a)
+        hi.append(b)
+    axis = data.draw(st.integers(0, n - 1))
+    if data.draw(st.booleans()):
+        lo[axis] = -2.0
+    else:
+        hi[axis] = 2.0
+    box = SearchBox(lo, hi)
+    grid = subdivide(box)[0] if use_subdivide else corners(box)
+    s = tuple(w * data.draw(st.floats(0.05, 1.0)) for w in box.widths())
+    centre = data.draw(st.tuples(*[coord for _ in range(n)]))
+
+    def f(p):
+        v = sum((x - c) ** 2 for x, c in zip(p, centre))
+        return round(v, 1) if quantized else v
+
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return f(p)
+
+    values = {}
+    out = label_grid(counted, grid, s, domain, sense, values)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(values)
+    for p, lv in zip(grid, out):
+        target = brute_probe(f, p, s, domain, sense)
+        assert (lv.point, lv.value, lv.probe_target) == (p, f(p), target)
+        assert lv.label == label_of([t - x for t, x in zip(target, p)])
+
+
+def test_label_grid_checks_every_vertex_against_the_domain():
+    # x = 0.5 is a memo hit at the second vertex, but its y is outside
+    box = SearchBox((0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match=r"probe point \(0\.5, 2\.0\) lies outside"):
+        label_grid(lambda p: 0.0, ((0.5, 0.5), (0.5, 2.0)), (0.25, 0.25), box,
+                   Sense.MINIMIZE, {})
+
+
+def test_label_grid_rejects_point_of_wrong_dimension():
+    box = SearchBox((0.0, 0.0), (1.0, 1.0))
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        label_grid(lambda p: 0.0, ((0.5,),), (0.25, 0.25), box, Sense.MINIMIZE, {})
