@@ -99,6 +99,9 @@ def _initial(spec: ObjectiveSpec, cfg: BaselineConfig) -> tuple[Point, tuple[str
     if cfg.initial_point is None:
         return spec.domain.center(), ()
     given = tuple(float(v) for v in cfg.initial_point)
+    n = spec.domain.dimension
+    if len(given) != n:
+        raise ValueError(f"initial point {given} is {len(given)}-D; {spec.name} is {n}-D")
     clamped = spec.domain.clamp(given)
     if clamped != given:
         return clamped, (f"initial point clamped from {given} to {clamped}",)
@@ -138,12 +141,12 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
     rng = random.Random(cfg.seed)
     better = spec.sense.better
     lo, widths = spec.domain.lo, spec.domain.widths()
+    x, notes = _initial(spec, cfg)
     samples = [_checked(spec.evaluator, _uniform_point(rng, lo, widths))
                for _ in range(TEMPERATURE_SAMPLES)]
     temperature = max(samples) - min(samples)
     if temperature <= 0.0:
         temperature = 1.0
-    x, notes = _initial(spec, cfg)
     fx = _checked(spec.evaluator, x)
     best_p, best_v = x, fx
     for sigma in _step_sigmas(cfg, spec.domain):

@@ -18,12 +18,14 @@ neighbouring vertices and boxes probe the same points. So run_slm owns
 a point -> value store keyed on the float tuple and hands it to every
 label_grid call, which evaluates and checks only the points missing
 from it; each generation labels the distinct grid points of all its
-boxes together. Each lattice point is then evaluated once per run and
+boxes together. Each distinct key is then evaluated once per run and
 labeled at most once per generation, and `evaluations` counts distinct
-points. A point reached by two sums that round differently is two
-keys, evaluated as before; 0.0 and -0.0 compare equal and share one
-key. First-time evaluations happen in the same order as without the
-store, so results do not depend on it. Nothing is kept across runs.
+keys. A lattice point reached by two sums that round differently is two
+keys, each evaluated; rosenbrock and shekel, whose bounds are not binary
+fractions, have such points (README.md gives the counts). 0.0 and -0.0
+compare equal and share one key. First-time
+evaluations happen in the same order as without the store, so results
+do not depend on it. Nothing is kept across runs.
 
 The reported best is the best point ever evaluated, including probe
 candidates, not just grid vertices: the first best entry of the store

@@ -29,10 +29,6 @@ class ObjectiveSpec:
     known_optima: tuple[tuple[Point, float], ...]
     evaluator: Callable[[Point], float]
 
-    @property
-    def dimension(self) -> int:
-        return self.domain.dimension
-
 
 class UnknownObjectiveError(KeyError):
     def __init__(self, name: str, available: Sequence[str]):
@@ -119,10 +115,6 @@ def registry_lookup(name: str) -> ObjectiveSpec:
 
 def builtin_names() -> tuple[str, ...]:
     return tuple(_BUILTINS)
-
-
-def all_names() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
 
 
 _BUILTINS = ("sphere_min", "trig", "sphere_max", "rosenbrock", "shekel")

@@ -182,6 +182,14 @@ def test_nan_initial_point_rejected():
     assert calls[0] == (2.0, -2.0)
 
 
+@pytest.mark.parametrize("run", (random_search_walk, simulated_annealing))
+def test_wrong_dimension_initial_point_rejected_before_any_call(run):
+    spec, calls = recording(SPHERE)
+    with pytest.raises(ValueError, match=r"^initial point \(1\.0,\) is 1-D; sphere_min is 2-D$"):
+        run(spec, cfg(iterations=10, seed=0, initial_point=(1.0,)))
+    assert calls == []
+
+
 # float.hex of (best point, best value) at seed 5, 300 iterations,
 # start (9, 9); speed work must leave each one bit for bit
 BEST_HEX = {

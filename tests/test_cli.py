@@ -15,7 +15,12 @@ from slmopt.bench import parse_csv
 from slmopt.cli import CliError, build_parser, main, read_config
 from slmopt.geometry import SearchBox, format_point
 from slmopt.labeling import Sense
-from slmopt.objectives import ObjectiveSpec, all_names, register_objective
+from slmopt.objectives import (
+    ObjectiveSpec,
+    UnknownObjectiveError,
+    register_objective,
+    registry_lookup,
+)
 
 # child interpreters import the same slmopt as this one, installed or not
 SRC_DIR = os.path.dirname(os.path.dirname(slmopt.__file__))
@@ -143,7 +148,9 @@ def test_optimize_unknown_function(capsys):
 
 def _raising_objective():
     name = "test_raising_xyzzy"
-    if name not in all_names():
+    try:
+        registry_lookup(name)
+    except UnknownObjectiveError:
         register_objective(ObjectiveSpec(
             name=name,
             domain=SearchBox((0.0,), (1.0,)),
@@ -213,6 +220,14 @@ def test_nan_initial_point_is_one_line_error(method, capsys):
                            "--method", method, "--initial", "nan,nan")
     assert rc == 2 and out == ""
     assert err == "error: initial point (nan, nan) has a NaN coordinate\n"
+
+
+@pytest.mark.parametrize("method", ("rsw", "sa"))
+def test_wrong_dimension_initial_point_is_one_line_error(method, capsys):
+    rc, out, err = run_cli(capsys, "optimize", "--function", "sphere_min",
+                           "--method", method, "--initial", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: initial point (1.0,) is 1-D; sphere_min is 2-D\n"
 
 
 def test_flags_override_config(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every `$ slmopt ...` example in README.md prints what the README shows."""
+"""Every `$ slmopt ...` example in README.md prints what the README shows,
+and every `python` block runs."""
 
 import re
 import shlex
@@ -9,12 +10,16 @@ import pytest
 from slmopt.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-FENCED = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+FENCED = re.compile(r"^```([^\n]*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def blocks():
+    return FENCED.findall(README.read_text(encoding="utf-8"))
 
 
 def examples():
     out = []
-    for block in FENCED.findall(README.read_text(encoding="utf-8")):
+    for _, block in blocks():
         command, _, expected = block.partition("\n")
         if command.startswith("$ slmopt "):
             out.append(pytest.param(command[2:], expected, id=command.split()[2]))
@@ -32,3 +37,16 @@ def test_readme_example_output(command, expected, tmp_path, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert rc == 0, captured.err
     assert captured.out == expected
+
+
+PYTHON_BLOCKS = [block for info, block in blocks() if info == "python"]
+
+
+def test_readme_has_python_blocks():
+    assert len(PYTHON_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS, ids=lambda s: s.split()[1])
+def test_readme_python_block_runs(source, capsys):
+    exec(compile(source, str(README), "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 1
