@@ -41,10 +41,11 @@ METHODS = ("slm",) + tuple(_BASELINE_FNS)
 class AlgorithmSpec:
     """One column of the benchmark matrix.
 
-    kind is one of METHODS. iterations and initial_point apply to the
-    baselines (iterations defaults per DEFAULT_ITERATIONS); tolerance,
-    max_generations and explore_all apply to slm (tolerance defaults to
-    the widest domain side / 2**10).
+    kind is one of METHODS. iterations applies to the baselines
+    (defaults per DEFAULT_ITERATIONS) and initial_point to rsw and sa,
+    the methods that start from a point; tolerance, max_generations and
+    explore_all apply to slm (tolerance defaults to the widest domain
+    side / 2**10).
     """
 
     kind: str
@@ -57,6 +58,8 @@ class AlgorithmSpec:
     def __post_init__(self) -> None:
         if self.kind not in METHODS:
             raise ValueError(f"unknown method {self.kind!r}; expected one of {', '.join(METHODS)}")
+        if self.initial_point is not None and self.kind in ("slm", "rs"):
+            raise ValueError(f"{self.kind} takes no initial point; only rsw and sa start from one")
 
 
 @dataclass(frozen=True)

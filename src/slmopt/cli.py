@@ -160,13 +160,16 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def _algorithm(ns: argparse.Namespace, kind: str) -> AlgorithmSpec:
-    """The AlgorithmSpec for one method, from that method's flags only.
+    """The AlgorithmSpec for one method, from that method's flags only;
+    AlgorithmSpec rejects --initial for a method that does not read it.
     bench has no --max-generations or --initial flag."""
+    initial = getattr(ns, "initial", None)
     if kind == "slm":
         return AlgorithmSpec(kind, tolerance=ns.tol, explore_all=ns.explore_all,
                              max_generations=getattr(ns, "max_generations",
-                                                     AlgorithmSpec.max_generations))
-    return AlgorithmSpec(kind, iterations=ns.iterations, initial_point=getattr(ns, "initial", None))
+                                                     AlgorithmSpec.max_generations),
+                             initial_point=initial)
+    return AlgorithmSpec(kind, iterations=ns.iterations, initial_point=initial)
 
 
 def _objective(ns: argparse.Namespace) -> ObjectiveSpec:

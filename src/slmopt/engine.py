@@ -14,18 +14,21 @@ then lists one best vertex per final box.
 
 Probes at half the grid spacing land on a shared dyadic lattice: the
 next generation's grid points are this generation's probe points, and
-neighbouring vertices and boxes probe the same points. So run_slm owns
-a point -> value store keyed on the float tuple and hands it to every
-label_grid call, which evaluates and checks only the points missing
-from it; each generation labels the distinct grid points of all its
-boxes together. Each distinct key is then evaluated once per run and
-labeled at most once per generation, and `evaluations` counts distinct
-keys. A lattice point reached by two sums that round differently is two
-keys, each evaluated; rosenbrock and shekel, whose bounds are not binary
-fractions, have such points (README.md gives the counts). 0.0 and -0.0
-compare equal and share one key. First-time
-evaluations happen in the same order as without the store, so results
-do not depend on it. Nothing is kept across runs.
+neighbouring vertices and boxes probe the same points. run_slm fixes the
+lattice's depth before the first generation, one more than the last
+generation tolerance and max_generations allow, so the last
+generation's probes are one index apart. Per axis, a table
+(geometry.LatticeAxis) maps each index to the float subdivide computes
+for it, and label_grid takes every probe coordinate from it, so a lattice
+point has one float on every domain, whether reached as a grid point or
+as a probe. run_slm owns a point -> value store keyed on the float
+tuple and hands it to every label_grid call, which evaluates and checks
+only the points missing from it; each generation labels the distinct
+grid points of all its boxes together. Each lattice point is then
+evaluated once per run and labeled at most once per generation, and
+`evaluations` counts them. 0.0 and -0.0 compare equal and share one
+key. First-time evaluations happen in the same order as without the
+store, so results do not depend on it. Nothing is kept across runs.
 
 The reported best is the best point ever evaluated, including probe
 candidates, not just grid vertices: the first best entry of the store
@@ -40,6 +43,7 @@ from typing import Sequence
 
 from .geometry import (
     Cell,
+    LatticeAxis,
     Point,
     SearchBox,
     Spacing,
@@ -147,13 +151,14 @@ def _fallback_cell(cells: Sequence[Cell], vertices: Sequence[LabeledVertex],
     raise AssertionError("subdivision cells must cover the grid")
 
 
-def _label_frontier(f: Objective, store: dict[Point, float], frontier: Sequence[SearchBox],
-                    gen: int, spacing: Spacing, domain: SearchBox,
+def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[LatticeAxis],
+                    frontier: Sequence[SearchBox], gen: int, domain: SearchBox,
                     sense: Sense) -> list[_Staged]:
     """Label the grids of all frontier boxes, ordered by corners, with
     one label_grid call over their distinct points (in order of first
-    appearance) that reads and fills the run's store. Returns (box,
-    cells, vertices, complete cells) per box."""
+    appearance) that reads and fills the run's store and probes the
+    lattice at half the generation's grid step. Returns (box, cells,
+    vertices, complete cells) per box."""
     layouts = []
     position: dict[Point, int] = {}
     for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
@@ -166,8 +171,8 @@ def _label_frontier(f: Objective, store: dict[Point, float], frontier: Sequence[
         for p in grid:
             position.setdefault(p, len(position))
     try:
-        labeled = label_grid(f, tuple(position), tuple(v / 2.0 for v in spacing), domain,
-                             sense, store)
+        labeled = label_grid(f, tuple(position), lattice[0].top >> (gen + 1), domain, sense,
+                             store, lattice)
     except ObjectiveEvaluationError as e:
         raise ObjectiveEvaluationError(e.point, e.value, generation=gen) from e
     staged = []
@@ -215,6 +220,17 @@ def _candidates(staged: Sequence[_Staged], sense: Sense) -> tuple[tuple[Point, f
     return tuple(sorted(reps.items(), key=lambda pv: (_vertex_rank(pv[1], sense), pv[0])))
 
 
+def _spacings(domain: SearchBox, config: SlmConfig) -> list[Spacing]:
+    """The grid spacing of every generation the run can reach: the
+    domain's widths, halved until the largest is within tolerance or
+    max_generations is reached."""
+    spacings = [domain.widths()]
+    while not (max(spacings[-1]) <= config.tolerance
+               or len(spacings) > config.max_generations):
+        spacings.append(tuple(v / 2.0 for v in spacings[-1]))
+    return spacings
+
+
 def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
     """Run the subdividing labeling search on one objective.
 
@@ -224,15 +240,18 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
     vertex per surviving cell.
     """
     sense = config.sense
+    spacings = _spacings(domain, config)
+    lattice = tuple(LatticeAxis(a, b, depth=len(spacings)) for a, b in zip(domain.lo, domain.hi))
     store: dict[Point, float] = {}
     generations: list[GenerationRecord] = []
     frontier: list[SearchBox] = [domain]
-    spacing: Spacing = domain.widths()
     gen = 0
     while True:
-        staged = _label_frontier(f, store, frontier, gen, spacing, domain, sense)
-        termination = (TOLERANCE_REACHED if max(spacing) <= config.tolerance
-                       else GENERATION_CAP if gen >= config.max_generations else None)
+        spacing = spacings[gen]
+        staged = _label_frontier(f, store, lattice, frontier, gen, domain, sense)
+        termination = (None if gen + 1 < len(spacings)
+                       else TOLERANCE_REACHED if max(spacing) <= config.tolerance
+                       else GENERATION_CAP)
         refine = _next_cells(staged, config) if termination is None else []
         chosen = refine[0] if refine and not config.explore_all else None
         for i, (box, _, vertices, complete) in enumerate(staged):
@@ -249,7 +268,6 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
         if termination is not None:
             break
         frontier = [c.box for c in refine]
-        spacing = tuple(v / 2.0 for v in spacing)
         gen += 1
 
     # The first best entry in evaluation order: min and max keep the first

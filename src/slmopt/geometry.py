@@ -1,5 +1,6 @@
 """Axis-aligned box geometry: corners, subdivision grids, probe offsets,
-and the one text form of numbers, points and boxes.
+the axes of a run's dyadic lattice, and the one text form of numbers,
+points and boxes.
 
 Points are plain tuples of floats. Every enumeration in this module
 (corners, grid points, cells, offsets) is in lexicographic order so
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +37,15 @@ class SearchBox:
         for a, b in zip(self.lo, self.hi):
             if not a < b:
                 raise ValueError(f"degenerate bounds: {a!r} >= {b!r}")
+
+    @classmethod
+    def _unchecked(cls, lo: Point, hi: Point) -> SearchBox:
+        """A box from float tuples the caller has already checked."""
+        box = object.__new__(cls)
+        fields = box.__dict__
+        fields["lo"] = lo
+        fields["hi"] = hi
+        return box
 
     @property
     def dimension(self) -> int:
@@ -123,10 +134,17 @@ def subdivide(box: SearchBox) -> tuple[tuple[Point, ...], tuple[Cell, ...]]:
     Returns the 3**n grid (per-dimension lo/mid/hi, lexicographic) and
     the 2**n covering cells, each pointing at its corner indices in the
     grid. Midpoints are (lo + hi) / 2, so binary-representable bounds
-    subdivide exactly under repeated halving.
+    subdivide exactly under repeated halving. Raises ValueError unless
+    the box is splittable; the cells are then valid boxes and are built
+    without SearchBox's checks.
     """
-    grid = tuple(itertools.product(*((a, (a + b) / 2.0, b) for a, b in zip(box.lo, box.hi))))
-    cells = tuple(Cell(SearchBox(grid[ix[0]], grid[ix[-1]]), ix)
+    axes = [(a, (a + b) / 2.0, b) for a, b in zip(box.lo, box.hi)]
+    for a, m, b in axes:
+        if not a < m < b:
+            raise ValueError(f"box {format_box(box)} cannot be halved")
+    grid = tuple(itertools.product(*axes))
+    unchecked = SearchBox._unchecked
+    cells = tuple(Cell(unchecked(grid[ix[0]], grid[ix[-1]]), ix)
                   for ix in _cell_corner_indices(box.dimension))
     return grid, cells
 
@@ -135,3 +153,45 @@ def splittable(box: SearchBox) -> bool:
     """True while every dimension's midpoint is strictly inside its
     bounds, i.e. another halving still makes progress in floats."""
     return all(a < (a + b) / 2.0 < b for a, b in zip(box.lo, box.hi))
+
+
+class LatticeAxis(dict):
+    """One axis of a run's dyadic lattice, depth halvings deep: a table
+    from each integer index k in [0, 2**depth] to a float.
+
+    The ends hold the domain's lo and hi, and any other k holds
+    (x[k - low] + x[k + low]) / 2, where low = k & -k is k's lowest set
+    bit. That is the midpoint subdivide computes, so every grid point of
+    a run is a lattice point bit for bit, on every domain. Where that sum
+    overflows, k holds x[k - low] / 2 + x[k + low] / 2 instead: such a
+    box cannot be halved, so k is only ever a probe, and it stays inside
+    the domain. An entry is made on first lookup, and index maps each
+    float made so far to the first index that made it.
+    """
+
+    def __init__(self, lo: float, hi: float, depth: int) -> None:
+        self.top = 1 << depth
+        super().__init__({0: lo, self.top: hi})
+        self.index = {lo: 0, hi: self.top}
+
+    def __missing__(self, k: int) -> float:
+        if not 0 < k < self.top:
+            raise KeyError(k)
+        low = k & -k
+        a, b = self[k - low], self[k + low]
+        x = (a + b) / 2.0
+        if math.isinf(x):
+            x = a / 2.0 + b / 2.0
+        self[k] = x
+        self.index.setdefault(x, k)
+        return x
+
+    def probes(self, step: int, x: float) -> tuple[float, ...]:
+        """The floats of indices k - step, k and k + step that lie in
+        [0, 2**depth], where k is the index of the lattice float x."""
+        k = self.index.get(x)
+        if k is None:
+            raise ValueError(f"{x!r} is not a lattice point")
+        if step <= k <= self.top - step:
+            return self[k - step], self[k], self[k + step]
+        return tuple([self[j] for j in (k - step, k, k + step) if 0 <= j <= self.top])

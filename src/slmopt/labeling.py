@@ -6,18 +6,20 @@ winner (ties prefer p, then the earliest offset) defines a displacement
 d = winner - p, and the label is 0 when no component of d is negative,
 otherwise the largest 1-based index of a negative component. label_grid
 builds each vertex's neighbours from per-axis memos of in-domain
-coordinates and reads the caller's point store before calling f.
+coordinates, taken from the run's lattice in a run, and reads the
+caller's point store before calling f.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .geometry import Point, SearchBox, Spacing, check_spacing
+from .geometry import LatticeAxis, Point, SearchBox, Spacing, check_spacing
 
 Objective = Callable[[Point], float]
 
@@ -71,45 +73,60 @@ def label_of(displacement: Sequence[float]) -> int:
     return label
 
 
+def _stencil(h: float, a: float, b: float, x: float) -> tuple[float, ...]:
+    """x - h, x and x + h, those in [a, b]."""
+    return tuple(q for q in (x + -h, x + 0.0, x + h) if a <= q <= b)
+
+
 def label_vertex(f: Objective, p: Point, s: Spacing, domain: SearchBox,
                  sense: Sense) -> LabeledVertex:
     return label_grid(f, (p,), s, domain, sense, {})[0]
 
 
-def label_grid(f: Objective, grid: Sequence[Point], s: Spacing, domain: SearchBox,
-               sense: Sense, values: dict[Point, float]) -> tuple[LabeledVertex, ...]:
+def label_grid(f: Objective, grid: Sequence[Point], s: Spacing | int, domain: SearchBox,
+               sense: Sense, values: dict[Point, float],
+               lattice: Sequence[LatticeAxis] | None = None) -> tuple[LabeledVertex, ...]:
     """Label every grid point, same order as the input grid.
 
     s is the probe spacing (half the grid spacing of the generation
-    being labeled). A vertex p is compared with p itself, then with the
-    points p + delta of probe_offsets, in the same order, with each
-    axis's deltas filtered against the domain first. Out-of-domain
-    candidates are discarded, never clamped; ties keep the incumbent,
-    which starts as p (the product's p + 0 is the same key, a tie).
-    Each axis memoizes x -> its in-domain (x - h, x, x + h) for the
-    call; x is range-checked when first seen, so every vertex is checked.
+    being labeled). A vertex p is compared with p itself, then with its
+    candidates in probe_offsets order: per axis, the coordinates below,
+    at and above p's, with those outside the domain discarded, never
+    clamped. Ties keep the incumbent, which starts as p (the product's
+    centre is the same key, a tie). Without a lattice, s holds a float
+    per axis and the candidates of x on axis i are x - s[i], x and
+    x + s[i]. run_slm passes its run's lattice, one LatticeAxis per axis,
+    and an index step s: every coordinate must then be a lattice float,
+    and the candidates of x, at index k, are the lattice floats at k - s,
+    k and k + s, so a probe is the very float a later grid point at that
+    index has. Each axis memoizes x -> its candidates for the call; x is
+    range-checked when first seen, so every vertex is checked.
 
     values is the caller's point -> value store. f is called, and its
     value checked, only for points missing from it, and each new point
-    is added; run_slm passes one store per run, so there each distinct
+    is added; run_slm passes one store per run, so there each lattice
     point is evaluated once per run. Evaluation order is p, then its
     candidates, vertex by vertex, whatever the store already holds.
     """
     n = domain.dimension
-    check_spacing(n, s)
+    if lattice is None:
+        check_spacing(n, s)
+        probes = [functools.partial(_stencil, h, a, b) for h, a, b in zip(s, domain.lo, domain.hi)]
+    else:
+        probes = [functools.partial(axis.probes, s) for axis in lattice]
     minimize = sense is Sense.MINIMIZE
-    per_axis = tuple(zip(s, domain.lo, domain.hi, [{} for _ in range(n)]))
+    per_axis = tuple(zip(domain.lo, domain.hi, probes, [{} for _ in range(n)]))
     labeled = []
     for p in grid:
         if len(p) != n:
             raise ValueError("point dimension mismatch")
         axes = []
-        for x, (h, a, b, memo) in zip(p, per_axis):
+        for x, (a, b, probe, memo) in zip(p, per_axis):
             candidates = memo.get(x)
             if candidates is None:
                 if not a <= x <= b:
                     raise ValueError(f"probe point {p!r} lies outside the domain")
-                candidates = memo[x] = tuple(q for q in (x + -h, x + 0.0, x + h) if a <= q <= b)
+                candidates = memo[x] = probe(x)
             axes.append(candidates)
         value = values.get(p)
         if value is None:

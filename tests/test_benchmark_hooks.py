@@ -48,3 +48,27 @@ def test_package_root_binds_only_its_modules():
          "import slmopt; print(sorted(n for n in vars(slmopt) if not n.startswith('_')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out == f"{sorted(IMPORT_MODULES)}\n"
+
+
+def test_label_grid_gets_each_generations_distinct_vertices(monkeypatch):
+    """perfbench's labeling.vertices reads len(args[1]) of each
+    engine.label_grid call: the distinct vertex points of one generation."""
+    grids = []
+    label_grid = slmopt.engine.label_grid
+
+    def recorded(*args, **kwargs):
+        grids.append(args[1])
+        return label_grid(*args, **kwargs)
+
+    monkeypatch.setattr(slmopt.engine, "label_grid", recorded)
+    spec = slmopt.objectives.registry_lookup("trig")
+    cfg = slmopt.engine.SlmConfig(sense=spec.sense, tolerance=14.0 / 2 ** 5,
+                                  explore_all=True, cell_budget=4)
+    res = slmopt.engine.run_slm(spec.evaluator, spec.domain, cfg)
+    per_gen: dict[int, set] = {}
+    for g in res.generations:
+        per_gen.setdefault(g.index, set()).update(v.point for v in g.vertices)
+    assert len(grids) == len(per_gen)
+    for grid, (_, points) in zip(grids, sorted(per_gen.items())):
+        assert len(grid) == len(points)
+        assert set(grid) == points

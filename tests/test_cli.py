@@ -214,7 +214,7 @@ def test_infinite_tolerance_is_one_line_error(argv, tmp_path, capsys):
     assert err == "error: tolerance must be positive and finite\n"
 
 
-@pytest.mark.parametrize("method", ("rs", "rsw", "sa"))
+@pytest.mark.parametrize("method", ("rsw", "sa"))
 def test_nan_initial_point_is_one_line_error(method, capsys):
     rc, out, err = run_cli(capsys, "optimize", "--function", "trig",
                            "--method", method, "--initial", "nan,nan")
@@ -228,6 +228,14 @@ def test_wrong_dimension_initial_point_is_one_line_error(method, capsys):
                            "--method", method, "--initial", "1")
     assert rc == 2 and out == ""
     assert err == "error: initial point (1.0,) is 1-D; sphere_min is 2-D\n"
+
+
+@pytest.mark.parametrize("method, initial", (("slm", "1,2,3"), ("rs", "1"), ("rs", "nan,nan")))
+def test_initial_is_an_error_for_methods_that_ignore_it(method, initial, capsys):
+    rc, out, err = run_cli(capsys, "optimize", "--function", "sphere_min", "--tol", "0.5",
+                           "--method", method, "--initial", initial)
+    assert rc == 2 and out == ""
+    assert err == f"error: {method} takes no initial point; only rsw and sa start from one\n"
 
 
 def test_flags_override_config(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Subdivision search: cell selection, descent trajectories, stopping."""
 
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -18,7 +19,13 @@ from slmopt.engine import (
     select_cell,
 )
 from slmopt.geometry import Cell, SearchBox, corners, splittable, subdivide
-from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid, label_vertex
+from slmopt.labeling import (
+    LabeledVertex,
+    ObjectiveEvaluationError,
+    Sense,
+    label_grid,
+    label_of,
+)
 from slmopt.objectives import builtin_names, registry_lookup
 
 TRIG_FAMILY = tuple(
@@ -251,6 +258,16 @@ def test_unsplittable_box_stops_cleanly():
     assert res.generations[-1].index == 3
 
 
+def test_probe_stays_in_domain_where_the_midpoint_overflows():
+    # (1e308 + 1.7e308) / 2 is inf, so the domain cannot be halved; its
+    # lattice midpoint is 1e308 / 2 + 1.7e308 / 2, probed from both corners
+    domain = SearchBox((1e308,), (1.7e308,))
+    cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=1e300)
+    res, seen = recorded_run(lambda p: p[0] * 1e-308, domain, cfg)
+    assert res.termination == NO_COMPLETE_CELL
+    assert seen == [(1e308,), (1.35e308,), (1.7e308,)]
+
+
 def test_non_finite_value_reports_generation():
     domain = SearchBox((-2.0, -2.0), (2.0, 2.0))
 
@@ -290,13 +307,70 @@ def test_infinite_tolerance_rejected():
 # Point store: each lattice point evaluated and labeled once per run
 # ---------------------------------------------------------------------------
 
+def lattice_depth(domain, cfg):
+    """One more than the last generation the tolerance and the
+    generation cap allow: the last generation probes one index apart."""
+    spacing, depth = domain.widths(), 1
+    while not (max(spacing) <= cfg.tolerance or depth > cfg.max_generations):
+        spacing = tuple(v / 2.0 for v in spacing)
+        depth += 1
+    return depth
+
+
+def lattice_floats(domain, depth):
+    """Per axis, the float of every index in [0, 2**depth], built level
+    by level: the bounds at the ends, then each new index at the midpoint
+    of its two neighbours on the level above."""
+    top = 2 ** depth
+    tables = []
+    for a, b in zip(domain.lo, domain.hi):
+        x = {0: a, top: b}
+        step = top
+        while step > 1:
+            step //= 2
+            for k in range(step, top, 2 * step):
+                x[k] = (x[k - step] + x[k + step]) / 2.0
+        floats = [x[k] for k in range(top + 1)]
+        assert all(u < v for u, v in zip(floats, floats[1:])), "lattice floats must be distinct"
+        tables.append(floats)
+    return tables
+
+
+def lattice_indices(points, tables):
+    """The index tuple of each point; KeyError for a coordinate that is
+    not a lattice float."""
+    index = [{x: k for k, x in enumerate(floats)} for floats in tables]
+    return [tuple(ix[x] for ix, x in zip(index, p)) for p in points]
+
+
+def lattice_vertex(f, p, step, tables, sense):
+    """label_vertex on the lattice: p's candidates are the lattice points
+    step indices away on each axis, inside the domain, in probe_offsets
+    order; the first strict improvement wins."""
+    (ks,) = lattice_indices([p], tables)
+    value = best_v = f(p)
+    best = p
+    for offset in itertools.product((-1, 0, 1), repeat=len(p)):
+        js = [k + o * step for k, o in zip(ks, offset)]
+        if not any(offset) or not all(0 <= j < len(t) for j, t in zip(js, tables)):
+            continue
+        q = tuple(t[j] for t, j in zip(tables, js))
+        v = f(q)
+        if sense.better(v, best_v):
+            best, best_v = q, v
+    return LabeledVertex(point=p, value=value, probe_target=best,
+                         label=label_of([t - x for t, x in zip(best, p)]))
+
+
 def unstored_run(f, domain, cfg):
     """The search loop without the point store: every vertex is labeled
-    on its own through label_vertex and every probe calls f.
+    on its own on the lattice (lattice_vertex) and every probe calls f.
     Returns what run_slm returns apart from the evaluation count."""
     sense = cfg.sense
     rank = (lambda v: v) if sense is Sense.MINIMIZE else (lambda v: -v)
     best = []
+    depth = lattice_depth(domain, cfg)
+    tables = lattice_floats(domain, depth)
 
     def tracked(p):
         v = f(p)
@@ -316,8 +390,8 @@ def unstored_run(f, domain, cfg):
                 cells = (Cell(box, tuple(range(len(grid)))),)
             else:
                 grid, cells = subdivide(box)
-            s = tuple(v / 2.0 for v in spacing)
-            vertices = tuple(label_vertex(tracked, p, s, domain, sense) for p in grid)
+            step = 2 ** (depth - gen - 1)
+            vertices = tuple(lattice_vertex(tracked, p, step, tables, sense) for p in grid)
             complete = complete_cells(cells, [v.label for v in vertices])
             staged.append((box, vertices, complete, cells))
         termination = (TOLERANCE_REACHED if max(spacing) <= cfg.tolerance
@@ -380,8 +454,8 @@ DISTINCT_POINTS = {
     "sphere_min": (372, 2626),
     "trig": (304, 6994),
     "sphere_max": (268, 1145),
-    "rosenbrock": (387, 2861),
-    "shekel": (387, 5196),
+    "rosenbrock": (372, 2612),
+    "shekel": (372, 4718),
 }
 
 
@@ -395,27 +469,64 @@ def test_point_store_changes_no_result(name, explore_all):
     assert res.evaluations == DISTINCT_POINTS[name][explore_all]
 
 
-# bounds that are not binary fractions let one lattice point be reached
-# by a midpoint and a probe sum that round to different floats, each
-# evaluated: explore-all (float keys, lattice points) at default tolerance
-LATTICE_REPEATS = {"rosenbrock": (2861, 2612), "shekel": (5196, 4718)}
-
-
-@pytest.mark.parametrize("name", sorted(LATTICE_REPEATS))
-def test_explore_all_repeats_lattice_points_on_non_dyadic_bounds(name):
-    spec = registry_lookup(name)
+def recorded_run(f, domain, cfg):
+    """run_slm's result and every point f was called at, in order."""
     seen = []
 
     def recorded(p):
         seen.append(p)
-        return spec.evaluator(p)
+        return f(p)
 
-    cfg = SlmConfig(sense=spec.sense, tolerance=default_tolerance(spec), explore_all=True)
-    run_slm(recorded, spec.domain, cfg)
-    lo, widths = spec.domain.lo, spec.domain.widths()
-    lattice = {tuple(round((x - a) / w * 2**11) for x, a, w in zip(p, lo, widths))
-               for p in seen}
-    assert (len(set(seen)), len(lattice)) == LATTICE_REPEATS[name]
+    return run_slm(recorded, domain, cfg), seen
+
+
+def assert_one_key_per_lattice_point(res, seen, domain, cfg):
+    tables = lattice_floats(domain, lattice_depth(domain, cfg))
+    assert res.evaluations == len(seen) == len(set(seen)) == len(set(lattice_indices(seen, tables)))
+
+
+@pytest.mark.parametrize("explore_all", (False, True))
+@pytest.mark.parametrize("name", builtin_names())
+def test_float_keys_are_lattice_points(name, explore_all):
+    # every coordinate is the float the lattice table holds for its index,
+    # so each lattice point is one key, evaluated once, on every domain
+    spec = registry_lookup(name)
+    cfg = SlmConfig(sense=spec.sense, tolerance=default_tolerance(spec), explore_all=explore_all)
+    res, seen = recorded_run(spec.evaluator, spec.domain, cfg)
+    assert_one_key_per_lattice_point(res, seen, spec.domain, cfg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    halvings=st.integers(1, 5),
+    explore_all=st.booleans(),
+    cell_budget=st.integers(1, 8),
+    sense=st.sampled_from(Sense),
+)
+def test_float_keys_are_lattice_points_on_random_boxes(n, data, halvings, explore_all,
+                                                       cell_budget, sense):
+    lo = data.draw(st.tuples(*[st.floats(-100.0, 100.0) for _ in range(n)]))
+    widths = data.draw(st.tuples(*[st.floats(0.01, 100.0) for _ in range(n)]))
+    domain = SearchBox(lo, tuple(a + w for a, w in zip(lo, widths)))
+    centre = data.draw(st.tuples(*[st.floats(a, b) for a, b in zip(domain.lo, domain.hi)]))
+    cfg = SlmConfig(sense=sense, tolerance=max(domain.widths()) / 2 ** halvings,
+                    explore_all=explore_all, cell_budget=cell_budget)
+    res, seen = recorded_run(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)), domain, cfg)
+    assert_one_key_per_lattice_point(res, seen, domain, cfg)
+
+
+def test_deep_run_evaluates_each_point_once():
+    # a box about 72 000 ulps wide stops being splittable after 16 halvings,
+    # far short of the 61-level lattice that tolerance and cap allow
+    domain = SearchBox((0.1,), (0.1 + 1e-12,))
+    cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=1e-300, max_generations=60)
+    res, seen = recorded_run(lambda p: p[0], domain, cfg)
+    assert res.termination == NO_COMPLETE_CELL
+    assert len(res.generations) == 17
+    assert res.best_point == (0.1,)
+    assert res.evaluations == len(seen) == len(set(seen)) == 47
 
 
 @settings(max_examples=40, deadline=None)
@@ -438,7 +549,9 @@ def test_point_store_invisible_on_shifted_spheres(n, data, halvings, explore_all
 
 
 # sha256 of every float, label and box a builtin run produces at its
-# default tolerance; speed work must leave each one bit for bit
+# default tolerance; speed work must leave each one bit for bit.
+# rosenbrock's and shekel's moved when probes came from the lattice
+# table: probe targets are now the lattice floats, not x + h sums
 RUN_DIGESTS = {
     ("sphere_min", False): "14bb25d20103ba5efaf458ec7522da15c1bc3bc4f0db9fb9ed07f1b825212b4b",
     ("sphere_min", True): "aa0eb696e87ef0a9eebfc4216be6b1b85295d35fb2c6b22e0d31c2e507e5799f",
@@ -446,10 +559,10 @@ RUN_DIGESTS = {
     ("trig", True): "7f705f342adcda2d91e881346a94375ce1300c21b8f9892b5916d6a79c01e5b4",
     ("sphere_max", False): "0616b7c1efc00878bd2aa7df119b2ee154b96ce468e16fa0badb5550038d5f27",
     ("sphere_max", True): "be820cedb8c5a44dd682d6e183f647f3ca494d11d6e5e8c95b66c75ad5f3257d",
-    ("rosenbrock", False): "7a0c2def8477a8fbeb77404da402c932f00470211d26012ba89c7fb3472ea184",
-    ("rosenbrock", True): "1fdec036ab25115d171fa47af021cba8b521eef614cd4f5801adfc2bf03c14af",
-    ("shekel", False): "1f1d9b139dabd45e764f6451a388758dad407e99b352f79f55de2823b3a8e926",
-    ("shekel", True): "d4226e14f7e89d9db282018dce8971176756c8fc8cbac523ed8f7dcb46d735b4",
+    ("rosenbrock", False): "041fd5e8bdf0e2bec33e940e3646a9882f7edea3ca015f4b0f88dac544c72c79",
+    ("rosenbrock", True): "b7b5088e18042b6477d5e22e0d4a00424e749bbc1acbf5e41b00ed331b194614",
+    ("shekel", False): "55d5af45da0d3469952faf847cf20d5456b8b90b36db4be79eaf9064b01c808d",
+    ("shekel", True): "69b1ad433d8ba21ad2da4fe5964158e2d4856a99b888c5d5f13ead016dfad532",
 }
 
 

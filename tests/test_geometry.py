@@ -8,6 +8,7 @@ import pytest
 
 from slmopt.geometry import (
     Cell,
+    LatticeAxis,
     SearchBox,
     corners,
     probe_offsets,
@@ -199,7 +200,63 @@ def test_splittable():
     assert not splittable(SearchBox((1.0,), (tiny,)))
 
 
+def test_subdivide_rejects_a_box_it_cannot_halve():
+    # the second axis is one ulp wide: its midpoint rounds onto a bound
+    box = SearchBox((0.0, 1.0), (1.0, 1.0 + 2 ** -52))
+    assert not splittable(box)
+    with pytest.raises(ValueError, match=r"box \[0, 1\] x \[1, 1\.0000000000000002\] cannot be halved"):
+        subdivide(box)
+
+
+def test_subdivide_cells_equal_checked_boxes():
+    _, cells = subdivide(SearchBox((-65.536, 0.1), (65.536, 0.7)))
+    for cell in cells:
+        checked = SearchBox(cell.box.lo, cell.box.hi)
+        assert cell.box == checked and hash(cell.box) == hash(checked)
+        assert repr(cell.box) == repr(checked)
+
+
 def test_corners_product_identity():
     # corners() is the two-point special case of the grid construction
     box = SearchBox((0.0, 1.0, 2.0), (3.0, 4.0, 5.0))
     assert corners(box) == tuple(itertools.product((0.0, 3.0), (1.0, 4.0), (2.0, 5.0)))
+
+
+# ---------------------------------------------------------------------------
+# Lattice
+# ---------------------------------------------------------------------------
+
+def test_lattice_floats_are_the_midpoints_subdivide_makes():
+    # non-dyadic bounds: 65.536 and 0.1 are not binary fractions
+    domain = SearchBox((-65.536, 0.1), (65.536, 0.7))
+    depth = 6
+    axes = [LatticeAxis(a, b, depth) for a, b in zip(domain.lo, domain.hi)]
+    boxes = [(domain, (0, 0), (2 ** depth,) * 2)]
+    for level in range(depth):
+        half = 2 ** (depth - level - 1)
+        children = []
+        for box, klo, khi in boxes:
+            grid, cells = subdivide(box)
+            ks = list(itertools.product(*((a, a + half, b) for a, b in zip(klo, khi))))
+            for point, k in zip(grid, ks):
+                assert point == tuple(axis[j] for axis, j in zip(axes, k))
+            children += [(c.box, ks[c.vertex_indices[0]], ks[c.vertex_indices[-1]])
+                         for c in cells]
+        boxes = children
+
+
+def test_lattice_probes_stay_in_the_domain():
+    axis = LatticeAxis(-2.048, 2.048, 3)
+    assert axis.probes(2, -2.048) == (-2.048, axis[2])
+    assert axis.probes(2, 2.048) == (axis[6], 2.048)
+    middle = axis[4]
+    assert axis.probes(4, middle) == (-2.048, middle, 2.048)
+    assert axis.probes(1, middle) == (axis[3], middle, axis[5])
+    with pytest.raises(KeyError):
+        axis[9]
+
+
+def test_lattice_probes_reject_a_float_off_the_lattice():
+    axis = LatticeAxis(0.0, 1.0, 2)
+    with pytest.raises(ValueError, match="0.3 is not a lattice point"):
+        axis.probes(1, 0.3)
