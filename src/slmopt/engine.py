@@ -19,16 +19,18 @@ lattice's depth before the first generation, one more than the last
 generation tolerance and max_generations allow, so the last
 generation's probes are one index apart. Per axis, a table
 (geometry.LatticeAxis) maps each index to the float subdivide computes
-for it, and label_grid takes every probe coordinate from it, so a lattice
-point has one float on every domain, whether reached as a grid point or
-as a probe. run_slm owns a point -> value store keyed on the float
-tuple and hands it to every label_grid call, which evaluates and checks
-only the points missing from it; each generation labels the distinct
-grid points of all its boxes together. Each lattice point is then
-evaluated once per run and labeled at most once per generation, and
-`evaluations` counts them. 0.0 and -0.0 compare equal and share one
-key. First-time evaluations happen in the same order as without the
-store, so results do not depend on it. Nothing is kept across runs.
+for it. label_grid labels on that lattice only: it takes every probe
+coordinate from the table and rejects a vertex coordinate that is not
+in it, so a lattice point has one float on every domain, whether
+reached as a grid point or as a probe. run_slm owns a point -> value
+store keyed on the float tuple and hands it to every label_grid call,
+which evaluates and checks only the points missing from it; each
+generation labels the distinct grid points of all its boxes together.
+Each lattice point is then evaluated once per run and labeled at most
+once per generation, and `evaluations` counts them. 0.0 and -0.0
+compare equal and share one key. First-time evaluations happen in the
+same order as without the store, so results do not depend on it.
+Nothing is kept across runs.
 
 The reported best is the best point ever evaluated, including probe
 candidates, not just grid vertices: the first best entry of the store
@@ -152,8 +154,7 @@ def _fallback_cell(cells: Sequence[Cell], vertices: Sequence[LabeledVertex],
 
 
 def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[LatticeAxis],
-                    frontier: Sequence[SearchBox], gen: int, domain: SearchBox,
-                    sense: Sense) -> list[_Staged]:
+                    frontier: Sequence[SearchBox], gen: int, sense: Sense) -> list[_Staged]:
     """Label the grids of all frontier boxes, ordered by corners, with
     one label_grid call over their distinct points (in order of first
     appearance) that reads and fills the run's store and probes the
@@ -171,8 +172,8 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
         for p in grid:
             position.setdefault(p, len(position))
     try:
-        labeled = label_grid(f, tuple(position), lattice[0].top >> (gen + 1), domain, sense,
-                             store, lattice)
+        labeled = label_grid(f, tuple(position), lattice[0].top >> (gen + 1), sense, store,
+                             lattice)
     except ObjectiveEvaluationError as e:
         raise ObjectiveEvaluationError(e.point, e.value, generation=gen) from e
     staged = []
@@ -248,7 +249,7 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
     gen = 0
     while True:
         spacing = spacings[gen]
-        staged = _label_frontier(f, store, lattice, frontier, gen, domain, sense)
+        staged = _label_frontier(f, store, lattice, frontier, gen, sense)
         termination = (None if gen + 1 < len(spacings)
                        else TOLERANCE_REACHED if max(spacing) <= config.tolerance
                        else GENERATION_CAP)

@@ -1,9 +1,9 @@
-"""Axis-aligned box geometry: corners, subdivision grids, probe offsets,
-the axes of a run's dyadic lattice, and the one text form of numbers,
-points and boxes.
+"""Axis-aligned box geometry: corners, subdivision grids, the axes of a
+run's dyadic lattice, and the one text form of numbers, points and
+boxes.
 
 Points are plain tuples of floats. Every enumeration in this module
-(corners, grid points, cells, offsets) is in lexicographic order so
+(corners, grid points, cells, probes) is in lexicographic order so
 that downstream tie-breaks are deterministic and output is byte-stable
 for identical inputs.
 """
@@ -96,26 +96,6 @@ class Cell:
 def corners(box: SearchBox) -> tuple[Point, ...]:
     """The 2**n corners, lexicographic with lo before hi per dimension."""
     return tuple(itertools.product(*zip(box.lo, box.hi)))
-
-
-def check_spacing(n: int, s: Sequence[float]) -> None:
-    """Raise ValueError unless s is a positive spacing of dimension n."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if len(s) != n:
-        raise ValueError("spacing length does not match dimension")
-    for v in s:
-        if not v > 0:
-            raise ValueError("spacing components must be positive")
-
-
-def probe_offsets(n: int, s: Sequence[float]) -> tuple[Point, ...]:
-    """All 3**n - 1 nonzero displacement vectors with components in
-    {-s[i], 0, +s[i]}, lexicographic (minus before zero before plus)."""
-    check_spacing(n, s)
-    zero = (0.0,) * n
-    axes = [(-v, 0.0, v) for v in s]
-    return tuple(d for d in itertools.product(*axes) if d != zero)
 
 
 @functools.cache

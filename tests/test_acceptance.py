@@ -27,13 +27,15 @@ from slmopt.bench import (
 )
 from slmopt.engine import SlmConfig, run_slm
 from slmopt.geometry import SearchBox
-from slmopt.labeling import Sense, label_vertex
+from slmopt.labeling import Sense, label_grid
 from slmopt.objectives import (
     eval_rosenbrock,
     eval_shekel,
     eval_sphere_min,
     registry_lookup,
 )
+
+from lattice_reference import index_step, run_lattice
 
 
 def report(capsys, num, ok, detail):
@@ -60,7 +62,10 @@ SPHERE_DOMAIN = SearchBox((-2.0, -2.0), (2.0, 2.0))
 ROSEN_DOMAIN = SearchBox((-2.048, -2.048), (2.048, 2.048))
 
 # (point, probe target, label) rows, grouped by surface and probe spacing;
-# every row was hand-checked against the objective arithmetic
+# every row was hand-checked against the objective arithmetic. Each group
+# is labeled on the domain's lattice at LATTICE_DEPTH, where each probe
+# spacing is a whole number of index steps.
+LATTICE_DEPTH = 11  # a run's lattice at the default tolerance, width / 2**10
 WORKED_ROW_GROUPS = (
     (eval_sphere_min, SPHERE_DOMAIN, (2.0, 2.0), (
         ((-2.0, 2.0), (0.0, 0.0), 2),
@@ -119,10 +124,18 @@ def test_criterion_01_worked_labeling_rows(capsys):
     bad = []
     total = 0
     for gi, (f, domain, spacing, rows) in enumerate(WORKED_ROW_GROUPS):
+        points = tuple(point for point, _, _ in rows)
+        try:  # every fixture coordinate is the lattice float at its index
+            lattice = run_lattice(domain, LATTICE_DEPTH,
+                                  points + tuple(target for _, target, _ in rows))
+        except (AssertionError, KeyError):
+            bad.append(f"group {gi} off the lattice")
+            continue
+        step = index_step(domain, spacing, LATTICE_DEPTH)
+        labeled = label_grid(f, points, step, Sense.MINIMIZE, {}, lattice)
         got_labels = []
-        for point, target, label in rows:
+        for (point, target, label), lv in zip(rows, labeled):
             total += 1
-            lv = label_vertex(f, point, spacing, domain, Sense.MINIMIZE)
             got_labels.append(lv.label)
             if lv.probe_target != target or lv.label != label:
                 bad.append(f"{point}@{spacing}")

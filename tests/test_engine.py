@@ -1,7 +1,6 @@
 """Subdivision search: cell selection, descent trajectories, stopping."""
 
 import hashlib
-import itertools
 import math
 
 import pytest
@@ -19,14 +18,16 @@ from slmopt.engine import (
     select_cell,
 )
 from slmopt.geometry import Cell, SearchBox, corners, splittable, subdivide
-from slmopt.labeling import (
-    LabeledVertex,
-    ObjectiveEvaluationError,
-    Sense,
-    label_grid,
-    label_of,
-)
+from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid
 from slmopt.objectives import builtin_names, registry_lookup
+
+from lattice_reference import (
+    lattice_depth,
+    lattice_floats,
+    lattice_indices,
+    lattice_vertex,
+    run_lattice,
+)
 
 TRIG_FAMILY = tuple(
     (float(x1), float(x2)) for x1 in (-6, -2, 2, 6) for x2 in (-3, 1, 5)
@@ -68,13 +69,14 @@ def test_select_cell_prefers_best_vertex_then_lex():
     spec = registry_lookup("sphere_min")
     domain = spec.domain
     grid, cells = subdivide(domain)
-    vertices = label_grid(spec.evaluator, grid, (1.0, 1.0), domain, spec.sense, {})
+    lattice = run_lattice(domain, 2, grid)  # probes one index, width / 4, apart
+    vertices = label_grid(spec.evaluator, grid, 1, spec.sense, {}, lattice)
     labels = [v.label for v in vertices]
     kept = complete_cells(cells, labels)
     chosen = select_cell(kept, vertices, spec.sense)
     assert chosen.box.lo == (0.0, 0.0) and chosen.box.hi == (2.0, 2.0)
     # constant surface: every cell ties, lex-smallest lower corner wins
-    flat = label_grid(lambda p: 1.0, grid, (1.0, 1.0), domain, Sense.MINIMIZE, {})
+    flat = label_grid(lambda p: 1.0, grid, 1, Sense.MINIMIZE, {}, lattice)
     assert select_cell(cells, flat, Sense.MINIMIZE) is cells[0]
     with pytest.raises(ValueError):
         select_cell((), vertices, spec.sense)
@@ -306,61 +308,6 @@ def test_infinite_tolerance_rejected():
 # ---------------------------------------------------------------------------
 # Point store: each lattice point evaluated and labeled once per run
 # ---------------------------------------------------------------------------
-
-def lattice_depth(domain, cfg):
-    """One more than the last generation the tolerance and the
-    generation cap allow: the last generation probes one index apart."""
-    spacing, depth = domain.widths(), 1
-    while not (max(spacing) <= cfg.tolerance or depth > cfg.max_generations):
-        spacing = tuple(v / 2.0 for v in spacing)
-        depth += 1
-    return depth
-
-
-def lattice_floats(domain, depth):
-    """Per axis, the float of every index in [0, 2**depth], built level
-    by level: the bounds at the ends, then each new index at the midpoint
-    of its two neighbours on the level above."""
-    top = 2 ** depth
-    tables = []
-    for a, b in zip(domain.lo, domain.hi):
-        x = {0: a, top: b}
-        step = top
-        while step > 1:
-            step //= 2
-            for k in range(step, top, 2 * step):
-                x[k] = (x[k - step] + x[k + step]) / 2.0
-        floats = [x[k] for k in range(top + 1)]
-        assert all(u < v for u, v in zip(floats, floats[1:])), "lattice floats must be distinct"
-        tables.append(floats)
-    return tables
-
-
-def lattice_indices(points, tables):
-    """The index tuple of each point; KeyError for a coordinate that is
-    not a lattice float."""
-    index = [{x: k for k, x in enumerate(floats)} for floats in tables]
-    return [tuple(ix[x] for ix, x in zip(index, p)) for p in points]
-
-
-def lattice_vertex(f, p, step, tables, sense):
-    """label_vertex on the lattice: p's candidates are the lattice points
-    step indices away on each axis, inside the domain, in probe_offsets
-    order; the first strict improvement wins."""
-    (ks,) = lattice_indices([p], tables)
-    value = best_v = f(p)
-    best = p
-    for offset in itertools.product((-1, 0, 1), repeat=len(p)):
-        js = [k + o * step for k, o in zip(ks, offset)]
-        if not any(offset) or not all(0 <= j < len(t) for j, t in zip(js, tables)):
-            continue
-        q = tuple(t[j] for t, j in zip(tables, js))
-        v = f(q)
-        if sense.better(v, best_v):
-            best, best_v = q, v
-    return LabeledVertex(point=p, value=value, probe_target=best,
-                         label=label_of([t - x for t, x in zip(best, p)]))
-
 
 def unstored_run(f, domain, cfg):
     """The search loop without the point store: every vertex is labeled

@@ -1,4 +1,4 @@
-"""Box geometry: corner/grid enumeration order, subdivision, probe offsets."""
+"""Box geometry: corner/grid enumeration order, subdivision, lattice axes."""
 
 import itertools
 import math
@@ -11,7 +11,6 @@ from slmopt.geometry import (
     LatticeAxis,
     SearchBox,
     corners,
-    probe_offsets,
     splittable,
     subdivide,
 )
@@ -93,41 +92,6 @@ def test_corners_3d_order():
     assert len(cs) == 8
     assert cs == tuple(sorted(cs))
     assert cs[0] == (0.0, 0.0, 0.0) and cs[-1] == (1.0, 1.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# probe_offsets
-# ---------------------------------------------------------------------------
-
-def test_probe_offsets_counts():
-    for n in range(1, 7):
-        offs = probe_offsets(n, (1.0,) * n)
-        assert len(offs) == 3 ** n - 1
-        assert (0.0,) * n not in offs
-
-
-def test_probe_offsets_order_2d():
-    assert probe_offsets(2, (1.0, 2.0)) == (
-        (-1.0, -2.0), (-1.0, 0.0), (-1.0, 2.0),
-        (0.0, -2.0), (0.0, 2.0),
-        (1.0, -2.0), (1.0, 0.0), (1.0, 2.0),
-    )
-
-
-def test_probe_offsets_symmetry():
-    offs = probe_offsets(3, (0.5, 1.0, 2.0))
-    offs_set = set(offs)
-    for d in offs:
-        assert tuple(-v for v in d) in offs_set
-
-
-def test_probe_offsets_validation():
-    with pytest.raises(ValueError):
-        probe_offsets(0, ())
-    with pytest.raises(ValueError):
-        probe_offsets(2, (1.0,))
-    with pytest.raises(ValueError):
-        probe_offsets(2, (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,45 +1,36 @@
-"""Vertex labeling against an independent brute-force probe oracle plus
-hand-checked worked-example rows for the sphere and banana surfaces."""
+"""Vertex labeling on a run's lattice against the lattice reference
+(lattice_reference.lattice_vertex) plus hand-checked worked-example rows
+for the sphere and banana surfaces."""
 
+import itertools
 import math
-import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmopt.geometry import SearchBox, corners, probe_offsets, splittable, subdivide
-from slmopt.labeling import (
-    ObjectiveEvaluationError,
-    Sense,
-    label_grid,
-    label_of,
-    label_vertex,
-)
+from slmopt.geometry import SearchBox, corners
+from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid, label_of
 from slmopt.objectives import eval_rosenbrock, eval_sphere_min
+
+from lattice_reference import index_step, lattice_floats, lattice_vertex, run_lattice
 
 SPHERE_DOMAIN = SearchBox((-2.0, -2.0), (2.0, 2.0))
 ROSEN_DOMAIN = SearchBox((-2.048, -2.048), (2.048, 2.048))
+RUN_DEPTH = 11  # the lattice of a run at the default tolerance, width / 2**10
 
 
-def brute_probe(f, p, s, domain, sense):
-    """Reference implementation: enumerate p and every in-domain
-    neighbor, keep the first strict improvement in offset order."""
-    best, best_v = p, f(p)
-    for off in probe_offsets(len(p), s):
-        q = tuple(x + d for x, d in zip(p, off))
-        if not domain.contains(q):
-            continue
-        v = f(q)
-        improved = v < best_v if sense is Sense.MINIMIZE else v > best_v
-        if improved:
-            best, best_v = q, v
-    return best
+def label_points(f, points, spacing, domain, depth=RUN_DEPTH, values=None):
+    """Minimizing label_grid on domain's lattice, probing at a float
+    spacing that is a whole number of lattice steps."""
+    lattice = run_lattice(domain, depth, points)
+    step = index_step(domain, spacing, depth)
+    return label_grid(f, points, step, Sense.MINIMIZE, {} if values is None else values, lattice)
 
 
 # Worked rows: (point, probe target, label) at a fixed probe spacing.
 # Each row was verified by hand against the objective's arithmetic; the
-# tests below also re-derive every row through brute_probe.
+# tests below also re-derive every row through lattice_vertex.
 
 SPHERE_CORNER_ROWS = (  # spacing (2, 2), the four domain corners
     ((-2.0, 2.0), (0.0, 0.0), 2),
@@ -97,11 +88,14 @@ ROSEN_FINE_LABEL_ONLY = (
 
 
 def check_rows(f, domain, spacing, rows):
-    for point, target, label in rows:
-        lv = label_vertex(f, point, spacing, domain, Sense.MINIMIZE)
+    points = tuple(point for point, _, _ in rows)
+    run_lattice(domain, RUN_DEPTH, [target for _, target, _ in rows])  # targets on the lattice
+    tables = lattice_floats(domain, RUN_DEPTH)
+    step = index_step(domain, spacing, RUN_DEPTH)
+    for (point, target, label), lv in zip(rows, label_points(f, points, spacing, domain)):
         assert lv.probe_target == target, f"probe target from {point}"
         assert lv.label == label, f"label at {point}"
-        assert brute_probe(f, point, spacing, domain, Sense.MINIMIZE) == target
+        assert lattice_vertex(f, point, step, tables, Sense.MINIMIZE) == lv
 
 
 def test_sphere_corner_rows():
@@ -125,12 +119,7 @@ def test_rosenbrock_fine_rows():
 
 
 def test_rosenbrock_fine_label_only_rows():
-    s = (0.512, 0.512)
-    for point, target, label in ROSEN_FINE_LABEL_ONLY:
-        lv = label_vertex(eval_rosenbrock, point, s, ROSEN_DOMAIN, Sense.MINIMIZE)
-        assert lv.probe_target == target
-        assert lv.label == label
-        assert brute_probe(eval_rosenbrock, point, s, ROSEN_DOMAIN, Sense.MINIMIZE) == target
+    check_rows(eval_rosenbrock, ROSEN_DOMAIN, (0.512, 0.512), ROSEN_FINE_LABEL_ONLY)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +158,7 @@ def test_sense_better():
 
 def test_constant_objective_keeps_incumbent():
     box = SearchBox((0.0, 0.0), (4.0, 4.0))
-    lv = label_vertex(lambda p: 1.0, (2.0, 2.0), (1.0, 1.0), box, Sense.MINIMIZE)
+    (lv,) = label_points(lambda p: 1.0, ((2.0, 2.0),), (1.0, 1.0), box)
     assert lv.probe_target == (2.0, 2.0)
     assert lv.probe_target == lv.point
     assert lv.label == 0
@@ -179,30 +168,22 @@ def test_neighbor_tie_takes_earliest_offset():
     # f depends on x only, so the three x+1 neighbors tie; the offset
     # enumeration puts (1, -1) first among them
     box = SearchBox((-4.0, -4.0), (4.0, 4.0))
-    lv = label_vertex(lambda p: -p[0], (0.0, 0.0), (1.0, 1.0), box, Sense.MINIMIZE)
+    (lv,) = label_points(lambda p: -p[0], ((0.0, 0.0),), (1.0, 1.0), box)
     assert lv.probe_target == (1.0, -1.0)
     assert lv.label == 2
 
 
 def test_out_of_domain_neighbors_are_discarded():
     box = SearchBox((0.0, 0.0), (1.0, 1.0))
-    lv = label_vertex(lambda p: -(p[0] + p[1]), (0.0, 0.0), (1.0, 1.0), box,
-                      Sense.MINIMIZE)
+    (lv,) = label_points(lambda p: -(p[0] + p[1]), ((0.0, 0.0),), (1.0, 1.0), box)
     assert lv.probe_target == (1.0, 1.0)
     assert lv.label == 0
-
-
-def test_probe_point_outside_domain_rejected():
-    box = SearchBox((0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        label_vertex(lambda p: 0.0, (2.0, 0.5), (0.5, 0.5), box, Sense.MINIMIZE)
 
 
 def test_non_finite_objective_raises():
     box = SearchBox((0.0, 0.0), (1.0, 1.0))
     with pytest.raises(ObjectiveEvaluationError) as err:
-        label_vertex(lambda p: math.nan, (0.5, 0.5), (0.25, 0.25), box,
-                     Sense.MINIMIZE)
+        label_points(lambda p: math.nan, ((0.5, 0.5),), (0.25, 0.25), box)
     assert err.value.point == (0.5, 0.5)
     assert err.value.generation is None
 
@@ -216,9 +197,9 @@ def test_scaling_by_powers_of_two_preserves_labels():
     def scaled(p):
         return eval_sphere_min((p[0] / scale, p[1] / scale))
 
-    for point, target, label in SPHERE_REFINED_ROWS:
-        sp = tuple(v * scale for v in point)
-        lv = label_vertex(scaled, sp, (0.25, 0.25), domain, Sense.MINIMIZE)
+    points = tuple(tuple(v * scale for v in point) for point, _, _ in SPHERE_REFINED_ROWS)
+    out = label_points(scaled, points, (0.25, 0.25), domain)
+    for (_, target, label), lv in zip(SPHERE_REFINED_ROWS, out):
         assert lv.probe_target == tuple(v * scale for v in target)
         assert lv.label == label
 
@@ -229,8 +210,7 @@ def test_scaling_by_powers_of_two_preserves_labels():
 
 def test_label_grid_order_and_corner_labels():
     grid = corners(SPHERE_DOMAIN)
-    out = label_grid(eval_sphere_min, grid, (2.0, 2.0), SPHERE_DOMAIN,
-                     Sense.MINIMIZE, {})
+    out = label_points(eval_sphere_min, grid, (2.0, 2.0), SPHERE_DOMAIN)
     assert tuple(v.point for v in out) == grid
     assert [v.label for v in out] == [0, 2, 1, 2]
 
@@ -245,12 +225,11 @@ def test_label_grid_skips_stored_points():
         calls.append(p)
         return eval_sphere_min(p)
 
-    out = label_grid(f, grid, (2.0, 2.0), SPHERE_DOMAIN, Sense.MINIMIZE, values)
+    out = label_points(f, grid, (2.0, 2.0), SPHERE_DOMAIN, values=values)
     assert not set(calls) & {*grid, (0.0, 0.0)}
     assert len(calls) == len(set(calls))
     assert set(calls) <= set(values)
-    assert out == label_grid(eval_sphere_min, grid, (2.0, 2.0), SPHERE_DOMAIN,
-                             Sense.MINIMIZE, {})
+    assert out == label_points(eval_sphere_min, grid, (2.0, 2.0), SPHERE_DOMAIN)
 
 
 def test_label_grid_calls_f_once_per_distinct_point():
@@ -265,10 +244,11 @@ def test_label_grid_calls_f_once_per_distinct_point():
         return eval_sphere_min(p)
 
     values = {}
-    out = label_grid(f, grid, (1.0, 1.0), box, Sense.MINIMIZE, values)
+    out = label_points(f, grid, (1.0, 1.0), box, depth=2, values=values)
     assert len(calls) == len(set(calls)) == 25
     assert set(values) == set(calls)
-    assert out == tuple(label_vertex(eval_sphere_min, p, (1.0, 1.0), box, Sense.MINIMIZE)
+    tables = lattice_floats(box, 2)
+    assert out == tuple(lattice_vertex(eval_sphere_min, p, 1, tables, Sense.MINIMIZE)
                         for p in grid)
 
 
@@ -277,70 +257,47 @@ def test_non_finite_value_is_not_stored():
     bad = (0.75, 0.75)
     values = {}
     with pytest.raises(ObjectiveEvaluationError) as err:
-        label_grid(lambda p: math.nan if p == bad else 0.0, ((0.5, 0.5),),
-                   (0.25, 0.25), box, Sense.MINIMIZE, values)
+        label_points(lambda p: math.nan if p == bad else 0.0, ((0.5, 0.5),), (0.25, 0.25),
+                     box, values=values)
     assert err.value.point == bad
     assert bad not in values
     assert all(math.isfinite(v) for v in values.values())
 
 
-def test_probe_matches_oracle_on_random_cases():
-    rng = random.Random(42)
-    surfaces = (
-        (eval_sphere_min, SPHERE_DOMAIN, Sense.MINIMIZE),
-        (eval_sphere_min, SPHERE_DOMAIN, Sense.MAXIMIZE),
-        (eval_rosenbrock, ROSEN_DOMAIN, Sense.MINIMIZE),
-        (lambda p: math.sin(3 * p[0]) * math.cos(2 * p[1]),
-         SearchBox((-3.0, -3.0), (3.0, 3.0)), Sense.MINIMIZE),
-    )
-    for _ in range(300):
-        f, domain, sense = surfaces[rng.randrange(len(surfaces))]
-        p = tuple(a + (b - a) * rng.random() for a, b in zip(domain.lo, domain.hi))
-        s = tuple(w * rng.uniform(0.05, 0.6) for w in domain.widths())
-        lv = label_vertex(f, p, s, domain, sense)
-        assert lv.probe_target == brute_probe(f, p, s, domain, sense)
-        assert 0 <= lv.label <= domain.dimension
-
-
 # ---------------------------------------------------------------------------
-# label_grid's per-axis candidate memo
+# label_grid against the lattice reference
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
 @given(
     n=st.integers(1, 3),
     data=st.data(),
+    depth=st.integers(1, 6),
     sense=st.sampled_from(Sense),
-    use_subdivide=st.booleans(),
     quantized=st.booleans(),
 )
-def test_label_grid_matches_brute_probe_on_boundary_boxes(n, data, sense, use_subdivide,
-                                                          quantized):
-    # sub-boxes with one face on the domain boundary, so stencils are cut
-    # there; one store is shared by the grid, as in a run
-    domain = SearchBox((-2.0,) * n, (2.0,) * n)
-    coord = st.floats(-2.0, 2.0)
-    lo, hi = [], []
-    for _ in range(n):
-        a, b = sorted(data.draw(st.tuples(coord, coord)))
-        assume(a < b)
-        lo.append(a)
-        hi.append(b)
+def test_label_grid_matches_lattice_vertex_on_boundary_boxes(n, data, depth, sense, quantized):
+    # a lattice box with one face on the domain boundary, so stencils are
+    # cut there; one store is shared by the grid, as in a run
+    lo = data.draw(st.tuples(*[st.floats(-100.0, 100.0) for _ in range(n)]))
+    widths = data.draw(st.tuples(*[st.floats(0.01, 100.0) for _ in range(n)]))
+    domain = SearchBox(lo, tuple(a + w for a, w in zip(lo, widths)))
+    top = 2 ** depth
+    bounds = [sorted(data.draw(st.lists(st.integers(0, top), min_size=2, max_size=2,
+                                        unique=True))) for _ in range(n)]
     axis = data.draw(st.integers(0, n - 1))
-    if data.draw(st.booleans()):
-        lo[axis] = -2.0
-    else:
-        hi[axis] = 2.0
-    box = SearchBox(lo, hi)
-    if use_subdivide:
-        assume(splittable(box))  # run_slm's precondition for subdivide
-    grid = subdivide(box)[0] if use_subdivide else corners(box)
-    s = tuple(w * data.draw(st.floats(0.05, 1.0)) for w in box.widths())
-    centre = data.draw(st.tuples(*[coord for _ in range(n)]))
+    side = data.draw(st.integers(0, 1))
+    bounds[axis][side] = side * top
+    tables = lattice_floats(domain, depth)
+    grid = [tuple(t[k] for t, k in zip(tables, ks))
+            for ks in itertools.product(*[sorted({a, (a + b) // 2, b}) for a, b in bounds])]
+    step = data.draw(st.integers(1, top))
+    centre = data.draw(st.tuples(*[st.floats(a, b) for a, b in zip(domain.lo, domain.hi)]))
+    unit = max(widths) ** 2 / 16
 
     def f(p):
         v = sum((x - c) ** 2 for x, c in zip(p, centre))
-        return round(v, 1) if quantized else v
+        return float(round(v / unit)) if quantized else v
 
     calls = []
 
@@ -349,24 +306,32 @@ def test_label_grid_matches_brute_probe_on_boundary_boxes(n, data, sense, use_su
         return f(p)
 
     values = {}
-    out = label_grid(counted, grid, s, domain, sense, values)
+    out = label_grid(counted, grid, step, sense, values, run_lattice(domain, depth, grid))
     assert len(calls) == len(set(calls))
     assert set(calls) == set(values)
-    for p, lv in zip(grid, out):
-        target = brute_probe(f, p, s, domain, sense)
-        assert (lv.point, lv.value, lv.probe_target) == (p, f(p), target)
-        assert lv.label == label_of([t - x for t, x in zip(target, p)])
+    assert list(out) == [lattice_vertex(f, p, step, tables, sense) for p in grid]
+
+
+def test_label_grid_rejects_a_coordinate_off_the_lattice():
+    lattice = run_lattice(SearchBox((0.0, 0.0), (1.0, 1.0)), 2, [(0.5, 0.5)])
+    with pytest.raises(ValueError, match="0.3 is not a lattice point"):
+        label_grid(lambda p: 0.0, ((0.5, 0.3),), 1, Sense.MINIMIZE, {}, lattice)
+
+
+def test_probe_point_outside_domain_rejected():
+    lattice = run_lattice(SearchBox((0.0, 0.0), (1.0, 1.0)), 2, [(0.5, 0.5)])
+    with pytest.raises(ValueError, match="2.0 is not a lattice point"):
+        label_grid(lambda p: 0.0, ((2.0, 0.5),), 1, Sense.MINIMIZE, {}, lattice)
 
 
 def test_label_grid_checks_every_vertex_against_the_domain():
     # x = 0.5 is a memo hit at the second vertex, but its y is outside
-    box = SearchBox((0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ValueError, match=r"probe point \(0\.5, 2\.0\) lies outside"):
-        label_grid(lambda p: 0.0, ((0.5, 0.5), (0.5, 2.0)), (0.25, 0.25), box,
-                   Sense.MINIMIZE, {})
+    lattice = run_lattice(SearchBox((0.0, 0.0), (1.0, 1.0)), 2, [(0.5, 0.5)])
+    with pytest.raises(ValueError, match="2.0 is not a lattice point"):
+        label_grid(lambda p: 0.0, ((0.5, 0.5), (0.5, 2.0)), 1, Sense.MINIMIZE, {}, lattice)
 
 
 def test_label_grid_rejects_point_of_wrong_dimension():
-    box = SearchBox((0.0, 0.0), (1.0, 1.0))
+    lattice = run_lattice(SearchBox((0.0, 0.0), (1.0, 1.0)), 2, [(0.5, 0.5)])
     with pytest.raises(ValueError, match="point dimension mismatch"):
-        label_grid(lambda p: 0.0, ((0.5,),), (0.25, 0.25), box, Sense.MINIMIZE, {})
+        label_grid(lambda p: 0.0, ((0.5,),), 1, Sense.MINIMIZE, {}, lattice)

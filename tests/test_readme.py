@@ -1,6 +1,8 @@
 """Every `$ slmopt ...` example in README.md prints what the README shows,
-and every `python` block runs."""
+every `python` block runs, and every `slmopt.<module>.<name>` its prose
+names exists."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -50,3 +52,18 @@ def test_readme_has_python_blocks():
 def test_readme_python_block_runs(source, capsys):
     exec(compile(source, str(README), "exec"), {})
     assert capsys.readouterr().out.count("\n") == 1
+
+
+def prose_names():
+    prose = FENCED.sub("", README.read_text(encoding="utf-8"))
+    names = sorted(set(re.findall(r"\bslmopt\.(\w+)\.(\w+)", prose)))
+    return [pytest.param(module, name, id=f"{module}.{name}") for module, name in names]
+
+
+def test_readme_prose_has_names():
+    assert len(prose_names()) >= 4
+
+
+@pytest.mark.parametrize("module, name", prose_names())
+def test_readme_prose_name_resolves(module, name):
+    assert hasattr(importlib.import_module(f"slmopt.{module}"), name)
