@@ -1,10 +1,15 @@
 """Seeded baselines: stream contract, evaluation accounting, quality."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import baseline_reference as ref
 
 from slmopt.baselines import (
     BaselineConfig,
@@ -12,8 +17,10 @@ from slmopt.baselines import (
     random_search_walk,
     simulated_annealing,
 )
-from slmopt.labeling import ObjectiveEvaluationError
-from slmopt.objectives import builtin_names, registry_lookup
+from slmopt.bench import DEFAULT_ITERATIONS
+from slmopt.geometry import SearchBox
+from slmopt.labeling import ObjectiveEvaluationError, Sense
+from slmopt.objectives import ObjectiveSpec, builtin_names, registry_lookup
 
 SPHERE = registry_lookup("sphere_min")
 SPHERE_MAX = registry_lookup("sphere_max")
@@ -232,6 +239,132 @@ def test_builtin_bests_are_bit_stable(name, run):
     res = run(registry_lookup(name), cfg(iterations=300, seed=5, initial_point=(9.0, 9.0)))
     got = (tuple(v.hex() for v in res.best_point), res.best_value.hex())
     assert got == BEST_HEX[name, run.__name__]
+
+
+# sha256 of the repr of every (point, value) a run evaluates, in order,
+# at the CLI's default iterations and seed 0, from the center or from
+# (9, 9), which clamps to the domain's corner; speed work must leave the
+# whole trajectory bit for bit, not only its best point
+TRAJECTORY_SHA = {
+    ("sphere_min", "rs", None): "2799c6898b8496fc59b6a034fd8f1a414e2561f9f57e4ed179a33972c8226508",
+    ("sphere_min", "rsw", None): "f63c22d5b2d3da143f947ebff9d61cfa7c7f78d46d0331f02d27b08cdb936d0a",
+    ("sphere_min", "sa", None): "a3426dbde3675b54265b202d61dcba5d99ebfbb4fc530f872d36e69caeea44ef",
+    ("trig", "rs", None): "28540b276a98e6ee1616423ae7fc7dc40691504cb05def19f7eed0b95e9e64e0",
+    ("trig", "rsw", None): "b377ab5a54f83cc51c9c5d5ffdcb9226a2f0cc5afc075a6054815d2a6008d361",
+    ("trig", "sa", None): "375f173b120f10e4fe4f61cfc5078b77ce5f0df023a3607942d656ab5a3f1ebb",
+    ("sphere_max", "rs", None): "2799c6898b8496fc59b6a034fd8f1a414e2561f9f57e4ed179a33972c8226508",
+    ("sphere_max", "rsw", None): "8ba87e1ef30f88f19b9e82f325ddd88671b4ac547cda171dd42113922cf75940",
+    ("sphere_max", "sa", None): "82be7a1c9ddf5c706fbfb48f67e1b2a18587d63818cade1f5013f75ed712a5a1",
+    ("rosenbrock", "rs", None): "ad1043dd3f94276c3f5d4448135d0898985f457730cf14540a7384fb3b3574e9",
+    ("rosenbrock", "rsw", None): "6b23a8b8f5a45961346c8b73f41a3605b4429f5e507ed2846537ccf580979347",
+    ("rosenbrock", "sa", None): "20da1f71f802396c8529a084bdfae54a29423c4e1eb34e5a7b3e8e1fbc1f844d",
+    ("shekel", "rs", None): "2443fbf089148296a389fed01183a1e9daff094c1cc5eb4484e3fe33cc2dd843",
+    ("shekel", "rsw", None): "74ba2d03137f70f5f9924f6ca5bc29bb99084c8be896863fa5d688fe36634483",
+    ("shekel", "sa", None): "218a772bfceb70b77a8b44390d54bd72e06d1a6f1126b29ab1c41842ad247634",
+    ("sphere_min", "rsw", (9.0, 9.0)): "68c7026ae306c6d16902799654e8dd6d0e6e8876a49baa681e0b5ffc560a722a",
+    ("sphere_min", "sa", (9.0, 9.0)): "4d76def34607f41324c93927c104152aa952251e7a623508215d8d267040f2d8",
+}
+KIND_RUNNERS = {"rs": random_search, "rsw": random_search_walk, "sa": simulated_annealing}
+
+
+@pytest.mark.parametrize("name, kind, initial", TRAJECTORY_SHA)
+def test_builtin_trajectories_are_bit_stable(name, kind, initial):
+    spec = registry_lookup(name)
+    trajectory = []
+
+    def f(p):
+        v = spec.evaluator(p)
+        trajectory.append((p, v))
+        return v
+
+    KIND_RUNNERS[kind](dataclasses.replace(spec, evaluator=f),
+                       cfg(iterations=DEFAULT_ITERATIONS[kind], seed=0, initial_point=initial))
+    digest = hashlib.sha256(repr(trajectory).encode()).hexdigest()
+    assert digest == TRAJECTORY_SHA[name, kind, initial]
+
+
+# ---------------------------------------------------------------------------
+# The library against the reference loops
+# ---------------------------------------------------------------------------
+
+# the smallest subnormal: on a domain this wide every proposal radius
+# rounds to 0.0, so x + u is a signed zero that the clamp compares with a
+# zero bound of either sign
+TINY = 5e-324
+WIDTHS = st.one_of(st.floats(0.01, 100.0), st.just(TINY))
+
+
+@st.composite
+def axis_bounds(draw):
+    """(lo, hi) of one axis: a random non-dyadic interval, or one with a
+    0.0 or -0.0 bound."""
+    kind = draw(st.sampled_from(("random", "zero_lo", "zero_hi")))
+    if kind == "random":
+        lo = draw(st.floats(-100.0, 100.0))
+        return lo, lo + draw(st.floats(0.01, 100.0))
+    zero = draw(st.sampled_from((0.0, -0.0)))
+    w = draw(WIDTHS)
+    return (zero, w) if kind == "zero_lo" else (-w, zero)
+
+
+@st.composite
+def start_coordinate(draw, lo, hi):
+    """Inside, on either bound or the other zero's sign of it, or
+    outside, finite or infinite."""
+    where = draw(st.sampled_from(("inside", "bound", "outside")))
+    if where == "inside":
+        return draw(st.floats(lo, hi))
+    if where == "bound":
+        b = draw(st.sampled_from((lo, hi)))
+        return draw(st.sampled_from((b, -b))) if b == 0.0 else b
+    return draw(st.sampled_from((lo - draw(st.floats(0.0, 100.0)), hi + 1.0,
+                                 -math.inf, math.inf)))
+
+
+@st.composite
+def baseline_cases(draw):
+    n = draw(st.integers(1, 3))
+    bounds = [draw(axis_bounds()) for _ in range(n)]
+    domain = SearchBox(*zip(*bounds))
+    start = None
+    if draw(st.booleans()):
+        start = tuple(draw(start_coordinate(a, b)) for a, b in bounds)
+    centre = tuple(draw(st.floats(a, b)) for a, b in bounds)
+    return (domain, draw(st.sampled_from(Sense)), centre, draw(st.booleans()),
+            BaselineConfig(iterations=draw(st.integers(1, 200)),
+                           seed=draw(st.integers(0, 2**32)), initial_point=start))
+
+
+def recorded_run(run, domain, sense, centre, quantized, config):
+    """run on a squared distance to centre, rounded to a coarse unit when
+    quantized so that values tie; returns the repr of the points it
+    evaluated, in order, and of its result (repr tells -0.0 from 0.0)."""
+    unit = max(domain.widths()) ** 2 / 16 or 1.0
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        v = sum((x - c) ** 2 for x, c in zip(p, centre))
+        return float(round(v / unit)) if quantized else v
+
+    spec = ObjectiveSpec("quadratic", domain, sense, ((centre, 0.0),), f)
+    result = run(spec, config)
+    return repr(calls), repr(result)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=baseline_cases())
+# a start at the opposite zero of the domain's zero bound, where every
+# proposal is that signed zero: the clamp must keep it
+@example(case=(SearchBox((0.0,), (TINY,)), Sense.MINIMIZE, (0.0,), False,
+               BaselineConfig(iterations=20, seed=1, initial_point=(-0.0,))))
+@example(case=(SearchBox((-TINY,), (-0.0,)), Sense.MAXIMIZE, (0.0,), True,
+               BaselineConfig(iterations=20, seed=1, initial_point=(0.0,))))
+def test_baselines_match_the_reference_loops(case):
+    for run, oracle in ((random_search, ref.random_search),
+                        (random_search_walk, ref.random_search_walk),
+                        (simulated_annealing, ref.simulated_annealing)):
+        assert recorded_run(run, *case) == recorded_run(oracle, *case)
 
 
 # ---------------------------------------------------------------------------
