@@ -6,18 +6,27 @@ Reproducibility contract: every run owns a fresh stdlib
 through ``rng.random()`` alone, drawn dimension-major (one draw per
 coordinate per proposal, in coordinate order). Equal (spec, cfg) gives
 bit-identical results on any platform. A non-finite value raises
-ObjectiveEvaluationError with its point, as in run_slm.
+ObjectiveEvaluationError with its point and its 1-based evaluation
+number, as run_slm's names the generation.
+
+Each run binds its invariants once: the bound ``random`` method, the
+objective, the comparison (operator.lt or operator.gt by sense), the
+per-axis (lo, width) and (lo, hi, width) tuples and the step scale of
+every iteration. The clamp ``v = a if a > v else v; v = b if b < v
+else v`` is ``min(max(v, a), b)`` bit for bit, signed zeros included:
+each keeps v unless the bound compares strictly past it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
-from .geometry import Point, SearchBox
-from .labeling import _checked
+from .geometry import Point
+from .labeling import ObjectiveEvaluationError, Sense, _checked
 from .objectives import ObjectiveSpec
 
 # proposal radius per dimension, as a fraction of the domain width,
@@ -53,28 +62,30 @@ class OptimRunResult:
     notes: tuple[str, ...] = ()
 
 
-def _uniform_point(rng: random.Random, lo: Point, widths: tuple[float, ...]) -> Point:
-    return tuple(a + w * rng.random() for a, w in zip(lo, widths))
-
-
-def _step_sigmas(cfg: BaselineConfig, box: SearchBox) -> Iterator[tuple[float, ...]]:
-    """Per-dimension proposal radius for each iteration: geometric decay
-    from STEP_SCALE_INITIAL*width to STEP_SCALE_FINAL*width."""
+def _step_scales(cfg: BaselineConfig) -> list[float]:
+    """Proposal radius for each iteration, as a fraction of the width:
+    geometric decay from STEP_SCALE_INITIAL to STEP_SCALE_FINAL."""
     s0 = STEP_SCALE_INITIAL
-    widths = box.widths()
+    ratio = STEP_SCALE_FINAL / s0
     last = max(1, cfg.iterations - 1)
-    for t in range(cfg.iterations):
-        scale = s0 * (STEP_SCALE_FINAL / s0) ** (t / last)
-        yield tuple(scale * w for w in widths)
+    return [s0 * ratio ** (t / last) for t in range(cfg.iterations)]
 
 
-def _propose(rng: random.Random, x: Point, box: SearchBox,
-             sigma: tuple[float, ...]) -> Point:
+def _propose(draw: Callable[[], float], x: Point,
+             bounds: tuple[tuple[float, float, float], ...], scale: float) -> Point:
+    """x + u, u uniform in [-scale*w, scale*w] per axis (lo, hi, w),
+    clamped into [lo, hi] as min(max(v, lo), hi) would."""
     out = []
-    for xi, a, b, s in zip(x, box.lo, box.hi, sigma):
-        u = (2.0 * rng.random() - 1.0) * s
-        out.append(min(max(xi + u, a), b))
+    for xi, (a, b, w) in zip(x, bounds):
+        v = xi + (2.0 * draw() - 1.0) * (scale * w)
+        v = a if a > v else v
+        out.append(b if b < v else v)
     return tuple(out)
+
+
+def _better(sense: Sense) -> Callable[[float, float], bool]:
+    """better(a, b) is True when value a strictly improves on value b."""
+    return operator.lt if sense is Sense.MINIMIZE else operator.gt
 
 
 def random_search(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResult:
@@ -82,16 +93,21 @@ def random_search(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResult:
 
     evaluations == cfg.iterations.
     """
-    rng = random.Random(cfg.seed)
-    better = spec.sense.better
-    lo, widths = spec.domain.lo, spec.domain.widths()
-    best_p = _uniform_point(rng, lo, widths)
-    best_v = _checked(spec.evaluator, best_p)
-    for _ in range(cfg.iterations - 1):
-        p = _uniform_point(rng, lo, widths)
-        v = _checked(spec.evaluator, p)
-        if better(v, best_v):
-            best_p, best_v = p, v
+    draw = random.Random(cfg.seed).random
+    better = _better(spec.sense)
+    f = spec.evaluator
+    axes = tuple(zip(spec.domain.lo, spec.domain.widths()))
+    k = 1
+    try:
+        best_p = tuple([a + w * draw() for a, w in axes])
+        best_v = _checked(f, best_p)
+        for k in range(2, cfg.iterations + 1):
+            p = tuple([a + w * draw() for a, w in axes])
+            v = _checked(f, p)
+            if better(v, best_v):
+                best_p, best_v = p, v
+    except ObjectiveEvaluationError as e:
+        raise ObjectiveEvaluationError(e.point, e.value, evaluation=k) from e
     return OptimRunResult(best_p, best_v, cfg.iterations)
 
 
@@ -115,15 +131,21 @@ def random_search_walk(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResu
     Starts from cfg.initial_point (clamped into the domain, recorded in
     notes) or the domain center. evaluations == cfg.iterations + 1.
     """
-    rng = random.Random(cfg.seed)
-    better = spec.sense.better
+    draw = random.Random(cfg.seed).random
+    better = _better(spec.sense)
+    f = spec.evaluator
+    bounds = tuple(zip(spec.domain.lo, spec.domain.hi, spec.domain.widths()))
     x, notes = _initial(spec, cfg)
-    fx = _checked(spec.evaluator, x)
-    for sigma in _step_sigmas(cfg, spec.domain):
-        p = _propose(rng, x, spec.domain, sigma)
-        v = _checked(spec.evaluator, p)
-        if better(v, fx):
-            x, fx = p, v
+    k = 1
+    try:
+        fx = _checked(f, x)
+        for k, scale in enumerate(_step_scales(cfg), 2):
+            p = _propose(draw, x, bounds, scale)
+            v = _checked(f, p)
+            if better(v, fx):
+                x, fx = p, v
+    except ObjectiveEvaluationError as e:
+        raise ObjectiveEvaluationError(e.point, e.value, evaluation=k) from e
     return OptimRunResult(x, fx, cfg.iterations + 1, notes)
 
 
@@ -138,28 +160,37 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
     COOLING_RATIO each iteration. Returns the best point ever visited,
     not the final state.
     """
-    rng = random.Random(cfg.seed)
-    better = spec.sense.better
+    draw = random.Random(cfg.seed).random
+    better = _better(spec.sense)
+    f = spec.evaluator
+    exp = math.exp
     lo, widths = spec.domain.lo, spec.domain.widths()
+    axes = tuple(zip(lo, widths))
+    bounds = tuple(zip(lo, spec.domain.hi, widths))
     x, notes = _initial(spec, cfg)
-    samples = [_checked(spec.evaluator, _uniform_point(rng, lo, widths))
-               for _ in range(TEMPERATURE_SAMPLES)]
-    temperature = max(samples) - min(samples)
-    if temperature <= 0.0:
-        temperature = 1.0
-    fx = _checked(spec.evaluator, x)
-    best_p, best_v = x, fx
-    for sigma in _step_sigmas(cfg, spec.domain):
-        p = _propose(rng, x, spec.domain, sigma)
-        v = _checked(spec.evaluator, p)
-        if v == fx or better(v, fx):
-            x, fx = p, v
-        else:
-            u = rng.random()
-            # T underflows to 0.0 after about 14 500 iterations
-            if temperature > 0.0 and u < math.exp(-abs(v - fx) / temperature):
+    samples = []
+    try:
+        for k in range(1, TEMPERATURE_SAMPLES + 1):
+            samples.append(_checked(f, tuple([a + w * draw() for a, w in axes])))
+        temperature = max(samples) - min(samples)
+        if temperature <= 0.0:
+            temperature = 1.0
+        k = TEMPERATURE_SAMPLES + 1
+        fx = _checked(f, x)
+        best_p, best_v = x, fx
+        for k, scale in enumerate(_step_scales(cfg), TEMPERATURE_SAMPLES + 2):
+            p = _propose(draw, x, bounds, scale)
+            v = _checked(f, p)
+            if v == fx or better(v, fx):
                 x, fx = p, v
-        if better(fx, best_v):
-            best_p, best_v = x, fx
-        temperature *= COOLING_RATIO
+            else:
+                u = draw()
+                # T underflows to 0.0 after about 14 500 iterations
+                if temperature > 0.0 and u < exp(-abs(v - fx) / temperature):
+                    x, fx = p, v
+            if better(fx, best_v):
+                best_p, best_v = x, fx
+            temperature *= COOLING_RATIO
+    except ObjectiveEvaluationError as e:
+        raise ObjectiveEvaluationError(e.point, e.value, evaluation=k) from e
     return OptimRunResult(best_p, best_v, cfg.iterations + TEMPERATURE_SAMPLES + 1, notes)

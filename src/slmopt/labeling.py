@@ -36,15 +36,19 @@ class Sense(enum.Enum):
 class ObjectiveEvaluationError(ValueError):
     """The objective returned a non-finite value.
 
-    Carries the offending point; the subdivision loop attaches the
-    generation index when it re-raises.
+    Carries the offending point; when they re-raise it, the subdivision
+    loop attaches the generation index and a baseline the 1-based
+    evaluation number.
     """
 
-    def __init__(self, point: Point, value: float, generation: int | None = None):
+    def __init__(self, point: Point, value: float, generation: int | None = None,
+                 evaluation: int | None = None):
         self.point = point
         self.value = value
         self.generation = generation
-        where = f" at generation {generation}" if generation is not None else ""
+        self.evaluation = evaluation
+        where = (f" at generation {generation}" if generation is not None
+                 else f" at evaluation {evaluation}" if evaluation is not None else "")
         super().__init__(f"objective returned {value!r} at {point!r}{where}")
 
 

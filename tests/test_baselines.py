@@ -374,17 +374,23 @@ def test_baselines_match_the_reference_loops(case):
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 @pytest.mark.parametrize("run", ALL_RUNNERS)
 def test_non_finite_value_raises_with_the_point(run, bad):
-    # nan on the first call only, or inf on every call: both must stop
-    # the run at that first evaluation, as run_slm does
-    seen = []
+    # nan at call k only, or inf on every call from k on: both must stop
+    # the run at evaluation k, as run_slm stops at its first, and name k.
+    # For annealing, 5 is a temperature sample, 11 its start point and 12
+    # and 20 proposals; for the others, 1 is the start
+    for k in (1, 2, 5, 11, 12, 20):
+        seen = []
 
-    def f(p):
-        seen.append(p)
-        return bad if math.isinf(bad) or len(seen) == 1 else SPHERE.evaluator(p)
+        def f(p):
+            seen.append(p)
+            failing = len(seen) >= k if math.isinf(bad) else len(seen) == k
+            return bad if failing else SPHERE.evaluator(p)
 
-    spec = dataclasses.replace(SPHERE, evaluator=f)
-    with pytest.raises(ObjectiveEvaluationError) as err:
-        run(spec, cfg(iterations=20))
-    assert len(seen) == 1
-    assert err.value.point == seen[0]
-    assert repr(err.value.value) == repr(bad)
+        spec = dataclasses.replace(SPHERE, evaluator=f)
+        with pytest.raises(ObjectiveEvaluationError) as err:
+            run(spec, cfg(iterations=20))
+        assert len(seen) == k
+        assert err.value.point == seen[-1]
+        assert repr(err.value.value) == repr(bad)
+        assert err.value.evaluation == k and err.value.generation is None
+        assert str(err.value) == f"objective returned {bad!r} at {seen[-1]!r} at evaluation {k}"

@@ -204,6 +204,7 @@ def test_baseline_non_finite_value_is_one_line_error(method, bad, capsys):
                            "--method", method)
     assert rc == 2 and out == ""
     assert err.startswith(f"error: objective returned {bad!r} at (") and err.count("\n") == 1
+    assert err.endswith(") at evaluation 1\n")
 
 
 @pytest.mark.parametrize("argv", (("optimize",), ("trace", "--out", "{tmp}")))

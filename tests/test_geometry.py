@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slmopt.geometry import (
     Cell,
@@ -224,3 +226,27 @@ def test_lattice_probes_reject_a_float_off_the_lattice():
     axis = LatticeAxis(0.0, 1.0, 2)
     with pytest.raises(ValueError, match="0.3 is not a lattice point"):
         axis.probes(1, 0.3)
+    # off the lattice between two entries, and outside the domain
+    for bad in (axis[1] + 1e-9, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="is not a lattice point"):
+            LatticeAxis(0.0, 1.0, 2).probes(1, bad)
+
+
+def test_lattice_probes_find_a_float_not_made_yet():
+    # axis[2] is 0.0, but no lookup has made it: probes bisects to it
+    axis = LatticeAxis(-2.0, 2.0, 2)
+    assert axis.probes(1, 0.0) == (-1.0, 0.0, 1.0)
+    assert axis.index[0.0] == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.floats(-100.0, 100.0), width=st.floats(0.01, 100.0), depth=st.integers(1, 8),
+       step=st.integers(1, 2 ** 8))
+def test_lattice_probes_find_every_index_of_a_fresh_axis(lo, width, depth, step):
+    full = LatticeAxis(lo, lo + width, depth)
+    floats = [full[k] for k in range(full.top + 1)]
+    step = min(step, full.top)
+    for k, x in enumerate(floats):
+        fresh = LatticeAxis(lo, lo + width, depth)
+        assert fresh.probes(step, x) == full.probes(step, x)
+        assert fresh.index[x] == k

@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slmopt.geometry import SearchBox, corners
-from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid, label_of
+from slmopt.geometry import LatticeAxis, SearchBox, corners
+from slmopt.labeling import (
+    LabeledVertex,
+    ObjectiveEvaluationError,
+    Sense,
+    label_grid,
+    label_of,
+)
 from slmopt.objectives import eval_rosenbrock, eval_sphere_min
 
 from lattice_reference import index_step, lattice_floats, lattice_vertex, run_lattice
@@ -316,6 +322,13 @@ def test_label_grid_rejects_a_coordinate_off_the_lattice():
     lattice = run_lattice(SearchBox((0.0, 0.0), (1.0, 1.0)), 2, [(0.5, 0.5)])
     with pytest.raises(ValueError, match="0.3 is not a lattice point"):
         label_grid(lambda p: 0.0, ((0.5, 0.3),), 1, Sense.MINIMIZE, {}, lattice)
+
+
+def test_label_grid_on_a_fresh_lattice():
+    # no lookup has made axis[2] == 0.0; the vertex is still labeled
+    out = label_grid(lambda p: (p[0] - 1.0) ** 2, ((0.0,),), 1, Sense.MINIMIZE, {},
+                     (LatticeAxis(-2.0, 2.0, 2),))
+    assert out == (LabeledVertex(point=(0.0,), value=1.0, probe_target=(1.0,), label=0),)
 
 
 def test_probe_point_outside_domain_rejected():
