@@ -9,18 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import baseline_reference as ref
-
 from slmopt.baselines import (
     BaselineConfig,
     random_search,
     random_search_walk,
     simulated_annealing,
 )
-from slmopt.bench import DEFAULT_ITERATIONS
+from slmopt.bench import _BASELINE_FNS, DEFAULT_ITERATIONS
 from slmopt.geometry import SearchBox
 from slmopt.labeling import ObjectiveEvaluationError, Sense
 from slmopt.objectives import ObjectiveSpec, builtin_names, registry_lookup
+
+import baseline_reference as ref
 
 SPHERE = registry_lookup("sphere_min")
 SPHERE_MAX = registry_lookup("sphere_max")
@@ -264,7 +264,6 @@ TRAJECTORY_SHA = {
     ("sphere_min", "rsw", (9.0, 9.0)): "68c7026ae306c6d16902799654e8dd6d0e6e8876a49baa681e0b5ffc560a722a",
     ("sphere_min", "sa", (9.0, 9.0)): "4d76def34607f41324c93927c104152aa952251e7a623508215d8d267040f2d8",
 }
-KIND_RUNNERS = {"rs": random_search, "rsw": random_search_walk, "sa": simulated_annealing}
 
 
 @pytest.mark.parametrize("name, kind, initial", TRAJECTORY_SHA)
@@ -277,7 +276,7 @@ def test_builtin_trajectories_are_bit_stable(name, kind, initial):
         trajectory.append((p, v))
         return v
 
-    KIND_RUNNERS[kind](dataclasses.replace(spec, evaluator=f),
+    _BASELINE_FNS[kind](dataclasses.replace(spec, evaluator=f),
                        cfg(iterations=DEFAULT_ITERATIONS[kind], seed=0, initial_point=initial))
     digest = hashlib.sha256(repr(trajectory).encode()).hexdigest()
     assert digest == TRAJECTORY_SHA[name, kind, initial]
@@ -291,7 +290,6 @@ def test_builtin_trajectories_are_bit_stable(name, kind, initial):
 # rounds to 0.0, so x + u is a signed zero that the clamp compares with a
 # zero bound of either sign
 TINY = 5e-324
-WIDTHS = st.one_of(st.floats(0.01, 100.0), st.just(TINY))
 
 
 @st.composite
@@ -303,7 +301,7 @@ def axis_bounds(draw):
         lo = draw(st.floats(-100.0, 100.0))
         return lo, lo + draw(st.floats(0.01, 100.0))
     zero = draw(st.sampled_from((0.0, -0.0)))
-    w = draw(WIDTHS)
+    w = draw(st.one_of(st.floats(0.01, 100.0), st.just(TINY)))
     return (zero, w) if kind == "zero_lo" else (-w, zero)
 
 
