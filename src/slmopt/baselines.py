@@ -10,7 +10,7 @@ ObjectiveEvaluationError with its point and its 1-based evaluation
 number, as run_slm's names the generation.
 
 Each run binds its invariants once: the bound ``random`` method, the
-objective, the comparison (operator.lt or operator.gt by sense), the
+objective, the comparison (Sense.better: operator.lt or operator.gt), the
 per-axis (lo, width) and (lo, hi, width) tuples and the step scale of
 every iteration. The clamp ``v = a if a > v else v; v = b if b < v
 else v`` is ``min(max(v, a), b)`` bit for bit, signed zeros included:
@@ -20,13 +20,12 @@ each keeps v unless the bound compares strictly past it.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Callable
 
 from .geometry import Point
-from .labeling import ObjectiveEvaluationError, Sense, _checked
+from .labeling import ObjectiveEvaluationError, _checked
 from .objectives import ObjectiveSpec
 
 # proposal radius per dimension, as a fraction of the domain width,
@@ -83,18 +82,13 @@ def _propose(draw: Callable[[], float], x: Point,
     return tuple(out)
 
 
-def _better(sense: Sense) -> Callable[[float, float], bool]:
-    """better(a, b) is True when value a strictly improves on value b."""
-    return operator.lt if sense is Sense.MINIMIZE else operator.gt
-
-
 def random_search(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResult:
     """Uniform sampling over the domain; best of cfg.iterations draws.
 
     evaluations == cfg.iterations.
     """
     draw = random.Random(cfg.seed).random
-    better = _better(spec.sense)
+    better = spec.sense.better
     f = spec.evaluator
     axes = tuple(zip(spec.domain.lo, spec.domain.widths()))
     k = 1
@@ -132,7 +126,7 @@ def random_search_walk(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResu
     notes) or the domain center. evaluations == cfg.iterations + 1.
     """
     draw = random.Random(cfg.seed).random
-    better = _better(spec.sense)
+    better = spec.sense.better
     f = spec.evaluator
     bounds = tuple(zip(spec.domain.lo, spec.domain.hi, spec.domain.widths()))
     x, notes = _initial(spec, cfg)
@@ -161,7 +155,7 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
     not the final state.
     """
     draw = random.Random(cfg.seed).random
-    better = _better(spec.sense)
+    better = spec.sense.better
     f = spec.evaluator
     exp = math.exp
     lo, widths = spec.domain.lo, spec.domain.widths()

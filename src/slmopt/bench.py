@@ -4,7 +4,8 @@ Rows are produced objective-major, then algorithm, then seed. The
 subdivision search is deterministic, so its rows repeat identically
 across seeds; the baselines consume the seed. Markdown output mirrors
 the comparison-table layout (Algorithm | Iterations | Optimal point |
-Deviation); csv and json-lines are lossless and round-trip every field.
+Deviation); csv and json-lines are lossless and round-trip every field,
+which the tests check with their own reader (tests/bench_reference.py).
 All output is byte-deterministic except the wall_time_ms column.
 """
 
@@ -179,8 +180,8 @@ _TEXT_FIELDS = ("algorithm", "objective")
 
 def emit_csv(rows: Sequence[BenchRow]) -> str:
     """algorithm and objective are plain cells; every other cell is the
-    field's JSON text (vectors as arrays, floats in repr digits), so
-    parse_csv recovers every field exactly."""
+    field's JSON text (vectors as arrays, floats in repr digits), so a
+    reader recovers every field exactly."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FIELD_NAMES)
@@ -188,22 +189,6 @@ def emit_csv(rows: Sequence[BenchRow]) -> str:
         writer.writerow([value if name in _TEXT_FIELDS else json.dumps(value)
                          for name, value in asdict(row).items()])
     return buf.getvalue()
-
-
-def _parse_cell(name: str, cell: str):
-    if name in _TEXT_FIELDS:
-        return cell
-    value = json.loads(cell)
-    return tuple(value) if isinstance(value, list) else value
-
-
-def parse_csv(text: str) -> list[BenchRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != FIELD_NAMES:
-        raise ValueError(f"unexpected csv header: {header!r}")
-    return [BenchRow(**{name: _parse_cell(name, cell) for name, cell in zip(FIELD_NAMES, rec)})
-            for rec in reader]
 
 
 def emit_json_lines(rows: Sequence[BenchRow]) -> str:

@@ -2,7 +2,11 @@
 
 Subcommands: optimize, bench, trace, list-functions. build_parser is the
 one place that states each flag's type and default; it is built once per
-process and never changed. A flat key=value config file (--config) can
+process and never changed. Each flag two subcommands share is declared
+once, on an add_help=False parent parser: `shared` (--tol, --explore-all,
+--config) for optimize, bench and trace, `one_run` (--function,
+--max-generations) for optimize and trace, `baseline` (--iterations) for
+optimize and bench. A flat key=value config file (--config) can
 hold any long flag name without the leading dashes; each entry acts as a
 --key=value flag placed before the command line's flags, so it goes
 through the flag's type and choices, and explicit flags always win.
@@ -14,8 +18,8 @@ never a usage block or a traceback. --help prints usage to stdout and
 exits 0.
 
 optimize and bench run every method through bench.run_method; trace
-takes its SlmConfig from bench.slm_config and calls run_slm itself,
-because it draws the full per-generation record.
+takes its SlmConfig from bench.slm_config and calls run_slm with it,
+because trace.txt's header prints the resolved tolerance.
 """
 
 from __future__ import annotations
@@ -100,36 +104,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    opt = sub.add_parser("optimize", help="run one algorithm on one objective")
-    opt.add_argument("--function")
+    shared = argparse.ArgumentParser(add_help=False)  # optimize, bench, trace
+    shared.add_argument("--tol", type=float)
+    shared.add_argument("--explore-all", action="store_const", const=True, default=False)
+    shared.add_argument("--config")
+    one_run = argparse.ArgumentParser(add_help=False)  # optimize, trace
+    one_run.add_argument("--function")
+    one_run.add_argument("--max-generations", type=int, default=AlgorithmSpec.max_generations)
+    baseline = argparse.ArgumentParser(add_help=False)  # optimize, bench
+    baseline.add_argument("--iterations", type=int)
+
+    opt = sub.add_parser("optimize", parents=[shared, one_run, baseline],
+                         help="run one algorithm on one objective")
     opt.add_argument("--method", choices=METHODS, default="slm")
-    opt.add_argument("--tol", type=float)
-    opt.add_argument("--max-generations", type=int, default=AlgorithmSpec.max_generations)
-    opt.add_argument("--explore-all", action="store_const", const=True, default=False)
-    opt.add_argument("--iterations", type=int)
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--initial", type=_parse_point)
-    opt.add_argument("--config")
 
-    ben = sub.add_parser("bench", help="run the algorithm x objective matrix")
+    ben = sub.add_parser("bench", parents=[shared, baseline],
+                         help="run the algorithm x objective matrix")
     ben.add_argument("--function", default="all", help="comma-separated names, or 'all'")
     ben.add_argument("--method", default=",".join(METHODS),
                      help="comma-separated subset of slm,rs,rsw,sa")
     ben.add_argument("--repeats", type=int, default=1)
-    ben.add_argument("--tol", type=float)
-    ben.add_argument("--iterations", type=int)
-    ben.add_argument("--explore-all", action="store_const", const=True, default=False)
     ben.add_argument("--format", choices=FORMATS, default="markdown")
     ben.add_argument("--out")
-    ben.add_argument("--config")
 
-    tra = sub.add_parser("trace", help="run the subdivision search with trace capture")
-    tra.add_argument("--function")
-    tra.add_argument("--tol", type=float)
-    tra.add_argument("--max-generations", type=int, default=AlgorithmSpec.max_generations)
-    tra.add_argument("--explore-all", action="store_const", const=True, default=False)
+    tra = sub.add_parser("trace", parents=[shared, one_run],
+                         help="run the subdivision search with trace capture")
     tra.add_argument("--out", default="slm-trace")
-    tra.add_argument("--config")
 
     sub.add_parser("list-functions", help="print the objective registry")
     return parser
@@ -215,8 +217,6 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     text = emit_table(run_bench(spec), ns.format)
     if ns.out is None:
         sys.stdout.write(text)
-        if text and not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         try:
             with open(ns.out, "w", encoding="utf-8") as fh:

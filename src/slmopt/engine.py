@@ -246,30 +246,19 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
     store: dict[Point, float] = {}
     generations: list[GenerationRecord] = []
     frontier: list[SearchBox] = [domain]
-    gen = 0
-    while True:
-        spacing = spacings[gen]
+    # where the plan ends, unless a cell picked for refinement cannot be halved
+    termination = TOLERANCE_REACHED if max(spacings[-1]) <= config.tolerance else GENERATION_CAP
+    for gen, spacing in enumerate(spacings):
         staged = _label_frontier(f, store, lattice, frontier, gen, sense)
-        termination = (None if gen + 1 < len(spacings)
-                       else TOLERANCE_REACHED if max(spacing) <= config.tolerance
-                       else GENERATION_CAP)
-        refine = _next_cells(staged, config) if termination is None else []
-        chosen = refine[0] if refine and not config.explore_all else None
-        for i, (box, _, vertices, complete) in enumerate(staged):
-            generations.append(GenerationRecord(
-                index=gen,
-                box=box,
-                spacing=spacing,
-                vertices=vertices,
-                complete_cells=complete,
-                chosen=chosen if i == 0 else None,
-            ))
-        if termination is None and not all(splittable(c.box) for c in refine):
+        refine = _next_cells(staged, config) if gen + 1 < len(spacings) else []
+        chosen = refine[0] if refine and not config.explore_all else None  # descent has one box
+        generations += [GenerationRecord(index=gen, box=box, spacing=spacing, vertices=vertices,
+                                         complete_cells=complete, chosen=chosen)
+                        for box, _, vertices, complete in staged]
+        if not all(splittable(c.box) for c in refine):
             termination = NO_COMPLETE_CELL
-        if termination is not None:
             break
         frontier = [c.box for c in refine]
-        gen += 1
 
     # The first best entry in evaluation order: min and max keep the first
     # of equal keys, so this is min by _vertex_rank at a C-level key.

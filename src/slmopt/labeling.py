@@ -13,9 +13,9 @@ caller's point store before calling f.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,9 +28,11 @@ class Sense(enum.Enum):
     MINIMIZE = "minimize"
     MAXIMIZE = "maximize"
 
-    def better(self, a: float, b: float) -> bool:
-        """True when value a strictly improves on value b."""
-        return a < b if self is Sense.MINIMIZE else a > b
+    @property
+    def better(self) -> Callable[[float, float], bool]:
+        """better(a, b) is True when value a strictly improves on value
+        b: operator.lt or operator.gt, a C-level comparison to bind."""
+        return operator.lt if self is Sense.MINIMIZE else operator.gt
 
 
 class ObjectiveEvaluationError(ValueError):
@@ -98,16 +100,16 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
     """
     n = len(lattice)
     minimize = sense is Sense.MINIMIZE
-    per_axis = tuple((functools.partial(axis.probes, step), {}) for axis in lattice)
+    per_axis = tuple((axis, {}) for axis in lattice)
     labeled = []
     for p in grid:
         if len(p) != n:
             raise ValueError("point dimension mismatch")
         axes = []
-        for x, (probe, memo) in zip(p, per_axis):
+        for x, (axis, memo) in zip(p, per_axis):
             candidates = memo.get(x)
             if candidates is None:
-                candidates = memo[x] = probe(x)
+                candidates = memo[x] = axis.probes(step, x)
             axes.append(candidates)
         value = values.get(p)
         if value is None:

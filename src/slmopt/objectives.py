@@ -114,10 +114,8 @@ def registry_lookup(name: str) -> ObjectiveSpec:
 
 
 def builtin_names() -> tuple[str, ...]:
-    return tuple(_BUILTINS)
+    return _BUILTINS
 
-
-_BUILTINS = ("sphere_min", "trig", "sphere_max", "rosenbrock", "shekel")
 
 register_objective(ObjectiveSpec(
     name="sphere_min",
@@ -156,3 +154,4 @@ register_objective(ObjectiveSpec(
     known_optima=(((-32.0, -32.0), eval_shekel((-32.0, -32.0))),),
     evaluator=eval_shekel,
 ))
+_BUILTINS = tuple(_REGISTRY)  # the five above, in registration order

@@ -17,10 +17,11 @@ from slmopt.bench import (
     emit_json_lines,
     emit_markdown,
     emit_table,
-    parse_csv,
     run_bench,
 )
 from slmopt.objectives import UnknownObjectiveError, registry_lookup
+
+from bench_reference import parse_csv, parse_json_lines
 
 
 def small_spec(**kw):
@@ -208,6 +209,7 @@ def test_json_lines_fields():
         assert rec["algorithm"] == row.algorithm
         assert tuple(rec["found_point"]) == row.found_point
         assert math.isclose(rec["found_value"], row.found_value, rel_tol=1e-15)
+    assert parse_json_lines(text) == rows
     assert emit_json_lines([]) == ""
 
 

@@ -1,5 +1,6 @@
 """Command-line front end: flags, config files, payload/diagnostic split."""
 
+import argparse
 import itertools
 import json
 import math
@@ -11,8 +12,7 @@ import sys
 import pytest
 
 import slmopt
-from slmopt.bench import parse_csv
-from slmopt.cli import CliError, build_parser, main, read_config
+from slmopt.cli import CliError, _parse_point, build_parser, main, read_config
 from slmopt.geometry import SearchBox, format_point
 from slmopt.labeling import Sense
 from slmopt.objectives import (
@@ -21,6 +21,8 @@ from slmopt.objectives import (
     register_objective,
     registry_lookup,
 )
+
+from bench_reference import parse_csv
 
 # child interpreters import the same slmopt as this one, installed or not
 SRC_DIR = os.path.dirname(os.path.dirname(slmopt.__file__))
@@ -315,6 +317,60 @@ def test_parser_is_built_once_and_not_at_import():
          "from slmopt.cli import build_parser; print(build_parser.cache_info().currsize)"],
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0 and proc.stdout == "0\n"
+
+
+# Each subcommand's flags as the parser stated them when every subcommand
+# declared its own: option string -> (dest, type, default, choices, const).
+_HELP = ("help", None, argparse.SUPPRESS, None, None)
+_METHODS = ("slm", "rs", "rsw", "sa")
+FLAG_TABLE = {
+    "optimize": [
+        ("-h", _HELP), ("--help", _HELP),
+        ("--function", ("function", None, None, None, None)),
+        ("--method", ("method", None, "slm", _METHODS, None)),
+        ("--tol", ("tol", float, None, None, None)),
+        ("--max-generations", ("max_generations", int, 60, None, None)),
+        ("--explore-all", ("explore_all", None, False, None, True)),
+        ("--iterations", ("iterations", int, None, None, None)),
+        ("--seed", ("seed", int, 0, None, None)),
+        ("--initial", ("initial", _parse_point, None, None, None)),
+        ("--config", ("config", None, None, None, None)),
+    ],
+    "bench": [
+        ("-h", _HELP), ("--help", _HELP),
+        ("--function", ("function", None, "all", None, None)),
+        ("--method", ("method", None, "slm,rs,rsw,sa", None, None)),
+        ("--repeats", ("repeats", int, 1, None, None)),
+        ("--tol", ("tol", float, None, None, None)),
+        ("--iterations", ("iterations", int, None, None, None)),
+        ("--explore-all", ("explore_all", None, False, None, True)),
+        ("--format", ("format", None, "markdown", ("markdown", "csv", "json-lines"), None)),
+        ("--out", ("out", None, None, None, None)),
+        ("--config", ("config", None, None, None, None)),
+    ],
+    "trace": [
+        ("-h", _HELP), ("--help", _HELP),
+        ("--function", ("function", None, None, None, None)),
+        ("--tol", ("tol", float, None, None, None)),
+        ("--max-generations", ("max_generations", int, 60, None, None)),
+        ("--explore-all", ("explore_all", None, False, None, True)),
+        ("--out", ("out", None, "slm-trace", None, None)),
+        ("--config", ("config", None, None, None, None)),
+    ],
+}
+
+
+def test_every_subcommand_keeps_its_flag_table():
+    """Parent parsers share flags among subcommands; each subcommand must
+    still see every flag once, with its type, default, choices and const,
+    and bench must not gain --max-generations or --initial."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, expected in FLAG_TABLE.items():
+        table = [(s, (a.dest, a.type, a.default, a.choices, a.const))
+                 for a in sub.choices[name]._actions for s in a.option_strings]
+        assert sorted(table, key=lambda entry: entry[0]) == \
+            sorted(expected, key=lambda entry: entry[0]), name
+    assert set(sub.choices) == {"optimize", "bench", "trace", "list-functions"}
 
 
 def test_bad_config_value_reports_key(tmp_path, capsys):

@@ -4,6 +4,7 @@ for the sphere and banana surfaces."""
 
 import itertools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,9 @@ def test_sense_better():
     assert not Sense.MINIMIZE.better(1.0, 1.0)
     assert Sense.MAXIMIZE.better(2.0, 1.0)
     assert not Sense.MAXIMIZE.better(1.0, 1.0)
+    # a C comparison the baselines bind once per run
+    assert Sense.MINIMIZE.better is operator.lt
+    assert Sense.MAXIMIZE.better is operator.gt
 
 
 def test_constant_objective_keeps_incumbent():

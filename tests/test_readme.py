@@ -1,14 +1,18 @@
 """Every `$ slmopt ...` example in README.md prints what the README shows,
-every `python` block runs, and every `slmopt.<module>.<name>` its prose
-names exists."""
+every `python` block runs, every `slmopt.<module>.<name>` its prose
+names exists, and the library imports nothing beyond the standard library
+("Runtime dependencies: none", pyproject's `dependencies = []`)."""
 
+import ast
 import importlib
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
+import slmopt
 from slmopt.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -67,3 +71,21 @@ def test_readme_prose_has_names():
 @pytest.mark.parametrize("module, name", prose_names())
 def test_readme_prose_name_resolves(module, name):
     assert hasattr(importlib.import_module(f"slmopt.{module}"), name)
+
+
+@pytest.mark.parametrize("path", sorted(Path(slmopt.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_library_imports_only_the_standard_library(path):
+    """Every import is __future__, package-relative, or of a module whose
+    top-level name is in sys.stdlib_module_names."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.partition(".")[0]
+            assert top == "__future__" or top in sys.stdlib_module_names, \
+                f"{path.name}:{node.lineno} imports {name}"
