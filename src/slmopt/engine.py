@@ -65,7 +65,8 @@ TOLERANCE_REACHED = "tolerance_reached"
 GENERATION_CAP = "generation_cap"
 NO_COMPLETE_CELL = "box_unsplittable"  # a box to refine can no longer be halved in floats
 
-_Staged = tuple[SearchBox, tuple[Cell, ...], tuple[LabeledVertex, ...], tuple[Cell, ...]]
+_Staged = tuple[SearchBox, tuple[Cell, ...], tuple[LabeledVertex, ...], tuple[Cell, ...],
+                list[float]]
 
 
 @dataclass(frozen=True)
@@ -119,38 +120,17 @@ def complete_cells(cells: Sequence[Cell], labels: Sequence[int]) -> tuple[Cell, 
     )
 
 
-def _vertex_rank(value: float, sense: Sense) -> float:
-    return value if sense is Sense.MINIMIZE else -value
+def _cell_key(cell: Cell, ranks: Sequence[float]) -> tuple[float, Point]:
+    """A cell's selection key: its best vertex rank, then its lower corner."""
+    return min(map(ranks.__getitem__, cell.vertex_indices)), cell.box.lo
 
 
-def _cell_rank(cell: Cell, vertices: Sequence[LabeledVertex], sense: Sense) -> float:
-    """Rank of the cell's best vertex value; lower ranks are better."""
-    return min(_vertex_rank(vertices[i].value, sense) for i in cell.vertex_indices)
-
-
-def select_cell(complete: Sequence[Cell], vertices: Sequence[LabeledVertex],
-                sense: Sense) -> Cell:
-    """Complete cell with the best vertex value; ties go to the
+def select_cell(complete: Sequence[Cell], ranks: Sequence[float]) -> Cell:
+    """Complete cell with the best vertex rank; ties go to the
     lexicographically smallest lower corner."""
     if not complete:
         raise ValueError("no complete cells to select from")
-    return min(complete, key=lambda c: (_cell_rank(c, vertices, sense), c.box.lo))
-
-
-def _best_vertex_index(vertices: Sequence[LabeledVertex], sense: Sense) -> int:
-    """Index of the first best-valued vertex."""
-    return min(range(len(vertices)), key=lambda i: _vertex_rank(vertices[i].value, sense))
-
-
-def _fallback_cell(cells: Sequence[Cell], vertices: Sequence[LabeledVertex],
-                   sense: Sense) -> Cell:
-    """Descent target when nothing is completely labeled: the first cell
-    containing the best-valued vertex."""
-    target = _best_vertex_index(vertices, sense)
-    for c in cells:
-        if target in c.vertex_indices:
-            return c
-    raise AssertionError("subdivision cells must cover the grid")
+    return min(complete, key=lambda c: _cell_key(c, ranks))
 
 
 def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[LatticeAxis],
@@ -159,7 +139,9 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
     one label_grid call over their distinct points (in order of first
     appearance) that reads and fills the run's store and probes the
     lattice at half the generation's grid step. Returns (box, cells,
-    vertices, complete cells) per box."""
+    vertices, complete cells, ranks) per box; a vertex's rank is its
+    value when minimizing and minus its value when maximizing, so lower
+    ranks are better and every selection reads ranks, not the sense."""
     layouts = []
     position: dict[Point, int] = {}
     for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
@@ -176,10 +158,13 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
                              lattice)
     except ObjectiveEvaluationError as e:
         raise ObjectiveEvaluationError(e.point, e.value, generation=gen) from e
+    minimize = sense is Sense.MINIMIZE
     staged = []
     for box, grid, cells in layouts:
         vertices = tuple(labeled[position[p]] for p in grid)
-        staged.append((box, cells, vertices, complete_cells(cells, [v.label for v in vertices])))
+        ranks = [v.value for v in vertices] if minimize else [-v.value for v in vertices]
+        staged.append((box, cells, vertices, complete_cells(cells, [v.label for v in vertices]),
+                       ranks))
     return staged
 
 
@@ -187,38 +172,39 @@ def _next_cells(staged: Sequence[_Staged], config: SlmConfig) -> list[Cell]:
     """The frontier policy: the cells whose boxes the next generation labels.
 
     Single descent refines one cell of its one box: the best complete
-    cell (select_cell), else the first cell holding the best vertex
-    (_fallback_cell). Explore-all ranks every complete cell, then every
-    cell of a box with none, each group by best vertex value and lower
-    corner, and keeps the first cell_budget; a box with no complete cell
-    keeps all its children so enumeration breadth survives flat or
-    aliased generations. The policies stay apart because, when no cell
-    is complete, they break ties differently: descent takes the first
-    cell containing the best vertex, explore-all the smallest lower
-    corner among equal-valued cells.
+    cell (select_cell), else the first cell holding the first best-ranked
+    vertex. Explore-all ranks every complete cell, then every cell of a
+    box with none, each group by _cell_key, and keeps the first
+    cell_budget; a box with no complete cell keeps all its children so
+    enumeration breadth survives flat or aliased generations. The
+    policies stay apart because, when no cell is complete, they break
+    ties differently: descent takes the first cell containing the first
+    best vertex, explore-all the smallest lower corner among equal-ranked
+    cells.
     """
-    sense = config.sense
     if not config.explore_all:
-        _, cells, vertices, complete = staged[0]
+        _, cells, _, complete, ranks = staged[0]
         if complete:
-            return [select_cell(complete, vertices, sense)]
-        return [_fallback_cell(cells, vertices, sense)]
+            return [select_cell(complete, ranks)]
+        best = ranks.index(min(ranks))
+        return [next(c for c in cells if best in c.vertex_indices)]
     ranked = sorted(
-        (((not complete, _cell_rank(c, vertices, sense), c.box.lo), c)
-         for _, cells, vertices, complete in staged for c in complete or cells),
+        (((not complete, *_cell_key(c, ranks)), c)
+         for _, cells, _, complete, ranks in staged for c in complete or cells),
         key=lambda kc: kc[0],
     )
     return [c for _, c in ranked[: config.cell_budget]]
 
 
-def _candidates(staged: Sequence[_Staged], sense: Sense) -> tuple[tuple[Point, float], ...]:
-    """The best vertex of each final box, one entry per point (the first
-    box's wins), best value first and ties by point."""
-    reps: dict[Point, float] = {}
-    for _, _, vertices, _ in staged:
-        v = vertices[_best_vertex_index(vertices, sense)]
-        reps.setdefault(v.point, v.value)
-    return tuple(sorted(reps.items(), key=lambda pv: (_vertex_rank(pv[1], sense), pv[0])))
+def _candidates(staged: Sequence[_Staged]) -> tuple[tuple[Point, float], ...]:
+    """The first best-ranked vertex of each final box, one entry per point
+    (the first box's wins), best first and ties by point."""
+    reps: dict[Point, tuple[float, float]] = {}
+    for _, _, vertices, _, ranks in staged:
+        i = ranks.index(min(ranks))
+        reps.setdefault(vertices[i].point, (ranks[i], vertices[i].value))
+    ranked = sorted(reps.items(), key=lambda pr: (pr[1][0], pr[0]))
+    return tuple((p, v) for p, (_, v) in ranked)
 
 
 def _spacings(domain: SearchBox, config: SlmConfig) -> list[Spacing]:
@@ -254,19 +240,19 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
         chosen = refine[0] if refine and not config.explore_all else None  # descent has one box
         generations += [GenerationRecord(index=gen, box=box, spacing=spacing, vertices=vertices,
                                          complete_cells=complete, chosen=chosen)
-                        for box, _, vertices, complete in staged]
+                        for box, _, vertices, complete, _ in staged]
         if not all(splittable(c.box) for c in refine):
             termination = NO_COMPLETE_CELL
             break
         frontier = [c.box for c in refine]
 
     # The first best entry in evaluation order: min and max keep the first
-    # of equal keys, so this is min by _vertex_rank at a C-level key.
+    # of equal keys, so this is the first of least rank at a C-level key.
     best_point = (min if sense is Sense.MINIMIZE else max)(store, key=store.__getitem__)
     return RunResult(
         best_point=best_point,
         best_value=store[best_point],
-        candidates=_candidates(staged, sense) if config.explore_all else (),
+        candidates=_candidates(staged) if config.explore_all else (),
         generations=tuple(generations),
         evaluations=len(store),
         termination=termination,

@@ -428,6 +428,14 @@ def test_bench_out_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("## rosenbrock")
 
 
+def test_bench_out_to_missing_directory_is_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.md"
+    rc, out, err = run_cli(capsys, "bench", "--function", "sphere_min",
+                           "--method", "slm", "--tol", "0.5", "--out", str(target))
+    assert rc == 2 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 @pytest.mark.parametrize("flag", ("--method", "--function"))
 def test_bench_empty_matrix_is_one_line_error(flag, capsys):
     rc, out, err = run_cli(capsys, "bench", flag, ",")
@@ -486,6 +494,15 @@ def test_trace_writes_files(tmp_path, capsys):
     assert paths[0].endswith("trace.txt")
     assert all((out_dir / p.split("/")[-1]).exists() for p in paths)
     assert (out_dir / "gen-0.svg").exists()
+
+
+def test_trace_out_onto_a_file_is_one_line_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc, out, err = run_cli(capsys, "trace", "--function", "sphere_min",
+                           "--tol", "0.5", "--out", str(taken))
+    assert rc == 2 and out == ""
+    assert err == f"error: cannot write trace to {taken}: File exists\n"
 
 
 def test_trace_explore_all_via_config(tmp_path, capsys):
@@ -557,6 +574,16 @@ def test_config_entry_matches_flag(subcommand, base, key, value,
             for name, extra in (("plain", ()), ("flag", flag), ("config", ("--config", str(conf))))}
     assert runs["config"] == runs["flag"]
     assert runs["flag"] != runs["plain"]  # the value took effect
+
+
+@pytest.mark.parametrize("value", ("off", "false", "no", "0"))
+def test_config_explore_all_false_is_no_entry(value, tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"explore-all = {value}\n")
+    argv = ("optimize", "--function", "trig", "--tol", "0.875")
+    plain = _run_in(tmp_path / "plain", capsys, monkeypatch, argv)
+    configured = _run_in(tmp_path / "config", capsys, monkeypatch, argv + ("--config", str(conf)))
+    assert configured == plain
 
 
 # ---------------------------------------------------------------------------

@@ -73,13 +73,37 @@ def test_select_cell_prefers_best_vertex_then_lex():
     vertices = label_grid(spec.evaluator, grid, 1, spec.sense, {}, lattice)
     labels = [v.label for v in vertices]
     kept = complete_cells(cells, labels)
-    chosen = select_cell(kept, vertices, spec.sense)
+    chosen = select_cell(kept, [v.value for v in vertices])  # sphere_min minimizes
     assert chosen.box.lo == (0.0, 0.0) and chosen.box.hi == (2.0, 2.0)
     # constant surface: every cell ties, lex-smallest lower corner wins
-    flat = label_grid(lambda p: 1.0, grid, 1, Sense.MINIMIZE, {}, lattice)
-    assert select_cell(cells, flat, Sense.MINIMIZE) is cells[0]
+    assert select_cell(cells, [1.0] * len(grid)) is cells[0]
     with pytest.raises(ValueError):
-        select_cell((), vertices, spec.sense)
+        select_cell((), [v.value for v in vertices])
+
+
+def two_minima(p):
+    """0 at (0, 4) and (2, 0), 1 at every other point with even integer
+    coordinates, 5 elsewhere: on [0, 4]^2 every generation-1 vertex is
+    stationary at probe spacing 1, so that generation falls back."""
+    if p in ((0.0, 4.0), (2.0, 0.0)):
+        return 0.0
+    return 1.0 if all(x % 2 == 0 for x in p) else 5.0
+
+
+@pytest.mark.parametrize("explore_all, kept", (
+    (False, ((0.0, 2.0), (2.0, 4.0))),  # the cell of the first best vertex, (0, 4)
+    (True, ((0.0, 0.0), (2.0, 2.0))),   # the smallest lower corner among rank-0 cells
+))
+def test_fallback_tie_rule_separates_the_policies(explore_all, kept):
+    cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=1.0, explore_all=explore_all,
+                    cell_budget=1)
+    res = run_slm(two_minima, SearchBox((0.0, 0.0), (4.0, 4.0)), cfg)
+    first = res.generations[1]
+    assert first.fallback_used and {v.label for v in first.vertices} == {0}
+    assert [v.point for v in first.vertices if v.value == 0.0] == [(0.0, 4.0), (2.0, 0.0)]
+    assert [(g.box.lo, g.box.hi) for g in res.generations if g.index == 2] == [kept]
+    if not explore_all:
+        assert (first.chosen.box.lo, first.chosen.box.hi) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +114,19 @@ def test_generation_bound_matches_runs():
     for k in (3, 5, 9):
         res, _ = run_builtin("sphere_min", 4.0 / 2 ** k)
         assert res.generations[-1].index == k
+
+
+@pytest.mark.parametrize("n, evaluations", ((1, 24), (2, 212), (3, 1578), (4, 11120)))
+def test_descent_cost_per_dimension(n, evaluations):
+    # the paper claims O(log_2^n) time: generations grow as log2(width / tol),
+    # but the evaluations per generation grow about 7x per added dimension
+    centre = tuple(0.1 * (i + 1) for i in range(n))
+    res = run_slm(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)),
+                  SearchBox((-2.0,) * n, (2.0,) * n),
+                  SlmConfig(sense=Sense.MINIMIZE, tolerance=4.0 / 64))
+    assert res.termination == TOLERANCE_REACHED
+    assert len(res.generations) == 7  # generations 0..log2(64)
+    assert res.evaluations == evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +391,7 @@ def unstored_run(f, domain, cfg):
         elif termination is None:
             _, vertices, complete, cells = staged[0]
             if complete:
-                chosen = select_cell(complete, vertices, sense)
+                chosen = min(complete, key=lambda c: cell_rank(c, vertices))
             else:
                 top = min(range(len(vertices)), key=lambda i: (rank(vertices[i].value), i))
                 chosen = next(c for c in cells if top in c.vertex_indices)
@@ -493,6 +530,35 @@ def test_point_store_invisible_on_shifted_spheres(n, data, halvings, explore_all
                     explore_all=explore_all, cell_budget=cell_budget)
     assert_store_invisible(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)),
                            domain, cfg)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    data=st.data(),
+    halvings=st.integers(1, 5),
+    explore_all=st.booleans(),
+    cell_budget=st.integers(1, 4),
+)
+def test_maximizing_minus_f_mirrors_minimizing_f(n, data, halvings, explore_all, cell_budget):
+    centre = data.draw(st.tuples(*[st.floats(-2.5, 2.5) for _ in range(n)]))
+
+    def f(p):
+        return sum((x - c) ** 2 for x, c in zip(p, centre))
+
+    def run(g, sense):
+        cfg = SlmConfig(sense=sense, tolerance=4.0 / 2 ** halvings,
+                        explore_all=explore_all, cell_budget=cell_budget)
+        return run_slm(g, SearchBox((-2.0,) * n, (2.0,) * n), cfg)
+
+    def seen(res, sign):
+        return (res.termination, res.evaluations, res.best_point, sign * res.best_value,
+                [(p, sign * v) for p, v in res.candidates],
+                [(g.index, g.box, g.complete_cells, g.chosen,
+                  [(v.point, sign * v.value, v.probe_target, v.label) for v in g.vertices])
+                 for g in res.generations])
+
+    assert seen(run(lambda p: -f(p), Sense.MAXIMIZE), -1.0) == seen(run(f, Sense.MINIMIZE), 1.0)
 
 
 # sha256 of every float, label and box a builtin run produces at its
