@@ -6,9 +6,10 @@ covering {0..n}); _next_cells, the frontier policy, picks the cells to
 refine; their boxes, at half the spacing, are the next frontier.
 Generation 0 labels only the 2**n corners of the domain as a single
 cell; every later generation labels the 3**n grid of each frontier box.
-run_slm stops with TOLERANCE_REACHED when the largest spacing component
-reaches the tolerance, GENERATION_CAP at max_generations, or
-NO_COMPLETE_CELL ("box_unsplittable") when a box picked for refinement
+There is one policy: single descent keeps the first ranked cell,
+explore-all the first cell_budget. run_slm stops with TOLERANCE_REACHED
+when the largest spacing component reaches the tolerance, GENERATION_CAP
+at max_generations, or BOX_UNSPLITTABLE when a box picked for refinement
 can no longer be halved in floating point. For explore-all, _candidates
 then lists one best vertex per final box.
 
@@ -63,7 +64,7 @@ from .labeling import (
 
 TOLERANCE_REACHED = "tolerance_reached"
 GENERATION_CAP = "generation_cap"
-NO_COMPLETE_CELL = "box_unsplittable"  # a box to refine can no longer be halved in floats
+BOX_UNSPLITTABLE = "box_unsplittable"  # a box to refine can no longer be halved in floats
 
 _Staged = tuple[SearchBox, tuple[Cell, ...], tuple[LabeledVertex, ...], tuple[Cell, ...],
                 list[float]]
@@ -125,14 +126,6 @@ def _cell_key(cell: Cell, ranks: Sequence[float]) -> tuple[float, Point]:
     return min(map(ranks.__getitem__, cell.vertex_indices)), cell.box.lo
 
 
-def select_cell(complete: Sequence[Cell], ranks: Sequence[float]) -> Cell:
-    """Complete cell with the best vertex rank; ties go to the
-    lexicographically smallest lower corner."""
-    if not complete:
-        raise ValueError("no complete cells to select from")
-    return min(complete, key=lambda c: _cell_key(c, ranks))
-
-
 def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[LatticeAxis],
                     frontier: Sequence[SearchBox], gen: int, sense: Sense) -> list[_Staged]:
     """Label the grids of all frontier boxes, ordered by corners, with
@@ -171,29 +164,19 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
 def _next_cells(staged: Sequence[_Staged], config: SlmConfig) -> list[Cell]:
     """The frontier policy: the cells whose boxes the next generation labels.
 
-    Single descent refines one cell of its one box: the best complete
-    cell (select_cell), else the first cell holding the first best-ranked
-    vertex. Explore-all ranks every complete cell, then every cell of a
-    box with none, each group by _cell_key, and keeps the first
-    cell_budget; a box with no complete cell keeps all its children so
-    enumeration breadth survives flat or aliased generations. The
-    policies stay apart because, when no cell is complete, they break
-    ties differently: descent takes the first cell containing the first
-    best vertex, explore-all the smallest lower corner among equal-ranked
-    cells.
+    Every complete cell ranks ahead of every cell of a box with none (such
+    a box offers all its children, so enumeration breadth survives flat or
+    aliased generations), and each group is ordered by _cell_key: best
+    vertex rank first. Among equal-ranked cells the smallest lower corner
+    wins. The run keeps the first cell_budget cells with explore_all and
+    the first one without: single descent is this policy at budget 1.
     """
-    if not config.explore_all:
-        _, cells, _, complete, ranks = staged[0]
-        if complete:
-            return [select_cell(complete, ranks)]
-        best = ranks.index(min(ranks))
-        return [next(c for c in cells if best in c.vertex_indices)]
     ranked = sorted(
         (((not complete, *_cell_key(c, ranks)), c)
          for _, cells, _, complete, ranks in staged for c in complete or cells),
         key=lambda kc: kc[0],
     )
-    return [c for _, c in ranked[: config.cell_budget]]
+    return [c for _, c in ranked[: config.cell_budget if config.explore_all else 1]]
 
 
 def _candidates(staged: Sequence[_Staged]) -> tuple[tuple[Point, float], ...]:
@@ -221,10 +204,11 @@ def _spacings(domain: SearchBox, config: SlmConfig) -> list[Spacing]:
 def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
     """Run the subdividing labeling search on one objective.
 
-    Deterministic: no randomness, all tie-breaks lexicographic. With
-    explore_all, every complete cell (up to cell_budget, ranked by best
-    vertex value) is refined in lockstep and candidates holds one best
-    vertex per surviving cell.
+    Deterministic: no randomness. Each generation refines, in lockstep,
+    the cells the frontier policy (_next_cells) ranks first: one for
+    single descent, which records it as `chosen`, and up to cell_budget
+    with explore_all, whose candidates then hold one best vertex per box
+    of the last generation, best first and ties by point.
     """
     sense = config.sense
     spacings = _spacings(domain, config)
@@ -242,7 +226,7 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
                                          complete_cells=complete, chosen=chosen)
                         for box, _, vertices, complete, _ in staged]
         if not all(splittable(c.box) for c in refine):
-            termination = NO_COMPLETE_CELL
+            termination = BOX_UNSPLITTABLE
             break
         frontier = [c.box for c in refine]
 

@@ -4,21 +4,20 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slmopt.bench import default_tolerance
 from slmopt.engine import (
+    BOX_UNSPLITTABLE,
     GENERATION_CAP,
-    NO_COMPLETE_CELL,
     TOLERANCE_REACHED,
     SlmConfig,
     complete_cells,
     run_slm,
-    select_cell,
 )
 from slmopt.geometry import Cell, SearchBox, corners, splittable, subdivide
-from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid
+from slmopt.labeling import ObjectiveEvaluationError, Sense
 from slmopt.objectives import builtin_names, registry_lookup
 
 from lattice_reference import (
@@ -26,7 +25,6 @@ from lattice_reference import (
     lattice_floats,
     lattice_indices,
     lattice_vertex,
-    run_lattice,
 )
 
 TRIG_FAMILY = tuple(
@@ -65,20 +63,24 @@ def test_complete_cells_keeps_input_order():
     assert kept == (cells[0], cells[3])
 
 
-def test_select_cell_prefers_best_vertex_then_lex():
-    spec = registry_lookup("sphere_min")
-    domain = spec.domain
-    grid, cells = subdivide(domain)
-    lattice = run_lattice(domain, 2, grid)  # probes one index, width / 4, apart
-    vertices = label_grid(spec.evaluator, grid, 1, spec.sense, {}, lattice)
-    labels = [v.label for v in vertices]
-    kept = complete_cells(cells, labels)
-    chosen = select_cell(kept, [v.value for v in vertices])  # sphere_min minimizes
-    assert chosen.box.lo == (0.0, 0.0) and chosen.box.hi == (2.0, 2.0)
-    # constant surface: every cell ties, lex-smallest lower corner wins
-    assert select_cell(cells, [1.0] * len(grid)) is cells[0]
-    with pytest.raises(ValueError):
-        select_cell((), [v.value for v in vertices])
+def test_chosen_cell_prefers_best_vertex_then_lex():
+    res, _ = run_builtin("sphere_min", 0.0625)
+    first = res.generations[1]
+    assert first.complete_cells == (first.chosen,)
+    assert (first.chosen.box.lo, first.chosen.box.hi) == ((0.0, 0.0), (2.0, 2.0))
+    # two complete cells: the better best vertex beats the smaller lower corner
+    res, _ = run_builtin("rosenbrock", default_tolerance(registry_lookup("rosenbrock")))
+    third = res.generations[3]
+    best = {c.box.lo: min(third.vertices[i].value for i in c.vertex_indices)
+            for c in third.complete_cells}
+    assert sorted(best) == [(0.512, 0.0), (0.512, 0.512)]
+    assert third.chosen.box.lo == (0.512, 0.512) and best[0.512, 0.512] < best[0.512, 0.0]
+    # constant surface: every cell ties, the smallest lower corner wins
+    cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=0.5)
+    res = run_slm(lambda p: 1.0, SearchBox((0.0, 0.0), (4.0, 4.0)), cfg)
+    assert len(res.generations) == 4
+    for g in res.generations[:-1]:
+        assert g.fallback_used and g.chosen.box.lo == g.box.lo
 
 
 def two_minima(p):
@@ -90,11 +92,11 @@ def two_minima(p):
     return 1.0 if all(x % 2 == 0 for x in p) else 5.0
 
 
-@pytest.mark.parametrize("explore_all, kept", (
-    (False, ((0.0, 2.0), (2.0, 4.0))),  # the cell of the first best vertex, (0, 4)
-    (True, ((0.0, 0.0), (2.0, 2.0))),   # the smallest lower corner among rank-0 cells
-))
-def test_fallback_tie_rule_separates_the_policies(explore_all, kept):
+@pytest.mark.parametrize("explore_all", (False, True))
+def test_fallback_tie_rule_is_shared(explore_all):
+    # the first best vertex, (0, 4), lies only in [0,2]x[2,4]; the smallest
+    # lower corner among the rank-0 cells is that of [0,2]x[0,2]
+    kept = ((0.0, 0.0), (2.0, 2.0))
     cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=1.0, explore_all=explore_all,
                     cell_budget=1)
     res = run_slm(two_minima, SearchBox((0.0, 0.0), (4.0, 4.0)), cfg)
@@ -265,11 +267,16 @@ def test_explore_all_boxes_nest_in_parents():
 
 
 def test_explore_all_budget_one_matches_single_path():
-    single, _ = run_builtin("sphere_min", 0.0625)
-    multi, _ = run_builtin("sphere_min", 0.0625, explore_all=True, cell_budget=1)
-    assert multi.best_point == single.best_point
-    assert multi.best_value == single.best_value
-    assert [g.box for g in multi.generations] == [g.box for g in single.generations]
+    for name in builtin_names():
+        for scale in (1, 8):
+            tol = scale * default_tolerance(registry_lookup(name))
+            single, _ = run_builtin(name, tol)
+            multi, _ = run_builtin(name, tol, explore_all=True, cell_budget=1)
+            assert [(g.box, g.vertices) for g in multi.generations] == \
+                [(g.box, g.vertices) for g in single.generations], (name, scale)
+            assert (multi.best_point, multi.best_value, multi.evaluations, multi.termination) \
+                == (single.best_point, single.best_value, single.evaluations,
+                    single.termination), (name, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +300,7 @@ def test_unsplittable_box_stops_cleanly():
     domain = SearchBox((1.0, 1.0), (1.0 + width, 1.0 + width))
     cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=2 ** -80)
     res = run_slm(lambda p: p[0] + p[1], domain, cfg)
-    assert res.termination == NO_COMPLETE_CELL
+    assert res.termination == BOX_UNSPLITTABLE
     assert res.generations[-1].index == 3
 
 
@@ -303,7 +310,7 @@ def test_probe_stays_in_domain_where_the_midpoint_overflows():
     domain = SearchBox((1e308,), (1.7e308,))
     cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=1e300)
     res, seen = recorded_run(lambda p: p[0] * 1e-308, domain, cfg)
-    assert res.termination == NO_COMPLETE_CELL
+    assert res.termination == BOX_UNSPLITTABLE
     assert seen == [(1e308,), (1.35e308,), (1.7e308,)]
 
 
@@ -381,26 +388,21 @@ def unstored_run(f, domain, cfg):
         termination = (TOLERANCE_REACHED if max(spacing) <= cfg.tolerance
                        else GENERATION_CAP if gen >= cfg.max_generations else None)
         chosen = None
-        if termination is None and cfg.explore_all:
+        if termination is None:
             sure = [(cell_rank(c, vs), c) for _, vs, cm, _ in staged for c in cm]
             unsure = [(cell_rank(c, vs), c) for _, vs, cm, cs in staged if not cm
                       for c in cs]
             ranked = [c for _, c in sorted(sure, key=lambda rc: rc[0])]
             ranked += [c for _, c in sorted(unsure, key=lambda rc: rc[0])]
-            frontier = [c.box for c in ranked[:cfg.cell_budget]]
-        elif termination is None:
-            _, vertices, complete, cells = staged[0]
-            if complete:
-                chosen = min(complete, key=lambda c: cell_rank(c, vertices))
-            else:
-                top = min(range(len(vertices)), key=lambda i: (rank(vertices[i].value), i))
-                chosen = next(c for c in cells if top in c.vertex_indices)
-            frontier = [chosen.box]
+            kept = ranked[:cfg.cell_budget if cfg.explore_all else 1]
+            if not cfg.explore_all:
+                chosen = kept[0]
+            frontier = [c.box for c in kept]
         for i, (box, vertices, complete, _) in enumerate(staged):
             records.append((gen, box, spacing, vertices, complete,
                             chosen if i == 0 else None, not complete))
         if termination is None and not all(splittable(b) for b in frontier):
-            termination = NO_COMPLETE_CELL
+            termination = BOX_UNSPLITTABLE
         if termination is not None:
             break
         spacing = tuple(v / 2.0 for v in spacing)
@@ -507,7 +509,7 @@ def test_deep_run_evaluates_each_point_once():
     domain = SearchBox((0.1,), (0.1 + 1e-12,))
     cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=1e-300, max_generations=60)
     res, seen = recorded_run(lambda p: p[0], domain, cfg)
-    assert res.termination == NO_COMPLETE_CELL
+    assert res.termination == BOX_UNSPLITTABLE
     assert len(res.generations) == 17
     assert res.best_point == (0.1,)
     assert res.evaluations == len(seen) == len(set(seen)) == 47
@@ -530,6 +532,38 @@ def test_point_store_invisible_on_shifted_spheres(n, data, halvings, explore_all
                     explore_all=explore_all, cell_budget=cell_budget)
     assert_store_invisible(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)),
                            domain, cfg)
+
+
+# Quantized L1 cones are flat in steps, so several vertices of a box often
+# tie for best: these examples are descents where the first cell holding
+# the first best vertex is not the smallest lower corner among tied cells.
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    quarters=st.tuples(*[st.integers(-10, 10)] * 3),
+    q=st.sampled_from((0.25, 0.5, 1.0)),
+    halvings=st.integers(1, 5),
+    explore_all=st.booleans(),
+    cell_budget=st.integers(1, 4),
+    sense=st.sampled_from(Sense),
+)
+@example(n=2, quarters=(1, 8, 0), q=0.25, halvings=2, explore_all=False, cell_budget=1,
+         sense=Sense.MINIMIZE)
+@example(n=2, quarters=(5, 1, 0), q=0.25, halvings=3, explore_all=False, cell_budget=1,
+         sense=Sense.MINIMIZE)
+@example(n=2, quarters=(-6, 9, 0), q=1.0, halvings=4, explore_all=False, cell_budget=1,
+         sense=Sense.MINIMIZE)
+@example(n=3, quarters=(-4, -9, 2), q=0.5, halvings=3, explore_all=False, cell_budget=1,
+         sense=Sense.MINIMIZE)
+def test_point_store_invisible_on_quantized_cones(n, quarters, q, halvings, explore_all,
+                                                  cell_budget, sense):
+    centre = [k / 4 for k in quarters[:n]]
+    domain = SearchBox((-2.0,) * n, (2.0,) * n)
+    cfg = SlmConfig(sense=sense, tolerance=4.0 / 2 ** halvings,
+                    explore_all=explore_all, cell_budget=cell_budget)
+    assert_store_invisible(
+        lambda p: float(math.floor(q * sum(abs(x - c) for x, c in zip(p, centre)))),
+        domain, cfg)
 
 
 @settings(max_examples=50, deadline=None)
@@ -616,7 +650,7 @@ def test_generations_halve_nest_and_stay_in_budget(n, data, halvings, explore_al
     cfg = SlmConfig(sense=sense, tolerance=4.0 / 2 ** halvings,
                     explore_all=explore_all, cell_budget=cell_budget)
     res = run_slm(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)), domain, cfg)
-    assert res.termination in (TOLERANCE_REACHED, GENERATION_CAP, NO_COMPLETE_CELL)
+    assert res.termination in (TOLERANCE_REACHED, GENERATION_CAP, BOX_UNSPLITTABLE)
     by_gen = {}
     for g in res.generations:
         assert all(0 <= v.label <= n for v in g.vertices)

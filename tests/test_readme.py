@@ -1,7 +1,8 @@
 """Every `$ slmopt ...` example in README.md prints what the README shows,
 every `python` block runs, every `slmopt.<module>.<name>` its prose
-names exists, and the library imports nothing beyond the standard library
-("Runtime dependencies: none", pyproject's `dependencies = []`)."""
+names exists, the evaluation counts it cites are the pinned ones, and the
+library imports nothing beyond the standard library ("Runtime
+dependencies: none", pyproject's `dependencies = []`)."""
 
 import ast
 import importlib
@@ -14,6 +15,8 @@ import pytest
 
 import slmopt
 from slmopt.cli import main
+
+from test_engine import DISTINCT_POINTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FENCED = re.compile(r"^```([^\n]*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
@@ -89,3 +92,13 @@ def test_library_imports_only_the_standard_library(path):
             top = name.partition(".")[0]
             assert top == "__future__" or top in sys.stdlib_module_names, \
                 f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_readme_cites_the_pinned_evaluation_counts():
+    prose = " ".join(FENCED.sub("", README.read_text(encoding="utf-8")).split())
+    cited = re.search(r"explore-all makes (.*?); descent makes (.*?) in the same order\.", prose)
+    explore = {name: int(count)
+               for count, name in re.findall(r"(\d+)(?: evaluations)? on (\w+)", cited[1])}
+    assert explore == {name: pins[1] for name, pins in DISTINCT_POINTS.items()}
+    assert [int(count) for count in re.findall(r"\d+", cited[2])] == \
+        [pins[0] for pins in DISTINCT_POINTS.values()]
