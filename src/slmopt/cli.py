@@ -44,7 +44,7 @@ from .bench import (
 )
 from .engine import run_slm
 from .geometry import format_box, format_number, format_point
-from .objectives import ObjectiveSpec, UnknownObjectiveError, builtin_names, registry_lookup
+from .objectives import ObjectiveSpec, builtin_names, registry_lookup
 from .trace import build_trace_document, write_trace
 
 
@@ -267,9 +267,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UnknownObjectiveError as e:
-        print(f"error: {e.args[0]}", file=sys.stderr)
         return 2
     except Exception as e:  # an objective may raise anything
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

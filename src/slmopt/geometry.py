@@ -12,17 +12,21 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 Point = tuple[float, ...]
 Spacing = tuple[float, ...]
 
+MAX_BOUND = sys.float_info.max / 2
+
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Closed axis-aligned box, lo[i] < hi[i] in every dimension."""
+    """Closed axis-aligned box, -MAX_BOUND <= lo[i] < hi[i] <= MAX_BOUND in
+    every dimension: there the sum and difference of any two floats are
+    finite, and so is every width, centre and midpoint."""
 
     lo: Point
     hi: Point
@@ -35,8 +39,8 @@ class SearchBox:
         if not self.lo:
             raise ValueError("box needs at least one dimension")
         for a, b in zip(self.lo, self.hi):
-            if not a < b:
-                raise ValueError(f"degenerate bounds: {a!r} >= {b!r}")
+            if not -MAX_BOUND <= a < b <= MAX_BOUND:
+                raise ValueError(f"bounds ({a!r}, {b!r}) need -M <= lo < hi <= M = {MAX_BOUND!r}")
 
     @classmethod
     def _unchecked(cls, lo: Point, hi: Point) -> SearchBox:
@@ -142,11 +146,9 @@ class LatticeAxis(dict):
     The ends hold the domain's lo and hi, and any other k holds
     (x[k - low] + x[k + low]) / 2, where low = k & -k is k's lowest set
     bit. That is the midpoint subdivide computes, so every grid point of
-    a run is a lattice point bit for bit, on every domain. Where that sum
-    overflows, k holds x[k - low] / 2 + x[k + low] / 2 instead: such a
-    box cannot be halved, so k is only ever a probe, and it stays inside
-    the domain. An entry is made on first lookup, and index maps each
-    float made so far to the first index that made it.
+    a run is a lattice point bit for bit, on every domain. An entry is
+    made on first lookup, and index maps each float made so far to the
+    first index that made it.
     """
 
     def __init__(self, lo: float, hi: float, depth: int) -> None:
@@ -158,10 +160,7 @@ class LatticeAxis(dict):
         if not 0 < k < self.top:
             raise KeyError(k)
         low = k & -k
-        a, b = self[k - low], self[k + low]
-        x = (a + b) / 2.0
-        if math.isinf(x):
-            x = a / 2.0 + b / 2.0
+        x = (self[k - low] + self[k + low]) / 2.0
         self[k] = x
         self.index.setdefault(x, k)
         return x

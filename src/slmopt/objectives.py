@@ -8,6 +8,8 @@ Five builtins, all 2-D:
   rosenbrock   100*(x0^2 - x1)^2 + (1 - x0)^2 on [-2.048,2.048]^2, minimize
   shekel       De Jong f5 (Shekel's Foxholes) on [-65.536,65.536]^2, minimize
 
+Each evaluator unpacks its point, so any length but 2 raises ValueError.
+
 Custom objectives can be added at runtime with register_objective.
 """
 
@@ -30,7 +32,9 @@ class ObjectiveSpec:
     evaluator: Callable[[Point], float]
 
 
-class UnknownObjectiveError(KeyError):
+class UnknownObjectiveError(KeyError, ValueError):
+    """A KeyError to lookups, a ValueError to input checks; str is the message."""
+
     def __init__(self, name: str, available: Sequence[str]):
         self.unknown_name = name
         self.available = tuple(available)
@@ -38,25 +42,23 @@ class UnknownObjectiveError(KeyError):
             f"unknown objective {name!r}; available: {', '.join(available)}"
         )
 
-
-def _need_2d(p: Sequence[float]) -> None:
-    if len(p) != 2:
-        raise ValueError(f"expected a 2-D point, got {len(p)} coordinates")
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 def eval_sphere_min(p: Sequence[float]) -> float:
-    _need_2d(p)
-    return p[0] ** 2 + (p[1] - 0.4) ** 2
+    x1, x2 = p
+    return x1 ** 2 + (x2 - 0.4) ** 2
 
 
 def eval_trig(p: Sequence[float]) -> float:
-    _need_2d(p)
-    return math.cos(math.pi * p[0] / 2.0) - math.sin(math.pi * p[1] / 2.0)
+    x1, x2 = p
+    return math.cos(math.pi * x1 / 2.0) - math.sin(math.pi * x2 / 2.0)
 
 
 def eval_rosenbrock(p: Sequence[float]) -> float:
-    _need_2d(p)
-    return 100.0 * (p[0] ** 2 - p[1]) ** 2 + (1.0 - p[0]) ** 2
+    x0, x1 = p
+    return 100.0 * (x0 ** 2 - x1) ** 2 + (1.0 - x0) ** 2
 
 
 # well j = 1..25 sits at column (j-1) mod 5, row (j-1) div 5 of these
@@ -73,12 +75,12 @@ def eval_shekel(p: Sequence[float]) -> float:
     row) is added for j = 1..25 by plain += (sum() compensates from
     Python 3.12), bit-identical to the well-by-well formula.
     """
-    _need_2d(p)
-    cols = [(p[0] - a0) ** 6 for a0 in _SHEKEL_BASE]
+    x1, x2 = p
+    cols = [(x1 - a0) ** 6 for a0 in _SHEKEL_BASE]
     total = 0.0
     j = 0
     for a1 in _SHEKEL_BASE:
-        row = (p[1] - a1) ** 6
+        row = (x2 - a1) ** 6
         for col in cols:
             j += 1
             total += 1.0 / ((j + col) + row)

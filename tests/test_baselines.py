@@ -16,7 +16,7 @@ from slmopt.baselines import (
     simulated_annealing,
 )
 from slmopt.bench import _BASELINE_FNS, DEFAULT_ITERATIONS
-from slmopt.geometry import SearchBox
+from slmopt.geometry import MAX_BOUND, SearchBox
 from slmopt.labeling import ObjectiveEvaluationError, Sense
 from slmopt.objectives import ObjectiveSpec, builtin_names, registry_lookup
 
@@ -118,6 +118,18 @@ def test_best_points_stay_in_domain():
             for spec in (SPHERE, registry_lookup("shekel")):
                 res = run(spec, cfg(iterations=40, seed=seed))
                 assert spec.domain.contains(res.best_point)
+
+
+@pytest.mark.parametrize("run", ALL_RUNNERS, ids=lambda run: run.__name__)
+def test_largest_box_proposals_are_finite_and_inside(run):
+    domain = SearchBox((-MAX_BOUND, -MAX_BOUND), (MAX_BOUND, MAX_BOUND))
+    spec, calls = recording(ObjectiveSpec(
+        "scaled_sphere", domain, Sense.MINIMIZE, (((0.0, 0.0), 0.0),),
+        lambda p: (p[0] / MAX_BOUND) ** 2 + (p[1] / MAX_BOUND) ** 2))
+    res = run(spec, cfg(iterations=300, seed=3))
+    assert len(calls) == res.evaluations
+    assert all(math.isfinite(v) for p in calls for v in p)
+    assert all(domain.contains(p) for p in calls)
 
 
 def test_maximize_sense_improves_upward():

@@ -143,9 +143,10 @@ def test_optimize_requires_function(capsys):
 
 
 def test_optimize_unknown_function(capsys):
-    rc, _, err = run_cli(capsys, "optimize", "--function", "nope")
-    assert rc == 2
-    assert "unknown objective 'nope'" in err
+    rc, out, err = run_cli(capsys, "optimize", "--function", "nope")
+    assert (rc, out) == (2, "")
+    assert err == ("error: unknown objective 'nope'; available: sphere_min, trig, "
+                   "sphere_max, rosenbrock, shekel\n")
 
 
 def _raising_objective():

@@ -16,7 +16,7 @@ from slmopt.engine import (
     complete_cells,
     run_slm,
 )
-from slmopt.geometry import Cell, SearchBox, corners, splittable, subdivide
+from slmopt.geometry import MAX_BOUND, Cell, SearchBox, corners, splittable, subdivide
 from slmopt.labeling import ObjectiveEvaluationError, Sense
 from slmopt.objectives import builtin_names, registry_lookup
 
@@ -304,14 +304,17 @@ def test_unsplittable_box_stops_cleanly():
     assert res.generations[-1].index == 3
 
 
-def test_probe_stays_in_domain_where_the_midpoint_overflows():
-    # (1e308 + 1.7e308) / 2 is inf, so the domain cannot be halved; its
-    # lattice midpoint is 1e308 / 2 + 1.7e308 / 2, probed from both corners
-    domain = SearchBox((1e308,), (1.7e308,))
-    cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=1e300)
-    res, seen = recorded_run(lambda p: p[0] * 1e-308, domain, cfg)
-    assert res.termination == BOX_UNSPLITTABLE
-    assert seen == [(1e308,), (1.35e308,), (1.7e308,)]
+def test_largest_box_descends_on_finite_spacings():
+    # every width, midpoint and probe of (-M, M)^2 is finite, so the
+    # descent halves down to the tolerance like any other
+    domain = SearchBox((-MAX_BOUND, -MAX_BOUND), (MAX_BOUND, MAX_BOUND))
+    cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=MAX_BOUND / 2 ** 9)
+    res, seen = recorded_run(lambda p: (p[0] / MAX_BOUND) ** 2 + (p[1] / MAX_BOUND) ** 2,
+                             domain, cfg)
+    assert res.termination == TOLERANCE_REACHED
+    assert (len(res.generations), res.evaluations) == (11, 372)
+    assert all(math.isfinite(s) for g in res.generations for s in g.spacing)
+    assert all(domain.contains(p) for p in seen)
 
 
 def test_non_finite_value_reports_generation():

@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slmopt.geometry import (
+    MAX_BOUND,
     Cell,
     LatticeAxis,
     SearchBox,
@@ -46,6 +48,31 @@ def test_box_validation():
         SearchBox((0.0, 0.0), (1.0, 0.0))
     with pytest.raises(ValueError):
         SearchBox((1.0,), (1.0,))
+
+
+@pytest.mark.parametrize("lo, hi", (
+    (1.0, 1.0),
+    (math.nan, 1.0),
+    (-math.inf, math.inf),
+    (0.0, math.inf),
+    (-1.7e308, 1.7e308),  # the width overflows
+    (1e308, 1.7e308),  # the centre overflows
+    (0.0, 1.7e308),  # the midpoint of the upper half overflows
+    (0.0, math.nextafter(MAX_BOUND, math.inf)),
+), ids=("degenerate", "nan", "infinite", "half_infinite", "wide", "high", "high_half",
+        "just_over"))
+def test_box_rejects_bounds_outside_the_finite_range(lo, hi):
+    # one message for every way an axis can break -M <= lo < hi <= M
+    with pytest.raises(ValueError, match=re.escape(f"bounds ({lo!r}, {hi!r}) need -M <= lo")):
+        SearchBox((0.0, lo), (1.0, hi))
+
+
+def test_largest_box_has_finite_widths_centre_and_grid():
+    box = SearchBox((-MAX_BOUND, -MAX_BOUND), (MAX_BOUND, MAX_BOUND))
+    assert box.widths() == (2 * MAX_BOUND,) * 2
+    assert box.center() == (0.0, 0.0)
+    for cell in subdivide(box)[1]:
+        assert all(math.isfinite(v) for p in subdivide(cell.box)[0] for v in p)
 
 
 def test_box_metrics():

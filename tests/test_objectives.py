@@ -166,6 +166,13 @@ def test_unknown_name_error():
     assert "unknown objective" in str(err.value.args[0])
 
 
+def test_unknown_name_error_reads_as_its_message():
+    err = UnknownObjectiveError("nope", ("a", "b"))
+    assert str(err) == "unknown objective 'nope'; available: a, b"
+    assert err.unknown_name == "nope" and err.available == ("a", "b")
+    assert isinstance(err, KeyError) and isinstance(err, ValueError)
+
+
 def test_register_custom_objective():
     name = "test_ridge_xyzzy"
     try:
@@ -199,3 +206,18 @@ def test_register_rejects_optimum_outside_domain():
             known_optima=(((2.0,), 0.0),),
             evaluator=lambda p: p[0],
         ))
+
+
+def test_register_rejects_an_overflowing_domain():
+    # the domain is checked as the spec is built, before anything registers
+    name = "test_overflowing_domain_xyzzy"
+    with pytest.raises(ValueError, match=r"bounds \(0.0, 1.7e\+308\)"):
+        register_objective(ObjectiveSpec(
+            name=name,
+            domain=SearchBox((0.0,), (1.7e308,)),
+            sense=Sense.MINIMIZE,
+            known_optima=(),
+            evaluator=lambda p: p[0],
+        ))
+    with pytest.raises(UnknownObjectiveError):
+        registry_lookup(name)
