@@ -5,9 +5,10 @@ Reproducibility contract: every run owns a fresh stdlib
 ``random.Random(seed)`` (Mersenne Twister), and all randomness flows
 through ``rng.random()`` alone, drawn dimension-major (one draw per
 coordinate per proposal, in coordinate order). Equal (spec, cfg) gives
-bit-identical results on any platform. A non-finite value raises
+bit-identical results on any platform. Each run calls its objective
+through labeling.checked, as run_slm does: a non-finite value raises
 ObjectiveEvaluationError with its point and its 1-based evaluation
-number, as run_slm's names the generation.
+number.
 
 Each run binds its invariants once: the bound ``random`` method, the
 objective, the comparison (Sense.better: operator.lt or operator.gt), the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .geometry import Point
-from .labeling import ObjectiveEvaluationError, _checked
+from .labeling import checked
 from .objectives import ObjectiveSpec
 
 # proposal radius per dimension, as a fraction of the domain width,
@@ -89,19 +90,15 @@ def random_search(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResult:
     """
     draw = random.Random(cfg.seed).random
     better = spec.sense.better
-    f = spec.evaluator
+    f = checked(spec.evaluator)
     axes = tuple(zip(spec.domain.lo, spec.domain.widths()))
-    k = 1
-    try:
-        best_p = tuple([a + w * draw() for a, w in axes])
-        best_v = _checked(f, best_p)
-        for k in range(2, cfg.iterations + 1):
-            p = tuple([a + w * draw() for a, w in axes])
-            v = _checked(f, p)
-            if better(v, best_v):
-                best_p, best_v = p, v
-    except ObjectiveEvaluationError as e:
-        raise ObjectiveEvaluationError(e.point, e.value, evaluation=k) from e
+    best_p = tuple([a + w * draw() for a, w in axes])
+    best_v = f(best_p)
+    for _ in range(cfg.iterations - 1):
+        p = tuple([a + w * draw() for a, w in axes])
+        v = f(p)
+        if better(v, best_v):
+            best_p, best_v = p, v
     return OptimRunResult(best_p, best_v, cfg.iterations)
 
 
@@ -127,19 +124,15 @@ def random_search_walk(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResu
     """
     draw = random.Random(cfg.seed).random
     better = spec.sense.better
-    f = spec.evaluator
+    f = checked(spec.evaluator)
     bounds = tuple(zip(spec.domain.lo, spec.domain.hi, spec.domain.widths()))
     x, notes = _initial(spec, cfg)
-    k = 1
-    try:
-        fx = _checked(f, x)
-        for k, scale in enumerate(_step_scales(cfg), 2):
-            p = _propose(draw, x, bounds, scale)
-            v = _checked(f, p)
-            if better(v, fx):
-                x, fx = p, v
-    except ObjectiveEvaluationError as e:
-        raise ObjectiveEvaluationError(e.point, e.value, evaluation=k) from e
+    fx = f(x)
+    for scale in _step_scales(cfg):
+        p = _propose(draw, x, bounds, scale)
+        v = f(p)
+        if better(v, fx):
+            x, fx = p, v
     return OptimRunResult(x, fx, cfg.iterations + 1, notes)
 
 
@@ -156,35 +149,29 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
     """
     draw = random.Random(cfg.seed).random
     better = spec.sense.better
-    f = spec.evaluator
+    f = checked(spec.evaluator)
     exp = math.exp
     lo, widths = spec.domain.lo, spec.domain.widths()
     axes = tuple(zip(lo, widths))
     bounds = tuple(zip(lo, spec.domain.hi, widths))
     x, notes = _initial(spec, cfg)
-    samples = []
-    try:
-        for k in range(1, TEMPERATURE_SAMPLES + 1):
-            samples.append(_checked(f, tuple([a + w * draw() for a, w in axes])))
-        temperature = max(samples) - min(samples)
-        if temperature <= 0.0:
-            temperature = 1.0
-        k = TEMPERATURE_SAMPLES + 1
-        fx = _checked(f, x)
-        best_p, best_v = x, fx
-        for k, scale in enumerate(_step_scales(cfg), TEMPERATURE_SAMPLES + 2):
-            p = _propose(draw, x, bounds, scale)
-            v = _checked(f, p)
-            if v == fx or better(v, fx):
+    samples = [f(tuple([a + w * draw() for a, w in axes])) for _ in range(TEMPERATURE_SAMPLES)]
+    temperature = max(samples) - min(samples)
+    if temperature <= 0.0:
+        temperature = 1.0
+    fx = f(x)
+    best_p, best_v = x, fx
+    for scale in _step_scales(cfg):
+        p = _propose(draw, x, bounds, scale)
+        v = f(p)
+        if v == fx or better(v, fx):
+            x, fx = p, v
+        else:
+            u = draw()
+            # T underflows to 0.0 after about 14 500 iterations
+            if temperature > 0.0 and u < exp(-abs(v - fx) / temperature):
                 x, fx = p, v
-            else:
-                u = draw()
-                # T underflows to 0.0 after about 14 500 iterations
-                if temperature > 0.0 and u < exp(-abs(v - fx) / temperature):
-                    x, fx = p, v
-            if better(fx, best_v):
-                best_p, best_v = x, fx
-            temperature *= COOLING_RATIO
-    except ObjectiveEvaluationError as e:
-        raise ObjectiveEvaluationError(e.point, e.value, evaluation=k) from e
+        if better(fx, best_v):
+            best_p, best_v = x, fx
+        temperature *= COOLING_RATIO
     return OptimRunResult(best_p, best_v, cfg.iterations + TEMPERATURE_SAMPLES + 1, notes)

@@ -25,8 +25,10 @@ coordinate from the table and rejects a vertex coordinate that is not
 in it, so a lattice point has one float on every domain, whether
 reached as a grid point or as a probe. run_slm owns a point -> value
 store keyed on the float tuple and hands it to every label_grid call,
-which evaluates and checks only the points missing from it; each
-generation labels the distinct grid points of all its boxes together.
+which evaluates and checks only the points missing from it, numbering
+them on from the store's size, so a non-finite value names the run's
+call number; each generation labels the distinct grid points of all
+its boxes together.
 Each lattice point is then evaluated once per run and labeled at most
 once per generation, and `evaluations` counts them. 0.0 and -0.0
 compare equal and share one key. First-time evaluations happen in the
@@ -57,7 +59,6 @@ from .geometry import (
 from .labeling import (
     LabeledVertex,
     Objective,
-    ObjectiveEvaluationError,
     Sense,
     label_grid,
 )
@@ -146,11 +147,7 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
         layouts.append((box, grid, cells))
         for p in grid:
             position.setdefault(p, len(position))
-    try:
-        labeled = label_grid(f, tuple(position), lattice[0].top >> (gen + 1), sense, store,
-                             lattice)
-    except ObjectiveEvaluationError as e:
-        raise ObjectiveEvaluationError(e.point, e.value, generation=gen) from e
+    labeled = label_grid(f, tuple(position), lattice[0].top >> (gen + 1), sense, store, lattice)
     minimize = sense is Sense.MINIMIZE
     staged = []
     for box, grid, cells in layouts:

@@ -7,7 +7,8 @@ prefer p, then the earliest neighbour in lexicographic order) defines a
 displacement d = winner - p, and the label is 0 when no component of d
 is negative, otherwise the largest 1-based index of a negative
 component. label_grid memoizes each axis's candidates and reads the
-caller's point store before calling f.
+caller's point store before calling f. checked numbers and checks the
+objective's calls for every method, slm and the baselines alike.
 """
 
 from __future__ import annotations
@@ -36,22 +37,14 @@ class Sense(enum.Enum):
 
 
 class ObjectiveEvaluationError(ValueError):
-    """The objective returned a non-finite value.
+    """The objective returned a non-finite value: the point, the value and
+    the 1-based number of the run's call that returned it."""
 
-    Carries the offending point; when they re-raise it, the subdivision
-    loop attaches the generation index and a baseline the 1-based
-    evaluation number.
-    """
-
-    def __init__(self, point: Point, value: float, generation: int | None = None,
-                 evaluation: int | None = None):
+    def __init__(self, point: Point, value: float, evaluation: int):
         self.point = point
         self.value = value
-        self.generation = generation
         self.evaluation = evaluation
-        where = (f" at generation {generation}" if generation is not None
-                 else f" at evaluation {evaluation}" if evaluation is not None else "")
-        super().__init__(f"objective returned {value!r} at {point!r}{where}")
+        super().__init__(f"objective returned {value!r} at {point!r} at evaluation {evaluation}")
 
 
 @dataclass(frozen=True)
@@ -62,11 +55,21 @@ class LabeledVertex:
     label: int
 
 
-def _checked(f: Objective, p: Point) -> float:
-    v = float(f(p))
-    if not math.isfinite(v):
-        raise ObjectiveEvaluationError(p, v)
-    return v
+def checked(f: Objective, done: int = 0) -> Objective:
+    """f wrapped so that its calls are numbered from done + 1 and each
+    value is checked: a non-finite one raises ObjectiveEvaluationError
+    with the point, the value and the call's number."""
+    calls = done
+
+    def g(p: Point) -> float:
+        nonlocal calls
+        calls += 1
+        v = float(f(p))
+        if not math.isfinite(v):
+            raise ObjectiveEvaluationError(p, v, calls)
+        return v
+
+    return g
 
 
 def label_of(displacement: Sequence[float]) -> int:
@@ -97,8 +100,11 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
     is added; run_slm passes one store per run, so there each lattice
     point is evaluated once per run. Evaluation order is p, then its
     candidates, vertex by vertex, whatever the store already holds.
+    Calls are numbered on from len(values), so with the run's store a
+    non-finite value names the run's call number.
     """
     n = len(lattice)
+    f = checked(f, len(values))
     minimize = sense is Sense.MINIMIZE
     per_axis = tuple((axis, {}) for axis in lattice)
     labeled = []
@@ -113,12 +119,12 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
             axes.append(candidates)
         value = values.get(p)
         if value is None:
-            value = values[p] = _checked(f, p)
+            value = values[p] = f(p)
         best, best_v = p, value
         for q in itertools.product(*axes):
             v = values.get(q)
             if v is None:
-                v = values[q] = _checked(f, q)
+                v = values[q] = f(q)
             if (v < best_v) if minimize else (v > best_v):
                 best, best_v = q, v
         labeled.append(LabeledVertex(point=p, value=value, probe_target=best,

@@ -21,8 +21,15 @@ from slmopt.baselines import (
     OptimRunResult,
 )
 from slmopt.geometry import Point, SearchBox
-from slmopt.labeling import _checked
 from slmopt.objectives import ObjectiveSpec
+
+
+def _checked(f, p: Point) -> float:
+    """f(p) as a float; a non-finite value stops the reference loop."""
+    v = float(f(p))
+    if not math.isfinite(v):
+        raise ValueError(f"objective returned {v!r} at {p!r}")
+    return v
 
 
 def _uniform_point(rng: random.Random, lo: Point, widths: tuple[float, ...]) -> Point:

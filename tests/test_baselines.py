@@ -402,5 +402,5 @@ def test_non_finite_value_raises_with_the_point(run, bad):
         assert len(seen) == k
         assert err.value.point == seen[-1]
         assert repr(err.value.value) == repr(bad)
-        assert err.value.evaluation == k and err.value.generation is None
+        assert err.value.evaluation == k
         assert str(err.value) == f"objective returned {bad!r} at {seen[-1]!r} at evaluation {k}"

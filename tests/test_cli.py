@@ -201,8 +201,8 @@ def _non_finite_objective(bad):
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
-@pytest.mark.parametrize("method", ("rs", "rsw", "sa"))
-def test_baseline_non_finite_value_is_one_line_error(method, bad, capsys):
+@pytest.mark.parametrize("method", ("slm", "rs", "rsw", "sa"))
+def test_non_finite_value_is_one_line_error(method, bad, capsys):
     rc, out, err = run_cli(capsys, "optimize", "--function", _non_finite_objective(bad),
                            "--method", method)
     assert rc == 2 and out == ""

@@ -317,18 +317,46 @@ def test_largest_box_descends_on_finite_spacings():
     assert all(domain.contains(p) for p in seen)
 
 
-def test_non_finite_value_reports_generation():
+def test_non_finite_value_reports_evaluation():
     domain = SearchBox((-2.0, -2.0), (2.0, 2.0))
+    seen = []
 
     def f(p):
+        seen.append(p)
         if p == (1.0, 1.0):  # first reachable by generation-1 probes
             return math.inf
         return p[0] ** 2 + (p[1] - 0.4) ** 2
 
     with pytest.raises(ObjectiveEvaluationError) as err:
         run_slm(f, domain, SlmConfig(sense=Sense.MINIMIZE, tolerance=0.0625))
-    assert err.value.generation == 1
     assert err.value.point == (1.0, 1.0)
+    assert err.value.evaluation == len(seen) == 22  # the run's 22nd call
+
+
+@pytest.mark.parametrize("explore_all", (False, True))
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_non_finite_value_names_the_runs_call(bad, explore_all):
+    # nan at call k only, or inf on every call from k on: the run stops at
+    # call k and names it, as the baselines do. Call 1 is a corner of
+    # generation 0, 5 the first of generation 1, and the later ones lie
+    # deeper in the run
+    spec = registry_lookup("sphere_min")
+    cfg = SlmConfig(sense=spec.sense, tolerance=default_tolerance(spec), explore_all=explore_all)
+    for k in (1, 2, 5, 11, 12, 20, 100):
+        seen = []
+
+        def f(p):
+            seen.append(p)
+            failing = len(seen) >= k if math.isinf(bad) else len(seen) == k
+            return bad if failing else spec.evaluator(p)
+
+        with pytest.raises(ObjectiveEvaluationError) as err:
+            run_slm(f, spec.domain, cfg)
+        assert len(seen) == k
+        assert err.value.point == seen[-1]
+        assert repr(err.value.value) == repr(bad)
+        assert err.value.evaluation == k
+        assert str(err.value) == f"objective returned {bad!r} at {seen[-1]!r} at evaluation {k}"
 
 
 def test_runs_are_deterministic():

@@ -195,7 +195,7 @@ def test_non_finite_objective_raises():
     with pytest.raises(ObjectiveEvaluationError) as err:
         label_points(lambda p: math.nan, ((0.5, 0.5),), (0.25, 0.25), box)
     assert err.value.point == (0.5, 0.5)
-    assert err.value.generation is None
+    assert err.value.evaluation == 1
 
 
 def test_scaling_by_powers_of_two_preserves_labels():
@@ -272,6 +272,18 @@ def test_non_finite_value_is_not_stored():
     assert err.value.point == bad
     assert bad not in values
     assert all(math.isfinite(v) for v in values.values())
+
+
+def test_label_grid_numbers_calls_on_from_the_store():
+    # the store holds the calls made before this one, so the first miss is
+    # call 4 of the run
+    box = SearchBox((0.0, 0.0), (1.0, 1.0))
+    values = {(0.0, 0.0): 0.0, (0.0, 1.0): 0.0, (1.0, 0.0): 0.0}
+    with pytest.raises(ObjectiveEvaluationError) as err:
+        label_points(lambda p: math.nan, ((0.5, 0.5),), (0.5, 0.5), box, depth=2,
+                     values=values)
+    assert err.value.evaluation == 4
+    assert str(err.value) == "objective returned nan at (0.5, 0.5) at evaluation 4"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 every `python` block runs, every `slmopt.<module>.<name>` its prose
 names exists, the evaluation counts it cites are the pinned ones, and the
 library imports nothing beyond the standard library ("Runtime
-dependencies: none", pyproject's `dependencies = []`)."""
+dependencies: none", pyproject's `dependencies = []`) and parses at
+pyproject's `requires-python` floor."""
 
 import ast
 import importlib
@@ -19,6 +20,8 @@ from slmopt.cli import main
 from test_engine import DISTINCT_POINTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
+LIBRARY = sorted(Path(slmopt.__file__).parent.glob("*.py"))
 FENCED = re.compile(r"^```([^\n]*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
@@ -76,8 +79,7 @@ def test_readme_prose_name_resolves(module, name):
     assert hasattr(importlib.import_module(f"slmopt.{module}"), name)
 
 
-@pytest.mark.parametrize("path", sorted(Path(slmopt.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda path: path.name)
 def test_library_imports_only_the_standard_library(path):
     """Every import is __future__, package-relative, or of a module whose
     top-level name is in sys.stdlib_module_names."""
@@ -92,6 +94,14 @@ def test_library_imports_only_the_standard_library(path):
             top = name.partition(".")[0]
             assert top == "__future__" or top in sys.stdlib_module_names, \
                 f"{path.name}:{node.lineno} imports {name}"
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda path: path.name)
+def test_library_parses_at_the_oldest_supported_python(path):
+    """Every module parses with the grammar of pyproject's requires-python
+    floor, which a newer interpreter running the suite would not check."""
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.MULTILINE)
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=tuple(map(int, floor.groups())))
 
 
 def test_readme_cites_the_pinned_evaluation_counts():
