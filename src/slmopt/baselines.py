@@ -6,9 +6,9 @@ Reproducibility contract: every run owns a fresh stdlib
 through ``rng.random()`` alone, drawn dimension-major (one draw per
 coordinate per proposal, in coordinate order). Equal (spec, cfg) gives
 bit-identical results on any platform. Each run calls its objective
-through labeling.checked, as run_slm does: a non-finite value raises
-ObjectiveEvaluationError with its point and its 1-based evaluation
-number.
+through labeling.checked, as run_slm does: a call that raises or
+returns a non-finite value raises ObjectiveEvaluationError with its
+point and its 1-based evaluation number.
 
 Each run binds its invariants once: the bound ``random`` method, the
 objective, the comparison (Sense.better: operator.lt or operator.gt), the

@@ -268,7 +268,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # an objective may raise anything
+    except Exception as e:  # any other failure
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 

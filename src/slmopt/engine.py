@@ -26,7 +26,7 @@ in it, so a lattice point has one float on every domain, whether
 reached as a grid point or as a probe. run_slm owns a point -> value
 store keyed on the float tuple and hands it to every label_grid call,
 which evaluates and checks only the points missing from it, numbering
-them on from the store's size, so a non-finite value names the run's
+them on from the store's size, so a failing call names the run's
 call number; each generation labels the distinct grid points of all
 its boxes together.
 Each lattice point is then evaluated once per run and labeled at most
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .geometry import (
     Cell,
@@ -88,8 +88,7 @@ class SlmConfig:
             raise ValueError("cell_budget must be at least 1")
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
+class GenerationRecord(NamedTuple):
     index: int
     box: SearchBox
     spacing: Spacing
@@ -117,9 +116,7 @@ def complete_cells(cells: Sequence[Cell], labels: Sequence[int]) -> tuple[Cell, 
     if not cells:
         return ()
     needed = set(range(cells[0].box.dimension + 1))
-    return tuple(
-        c for c in cells if needed.issubset(labels[i] for i in c.vertex_indices)
-    )
+    return tuple(c for c in cells if needed.issubset(map(labels.__getitem__, c.vertex_indices)))
 
 
 def _cell_key(cell: Cell, ranks: Sequence[float]) -> tuple[float, Point]:
@@ -219,8 +216,7 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
         staged = _label_frontier(f, store, lattice, frontier, gen, sense)
         refine = _next_cells(staged, config) if gen + 1 < len(spacings) else []
         chosen = refine[0] if refine and not config.explore_all else None  # descent has one box
-        generations += [GenerationRecord(index=gen, box=box, spacing=spacing, vertices=vertices,
-                                         complete_cells=complete, chosen=chosen)
+        generations += [GenerationRecord(gen, box, spacing, vertices, complete, chosen)
                         for box, _, vertices, complete, _ in staged]
         if not all(splittable(c.box) for c in refine):
             termination = BOX_UNSPLITTABLE

@@ -14,7 +14,7 @@ import functools
 import itertools
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Point = tuple[float, ...]
 Spacing = tuple[float, ...]
@@ -88,8 +88,7 @@ def format_box(box: SearchBox) -> str:
     return " x ".join(f"[{format_number(a)}, {format_number(b)}]" for a, b in zip(box.lo, box.hi))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     """One sub-box of a subdivision, with indices of its corners in the
     generation's grid (corner order matches corners(box))."""
 

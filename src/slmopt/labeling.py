@@ -3,12 +3,13 @@
 Each grid vertex p is compared against its neighbours on the run's
 dyadic lattice (geometry.LatticeAxis), a probe step of indices away
 along each axis, those outside the domain discarded. The winner (ties
-prefer p, then the earliest neighbour in lexicographic order) defines a
-displacement d = winner - p, and the label is 0 when no component of d
-is negative, otherwise the largest 1-based index of a negative
-component. label_grid memoizes each axis's candidates and reads the
-caller's point store before calling f. checked numbers and checks the
-objective's calls for every method, slm and the baselines alike.
+prefer p, then the earliest neighbour in lexicographic order) defines
+the label: 0 when no coordinate of the winner is below p's, otherwise
+the largest 1-based index of one that is (the winner - p displacement's
+last negative component). label_grid memoizes each axis's candidates and
+reads the caller's point store before calling f. checked numbers and
+checks the objective's calls for every method, slm and the baselines
+alike.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .geometry import LatticeAxis, Point
 
@@ -37,18 +37,20 @@ class Sense(enum.Enum):
 
 
 class ObjectiveEvaluationError(ValueError):
-    """The objective returned a non-finite value: the point, the value and
-    the 1-based number of the run's call that returned it."""
+    """The objective raised, or returned a non-finite value: the point,
+    the value (or the exception raised, also the error's __cause__) and
+    the 1-based number of the run's call."""
 
-    def __init__(self, point: Point, value: float, evaluation: int):
+    def __init__(self, point: Point, value: float | Exception, evaluation: int):
         self.point = point
         self.value = value
         self.evaluation = evaluation
-        super().__init__(f"objective returned {value!r} at {point!r} at evaluation {evaluation}")
+        what = (f"raised {type(value).__name__}: {value}" if isinstance(value, Exception)
+                else f"returned {value!r}")
+        super().__init__(f"objective {what} at {point!r} at evaluation {evaluation}")
 
 
-@dataclass(frozen=True)
-class LabeledVertex:
+class LabeledVertex(NamedTuple):
     point: Point
     value: float
     probe_target: Point
@@ -57,29 +59,23 @@ class LabeledVertex:
 
 def checked(f: Objective, done: int = 0) -> Objective:
     """f wrapped so that its calls are numbered from done + 1 and each
-    value is checked: a non-finite one raises ObjectiveEvaluationError
-    with the point, the value and the call's number."""
+    call is checked: one that raises, or returns a value float() rejects
+    or that is not finite, raises ObjectiveEvaluationError with the
+    point, the value or exception and the call's number."""
     calls = done
 
     def g(p: Point) -> float:
         nonlocal calls
         calls += 1
-        v = float(f(p))
+        try:
+            v = float(f(p))
+        except Exception as e:
+            raise ObjectiveEvaluationError(p, e, calls) from e
         if not math.isfinite(v):
             raise ObjectiveEvaluationError(p, v, calls)
         return v
 
     return g
-
-
-def label_of(displacement: Sequence[float]) -> int:
-    """0 if every component is >= 0, else the largest 1-based index
-    whose component is negative."""
-    label = 0
-    for i, d in enumerate(displacement):
-        if d < 0:
-            label = i + 1
-    return label
 
 
 def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
@@ -93,7 +89,10 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
     On each axis the candidates of x, at index k, are the lattice floats
     at k - step, k and k + step that lie in [0, 2**depth]; a vertex p is
     compared with p, then with their product in lexicographic order, and
-    ties keep the incumbent. Each axis memoizes x -> its candidates.
+    ties keep the incumbent. The label is 0 when p wins, else i + 1 for
+    the largest i with winner[i] < p[i]: the displacement rule, since
+    inside MAX_BOUND winner[i] - p[i] < 0 exactly when winner[i] < p[i].
+    Each axis memoizes x -> its candidates.
 
     values is the caller's point -> value store. f is called, and its
     value checked, only for points missing from it, and each new point
@@ -101,7 +100,7 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
     point is evaluated once per run. Evaluation order is p, then its
     candidates, vertex by vertex, whatever the store already holds.
     Calls are numbered on from len(values), so with the run's store a
-    non-finite value names the run's call number.
+    failing call names the run's call number.
     """
     n = len(lattice)
     f = checked(f, len(values))
@@ -127,6 +126,10 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
                 v = values[q] = f(q)
             if (v < best_v) if minimize else (v > best_v):
                 best, best_v = q, v
-        labeled.append(LabeledVertex(point=p, value=value, probe_target=best,
-                                     label=label_of([t - x for t, x in zip(best, p)])))
+        label = 0
+        if best is not p:
+            for i, t in enumerate(best):
+                if t < p[i]:
+                    label = i + 1
+        labeled.append(LabeledVertex(p, value, best, label))
     return tuple(labeled)

@@ -1,13 +1,24 @@
 """The test suite's one reference for a run's dyadic lattice, coded apart
 from geometry.LatticeAxis: its depth, its floats built level by level, the
-index of a lattice point, and the labeling of one vertex on it.
+index of a lattice point, and the labeling of one vertex on it, with
+the label rule label_grid is checked against (label_of).
 
 test_engine, test_labeling and test_acceptance import it."""
 
 import itertools
 
 from slmopt.geometry import LatticeAxis
-from slmopt.labeling import LabeledVertex, label_of
+from slmopt.labeling import LabeledVertex
+
+
+def label_of(displacement):
+    """0 if every component is >= 0, else the largest 1-based index
+    whose component is negative."""
+    label = 0
+    for i, d in enumerate(displacement):
+        if d < 0:
+            label = i + 1
+    return label
 
 
 def lattice_depth(domain, cfg):

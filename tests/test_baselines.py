@@ -404,3 +404,23 @@ def test_non_finite_value_raises_with_the_point(run, bad):
         assert repr(err.value.value) == repr(bad)
         assert err.value.evaluation == k
         assert str(err.value) == f"objective returned {bad!r} at {seen[-1]!r} at evaluation {k}"
+
+
+@pytest.mark.parametrize("run", ALL_RUNNERS)
+def test_raising_objective_names_the_point_and_call(run):
+    # the objective's exception stops the run at its call and is chained
+    seen = []
+
+    def f(p):
+        seen.append(p)
+        if len(seen) == 5:
+            raise RuntimeError("no value here")
+        return SPHERE.evaluator(p)
+
+    with pytest.raises(ObjectiveEvaluationError) as err:
+        run(dataclasses.replace(SPHERE, evaluator=f), cfg(iterations=20))
+    assert err.value.point == seen[-1]
+    assert err.value.evaluation == len(seen) == 5
+    assert isinstance(err.value.__cause__, RuntimeError)
+    assert str(err.value) == (f"objective raised RuntimeError: no value here at {seen[-1]!r} "
+                              "at evaluation 5")

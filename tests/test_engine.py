@@ -359,6 +359,44 @@ def test_non_finite_value_names_the_runs_call(bad, explore_all):
         assert str(err.value) == f"objective returned {bad!r} at {seen[-1]!r} at evaluation {k}"
 
 
+@pytest.mark.parametrize("explore_all", (False, True))
+def test_raising_objective_names_the_runs_call(explore_all):
+    # calls 1-3 are (0,), its probe (0.5,) and the corner (1,): the run
+    # stops at the one that raises, names it and chains the exception
+    seen = []
+
+    def f(p):
+        seen.append(p)
+        if len(seen) == 3:
+            raise RuntimeError("no value here")
+        return p[0]
+
+    cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=0.25, explore_all=explore_all)
+    with pytest.raises(ObjectiveEvaluationError) as err:
+        run_slm(f, SearchBox((0.0,), (1.0,)), cfg)
+    assert err.value.point == seen[-1] == (1.0,)
+    assert err.value.evaluation == len(seen) == 3
+    assert isinstance(err.value.__cause__, RuntimeError)
+    assert err.value.value is err.value.__cause__
+    assert str(err.value) == "objective raised RuntimeError: no value here at (1.0,) at evaluation 3"
+
+
+@pytest.mark.parametrize("pick, field", (
+    (lambda g: g.vertices[0], "label"),
+    (lambda g: g.complete_cells[0], "box"),
+    (lambda g: g, "chosen"),
+), ids=("LabeledVertex", "Cell", "GenerationRecord"))
+def test_records_are_read_only(pick, field):
+    res, _ = run_builtin("trig", 0.5, explore_all=True)
+    assert {g.fallback_used for g in res.generations} == {False, True}
+    assert all(g.fallback_used == (not g.complete_cells) for g in res.generations)
+    record = pick(next(g for g in res.generations if g.complete_cells))
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert record == tuple(record)
+    assert getattr(record, field) is record[type(record)._fields.index(field)]
+
+
 def test_runs_are_deterministic():
     a, _ = run_builtin("trig", 0.25, explore_all=True, cell_budget=16)
     b, _ = run_builtin("trig", 0.25, explore_all=True, cell_budget=16)

@@ -15,12 +15,18 @@ from slmopt.labeling import (
     LabeledVertex,
     ObjectiveEvaluationError,
     Sense,
+    checked,
     label_grid,
-    label_of,
 )
 from slmopt.objectives import eval_rosenbrock, eval_sphere_min
 
-from lattice_reference import index_step, lattice_floats, lattice_vertex, run_lattice
+from lattice_reference import (
+    index_step,
+    label_of,
+    lattice_floats,
+    lattice_vertex,
+    run_lattice,
+)
 
 SPHERE_DOMAIN = SearchBox((-2.0, -2.0), (2.0, 2.0))
 ROSEN_DOMAIN = SearchBox((-2.048, -2.048), (2.048, 2.048))
@@ -196,6 +202,19 @@ def test_non_finite_objective_raises():
         label_points(lambda p: math.nan, ((0.5, 0.5),), (0.25, 0.25), box)
     assert err.value.point == (0.5, 0.5)
     assert err.value.evaluation == 1
+
+
+@pytest.mark.parametrize("f, cause, message", (
+    (lambda p: 1.0 / 0.0, ZeroDivisionError, "ZeroDivisionError: float division by zero"),
+    (lambda p: "abc", ValueError, "ValueError: could not convert string to float: 'abc'"),
+), ids=("raising", "non_numeric"))
+def test_raising_objective_names_point_and_call(f, cause, message):
+    # calls are numbered on from done = 4: the first failing call is 5
+    with pytest.raises(ObjectiveEvaluationError) as err:
+        checked(f, 4)((0.0,))
+    assert (err.value.point, err.value.evaluation) == ((0.0,), 5)
+    assert type(err.value.__cause__) is cause and err.value.value is err.value.__cause__
+    assert str(err.value) == f"objective raised {message} at (0.0,) at evaluation 5"
 
 
 def test_scaling_by_powers_of_two_preserves_labels():
