@@ -149,8 +149,13 @@ def _run_one(ospec: ObjectiveSpec, algo: AlgorithmSpec, seed: int) -> BenchRow:
 
 def run_bench(spec: BenchSpec) -> list[BenchRow]:
     """One row per (objective, algorithm, seed), in that nesting order.
-    Unknown objective names abort before any run starts."""
+    An unknown objective name, or an objective with no known optimum to
+    measure deviation from, aborts before any run starts."""
     specs = [registry_lookup(name) for name in spec.objectives]
+    for ospec in specs:
+        if not ospec.known_optima:
+            raise ValueError(f"objective {ospec.name!r} has no known optimum "
+                             "to measure deviation from")
     return [_run_one(ospec, algo, seed) for ospec in specs
             for algo in spec.algorithms for seed in range(spec.repeats)]
 

@@ -10,6 +10,12 @@ Five builtins, all 2-D:
 
 Each evaluator unpacks its point, so any length but 2 raises ValueError.
 
+Every method's objective calls run through these evaluators. Each is
+written for little interpreter work per call, yet does a fixed sequence
+of float operations (eval_shekel states its order), since a form that
+rounds differently (x * x for x ** 2, sum() for a += fold) would change
+results. The tests hold each builtin bit for bit against an oracle.
+
 Custom objectives can be added at runtime with register_objective.
 """
 
@@ -51,9 +57,12 @@ def eval_sphere_min(p: Sequence[float]) -> float:
     return x1 ** 2 + (x2 - 0.4) ** 2
 
 
+_cos, _sin, _PI = math.cos, math.sin, math.pi
+
+
 def eval_trig(p: Sequence[float]) -> float:
     x1, x2 = p
-    return math.cos(math.pi * x1 / 2.0) - math.sin(math.pi * x2 / 2.0)
+    return _cos(_PI * x1 / 2.0) - _sin(_PI * x2 / 2.0)
 
 
 def eval_rosenbrock(p: Sequence[float]) -> float:
@@ -61,8 +70,12 @@ def eval_rosenbrock(p: Sequence[float]) -> float:
     return 100.0 * (x0 ** 2 - x1) ** 2 + (1.0 - x0) ** 2
 
 
-# well j = 1..25 sits at column (j-1) mod 5, row (j-1) div 5 of these
-_SHEKEL_BASE = (-32.0, -16.0, 0.0, 16.0, 32.0)
+# well j = 1..25 sits at column (j-1) mod 5, row (j-1) div 5 of the
+# centres -32, -16, 0, 16, 32; each row is its centre and its five j
+_SHEKEL_ROWS = tuple(
+    (a1,) + tuple(float(5 * r + c) for c in range(1, 6))
+    for r, a1 in enumerate((-32.0, -16.0, 0.0, 16.0, 32.0))
+)
 
 
 def eval_shekel(p: Sequence[float]) -> float:
@@ -70,20 +83,30 @@ def eval_shekel(p: Sequence[float]) -> float:
 
     Every denominator is >= 1, so the function is finite everywhere,
     ranges over roughly (0.99, 500.05), and bottoms out at
-    f(-32,-32) = 0.998004 in the deepest well. dist_j^6 is separable:
-    the 5 column and 5 row powers are computed once, and 1/((j + col) +
-    row) is added for j = 1..25 by plain += (sum() compensates from
-    Python 3.12), bit-identical to the well-by-well formula.
+    f(-32,-32) = 0.998004 in the deepest well.
+
+    Operation order: the five column powers (x1 - a)**6 once, then per
+    row its power (x2 - b)**6 and, for its five wells, 1/((j + col) +
+    row) added to a left-to-right += total (sum() compensates from
+    3.12): bit-identical to the well-by-well formula. The body is
+    written out to cut interpreter work only: the column powers are
+    locals (a comprehension is a frame on 3.10 and 3.11) and each j is a
+    float from _SHEKEL_ROWS; x1 + 32.0 is x1 - (-32.0), x1 is x1 - 0.0.
     """
     x1, x2 = p
-    cols = [(x1 - a0) ** 6 for a0 in _SHEKEL_BASE]
+    c0 = (x1 + 32.0) ** 6
+    c1 = (x1 + 16.0) ** 6
+    c2 = x1 ** 6
+    c3 = (x1 - 16.0) ** 6
+    c4 = (x1 - 32.0) ** 6
     total = 0.0
-    j = 0
-    for a1 in _SHEKEL_BASE:
+    for a1, j0, j1, j2, j3, j4 in _SHEKEL_ROWS:
         row = (x2 - a1) ** 6
-        for col in cols:
-            j += 1
-            total += 1.0 / ((j + col) + row)
+        total += 1.0 / ((j0 + c0) + row)
+        total += 1.0 / ((j1 + c1) + row)
+        total += 1.0 / ((j2 + c2) + row)
+        total += 1.0 / ((j3 + c3) + row)
+        total += 1.0 / ((j4 + c4) + row)
     return 1.0 / (0.002 + total)
 
 

@@ -18,6 +18,7 @@ from slmopt.labeling import Sense
 from slmopt.objectives import (
     ObjectiveSpec,
     UnknownObjectiveError,
+    builtin_names,
     register_objective,
     registry_lookup,
 )
@@ -445,6 +446,28 @@ def test_bench_empty_matrix_is_one_line_error(flag, capsys):
     rc, out, err = run_cli(capsys, "bench", flag, ",")
     assert rc == 2 and out == ""
     assert err.startswith("error: bench needs at least one ") and err.count("\n") == 1
+
+
+def test_bench_objective_without_optimum_is_one_line_error(capsys, monkeypatch):
+    # checked with the names, before any method runs on any objective
+    calls = []
+    name = "test_no_optimum_cli_xyzzy"
+    register_objective(ObjectiveSpec(
+        name=name,
+        domain=SearchBox((0.0,), (1.0,)),
+        sense=Sense.MINIMIZE,
+        known_optima=(),
+        evaluator=lambda p: calls.append(p) or p[0],
+    ))
+
+    def no_run(*args):
+        raise AssertionError("a method ran")
+
+    monkeypatch.setattr(slmopt.bench, "run_method", no_run)
+    names = ",".join(builtin_names() + (name,))
+    rc, out, err = run_cli(capsys, "bench", "--function", names)
+    assert (rc, out, calls) == (2, "", [])
+    assert err == f"error: objective '{name}' has no known optimum to measure deviation from\n"
 
 
 def test_bench_unknown_method(capsys):

@@ -4,7 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slmopt.bench import AlgorithmSpec, slm_config
+from slmopt.engine import run_slm
 from slmopt.geometry import SearchBox
 from slmopt.labeling import Sense
 from slmopt.objectives import (
@@ -32,6 +36,41 @@ def shekel_oracle(x, y):
     for j, (a, b) in enumerate(wells, start=1):
         acc += 1.0 / (j + (x - a) ** 6 + (y - b) ** 6)
     return 1.0 / (0.002 + acc)
+
+
+def sphere_oracle(x, y):
+    """x^2 + (y - 0.4)^2, one square at a time."""
+    dx = x ** 2
+    dy = (y - 0.4) ** 2
+    return dx + dy
+
+
+def trig_oracle(x, y):
+    """cos(pi*x/2) - sin(pi*y/2), each angle built as pi*v, then halved."""
+    angle_x = math.pi * x
+    angle_y = math.pi * y
+    return math.cos(angle_x / 2.0) - math.sin(angle_y / 2.0)
+
+
+def rosenbrock_oracle(x, y):
+    """100*(x^2 - y)^2 + (1 - x)^2, term by term."""
+    valley = (x ** 2 - y) ** 2
+    slope = (1.0 - x) ** 2
+    return 100.0 * valley + slope
+
+
+ORACLES = {
+    "sphere_min": sphere_oracle,
+    "trig": trig_oracle,
+    "sphere_max": sphere_oracle,
+    "rosenbrock": rosenbrock_oracle,
+    "shekel": shekel_oracle,
+}
+
+
+def assert_same_bits(got, want, point):
+    # == and the sign of zero: equal bits for any non-NaN float
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), point
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +170,47 @@ def test_wrong_dimension_rejected():
             f((1.0,))
         with pytest.raises(ValueError):
             f((1.0, 2.0, 3.0))
+
+
+# ---------------------------------------------------------------------------
+# Every builtin evaluator, bit for bit against its oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def domain_points(draw, name):
+    """A point of the builtin's domain: bounds, signed zeros or any float
+    between the bounds, drawn per coordinate."""
+    domain = registry_lookup(name).domain
+    return tuple(
+        draw(st.one_of(st.sampled_from((lo, hi, 0.0, -0.0)), st.floats(lo, hi)))
+        for lo, hi in zip(domain.lo, domain.hi)
+    )
+
+
+@pytest.mark.parametrize("name", ("sphere_min", "trig", "rosenbrock", "shekel"))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_builtin_matches_oracle_over_its_domain(name, data):
+    point = data.draw(domain_points(name))
+    assert_same_bits(registry_lookup(name).evaluator(point), ORACLES[name](*point), point)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtin_matches_oracle_on_every_explore_point(name):
+    # every point a default-tolerance explore-all run evaluates
+    spec = registry_lookup(name)
+    seen = []
+
+    def recording(p):
+        value = spec.evaluator(p)
+        seen.append((p, value))
+        return value
+
+    res = run_slm(recording, spec.domain,
+                  slm_config(spec, AlgorithmSpec("slm", explore_all=True)))
+    assert len(seen) == res.evaluations > 1000
+    for p, value in seen:
+        assert_same_bits(value, ORACLES[name](*p), p)
 
 
 # ---------------------------------------------------------------------------
