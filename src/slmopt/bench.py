@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -95,10 +96,8 @@ def deviation(found: Point, optima: Sequence[Point]) -> tuple[float, ...]:
     in Euclidean distance (ties to the lexicographically smallest o)."""
     if not optima:
         raise ValueError("need at least one known optimum")
-    nearest = min(
-        optima,
-        key=lambda o: (sum((a - b) ** 2 for a, b in zip(found, o)), o),
-    )
+    # math.dist does not overflow where (a - b) ** 2 would, past 1.3e154
+    nearest = min(optima, key=lambda o: (math.dist(found, o), o))
     return tuple(abs(a - b) for a, b in zip(found, nearest))
 
 

@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", parents=[shared, baseline],
                          help="run the algorithm x objective matrix")
-    ben.add_argument("--function", default="all", help="comma-separated names, or 'all'")
+    ben.add_argument("--function", default="all",
+                     help="comma-separated names; 'all' adds the builtins")
     ben.add_argument("--method", default=",".join(METHODS),
                      help="comma-separated subset of slm,rs,rsw,sa")
     ben.add_argument("--repeats", type=int, default=1)
@@ -209,8 +210,12 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
 
 
 def _cmd_bench(ns: argparse.Namespace) -> int:
+    # 'all' stands for the builtins where it appears; a name given twice
+    # runs once, at its first position
+    names = (name for part in _names(ns.function)
+             for name in (builtin_names() if part == "all" else (part,)))
     spec = BenchSpec(
-        objectives=builtin_names() if ns.function.strip() == "all" else _names(ns.function),
+        objectives=tuple(dict.fromkeys(names)),
         algorithms=tuple(_algorithm(ns, kind) for kind in _names(ns.method)),
         repeats=ns.repeats,
     )

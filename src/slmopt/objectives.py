@@ -38,18 +38,9 @@ class ObjectiveSpec:
     evaluator: Callable[[Point], float]
 
 
-class UnknownObjectiveError(KeyError, ValueError):
-    """A KeyError to lookups, a ValueError to input checks; str is the message."""
-
-    def __init__(self, name: str, available: Sequence[str]):
-        self.unknown_name = name
-        self.available = tuple(available)
-        super().__init__(
-            f"unknown objective {name!r}; available: {', '.join(available)}"
-        )
-
-    def __str__(self) -> str:
-        return self.args[0]
+class UnknownObjectiveError(ValueError):
+    """registry_lookup found no objective by that name; callers catch it
+    to register the objective."""
 
 
 def eval_sphere_min(p: Sequence[float]) -> float:
@@ -132,10 +123,10 @@ def register_objective(spec: ObjectiveSpec) -> None:
 
 
 def registry_lookup(name: str) -> ObjectiveSpec:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownObjectiveError(name, builtin_names()) from None
+    if name not in _REGISTRY:
+        raise UnknownObjectiveError(
+            f"unknown objective {name!r}; available: {', '.join(builtin_names())}")
+    return _REGISTRY[name]
 
 
 def builtin_names() -> tuple[str, ...]:

@@ -13,12 +13,6 @@ from .engine import GenerationRecord, RunResult
 from .geometry import format_box, format_number, format_point
 
 
-class UnsupportedDimensionError(ValueError):
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-        super().__init__(f"svg rendering supports 2-D only, got {dimension}-D")
-
-
 PLOT_SIZE = 440.0
 PAD = 18.0
 LEGEND_HEIGHT = 72.0
@@ -52,23 +46,27 @@ def render_generation_svg(g: GenerationRecord) -> str:
     cell highlight, label-colored vertex markers, probe arrows for
     vertices whose probe target moved, and a legend."""
     if g.box.dimension != 2:
-        raise UnsupportedDimensionError(g.box.dimension)
+        raise ValueError(f"svg rendering supports 2-D only, got {g.box.dimension}-D")
 
     # viewport covers the box expanded by the probe radius, so arrows
-    # to targets just outside the box stay inside the drawing
+    # to targets just outside the box stay inside the drawing. Origin
+    # and span are taken in halves, which is exact, and plot_h scales the
+    # aspect ratio: x1 - x0 overflows for a box wider than MAX_BOUND.
     ex = [s / 2.0 for s in g.spacing]
     x0, y0 = g.box.lo[0] - ex[0], g.box.lo[1] - ex[1]
     x1, y1 = g.box.hi[0] + ex[0], g.box.hi[1] + ex[1]
+    hx0, hy1 = x0 / 2, y1 / 2
+    hw, hh = x1 / 2 - hx0, hy1 - y0 / 2
     plot_w = PLOT_SIZE
-    plot_h = PLOT_SIZE * (y1 - y0) / (x1 - x0)
+    plot_h = PLOT_SIZE * (hh / hw)
     width = plot_w + 2 * PAD
     height = plot_h + 2 * PAD + LEGEND_HEIGHT
 
     def px(x: float) -> float:
-        return PAD + (x - x0) / (x1 - x0) * plot_w
+        return PAD + (x / 2 - hx0) / hw * plot_w
 
     def py(y: float) -> float:
-        return PAD + (y1 - y) / (y1 - y0) * plot_h
+        return PAD + (hy1 - y / 2) / hh * plot_h
 
     def rect(box, klass: str, fill: str, opacity: str, stroke: str) -> str:
         return (

@@ -464,10 +464,50 @@ def test_bench_objective_without_optimum_is_one_line_error(capsys, monkeypatch):
         raise AssertionError("a method ran")
 
     monkeypatch.setattr(slmopt.bench, "run_method", no_run)
-    names = ",".join(builtin_names() + (name,))
-    rc, out, err = run_cli(capsys, "bench", "--function", names)
+    rc, out, err = run_cli(capsys, "bench", "--function", f"all,{name}")
     assert (rc, out, calls) == (2, "", [])
     assert err == f"error: objective '{name}' has no known optimum to measure deviation from\n"
+
+
+def _far_objective():
+    """A 1-D objective on [-1e200, 1e200]; found points lie farther than
+    1.3e154 from its optimum, where (a - b) ** 2 overflows."""
+    name = "test_far_optimum_xyzzy"
+    try:
+        registry_lookup(name)
+    except UnknownObjectiveError:
+        register_objective(ObjectiveSpec(
+            name=name,
+            domain=SearchBox((-1e200,), (1e200,)),
+            sense=Sense.MINIMIZE,
+            known_optima=(((1e199,), 0.0),),
+            evaluator=lambda p: abs(p[0] - 1e199),
+        ))
+    return name
+
+
+def test_bench_deviation_on_the_widest_scale(capsys):
+    rc, out, err = run_cli(capsys, "bench", "--function", _far_objective(),
+                           "--method", "slm,rs", "--format", "json-lines")
+    assert rc == 0 and err == ""
+    rows = parse_json_lines(out)
+    assert [r["algorithm"] for r in rows] == ["slm", "rs"]
+    for r in rows:
+        assert r["deviation"] == [abs(r["found_point"][0] - 1e199)]
+
+
+@pytest.mark.parametrize("functions, expected", (
+    ("all,{far}", builtin_names() + ("{far}",)),
+    ("shekel,all", ("shekel", "sphere_min", "trig", "sphere_max", "rosenbrock")),
+    ("trig,sphere_min,trig", ("trig", "sphere_min")),
+))
+def test_bench_function_list_expands_all_and_runs_each_name_once(functions, expected, capsys):
+    far = _far_objective()
+    rc, out, err = run_cli(capsys, "bench", "--function", functions.format(far=far),
+                           "--method", "rs", "--iterations", "3", "--format", "json-lines")
+    assert rc == 0 and err == ""
+    assert [r["objective"] for r in parse_json_lines(out)] == [
+        name.format(far=far) for name in expected]
 
 
 def test_bench_unknown_method(capsys):

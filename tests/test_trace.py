@@ -6,12 +6,11 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from slmopt.engine import GenerationRecord, SlmConfig, run_slm
-from slmopt.geometry import SearchBox
+from slmopt.geometry import MAX_BOUND, SearchBox
 from slmopt.labeling import Sense
 from slmopt.objectives import registry_lookup
 from slmopt.trace import (
     PALETTE,
-    UnsupportedDimensionError,
     build_trace_document,
     render_generation_svg,
     render_generation_table,
@@ -134,9 +133,26 @@ def test_svg_rejects_non_planar_records():
     domain = SearchBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     res = run_slm(lambda p: sum(p), domain,
                   SlmConfig(sense=Sense.MINIMIZE, tolerance=10.0))
-    with pytest.raises(UnsupportedDimensionError) as err:
+    with pytest.raises(ValueError) as err:
         render_generation_svg(res.generations[0])
-    assert err.value.dimension == 3
+    assert str(err.value) == "svg rendering supports 2-D only, got 3-D"
+
+
+@pytest.mark.parametrize("lo, hi", (
+    ((-MAX_BOUND, -MAX_BOUND), (MAX_BOUND, MAX_BOUND)),
+    ((-MAX_BOUND, 0.0), (MAX_BOUND, 1.0)),
+))
+def test_svg_of_the_widest_boxes_is_finite(lo, hi):
+    # the viewport, the box grown by half a spacing, is wider than MAX_BOUND
+    domain = SearchBox(lo, hi)
+    res = run_slm(lambda p: (p[0] / MAX_BOUND) ** 2 + p[1] / hi[1], domain,
+                  SlmConfig(sense=Sense.MINIMIZE, tolerance=max(domain.widths()) / 8))
+    files = build_trace_document(res, "wide", 0.0, "minimize")
+    svgs = [text for name, text in files.items() if name.endswith(".svg")]
+    assert len(svgs) == len(res.generations) > 1
+    for text in svgs:
+        svg_root(text)
+        assert "nan" not in text and "inf" not in text
 
 
 def test_document_skips_svg_for_non_planar_runs():
