@@ -243,6 +243,12 @@ def test_unknown_name_error():
     with pytest.raises(UnknownObjectiveError) as err:
         registry_lookup("nope")
     assert isinstance(err.value, ValueError) and not isinstance(err.value, KeyError)
+    assert err.value.args == (str(err.value),)
+
+
+def test_unknown_name_error_reads_as_its_message():
+    with pytest.raises(UnknownObjectiveError) as err:
+        registry_lookup("nope")
     assert str(err.value) == ("unknown objective 'nope'; available: "
                               + ", ".join(builtin_names()))
 
