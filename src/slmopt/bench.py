@@ -65,21 +65,6 @@ class AlgorithmSpec:
 
 
 @dataclass(frozen=True)
-class BenchSpec:
-    objectives: tuple[str, ...]
-    algorithms: tuple[AlgorithmSpec, ...]
-    repeats: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.objectives:
-            raise ValueError("bench needs at least one objective")
-        if not self.algorithms:
-            raise ValueError("bench needs at least one method")
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
-
-
-@dataclass(frozen=True)
 class BenchRow:
     algorithm: str
     objective: str
@@ -146,17 +131,25 @@ def _run_one(ospec: ObjectiveSpec, algo: AlgorithmSpec, seed: int) -> BenchRow:
     )
 
 
-def run_bench(spec: BenchSpec) -> list[BenchRow]:
-    """One row per (objective, algorithm, seed), in that nesting order.
-    An unknown objective name, or an objective with no known optimum to
-    measure deviation from, aborts before any run starts."""
-    specs = [registry_lookup(name) for name in spec.objectives]
+def run_bench(objectives: Sequence[str], algorithms: Sequence[AlgorithmSpec],
+              repeats: int = 1) -> list[BenchRow]:
+    """One row per (objective, algorithm, seed), in that nesting order,
+    with seeds range(repeats). An empty matrix, repeats below 1, an
+    unknown objective name or an objective with no known optimum to
+    measure deviation from aborts before any run starts."""
+    if not objectives:
+        raise ValueError("bench needs at least one objective")
+    if not algorithms:
+        raise ValueError("bench needs at least one method")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    specs = [registry_lookup(name) for name in objectives]
     for ospec in specs:
         if not ospec.known_optima:
             raise ValueError(f"objective {ospec.name!r} has no known optimum "
                              "to measure deviation from")
     return [_run_one(ospec, algo, seed) for ospec in specs
-            for algo in spec.algorithms for seed in range(spec.repeats)]
+            for algo in algorithms for seed in range(repeats)]
 
 
 def emit_markdown(rows: Sequence[BenchRow]) -> str:

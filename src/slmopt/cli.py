@@ -36,7 +36,6 @@ from .bench import (
     FORMATS,
     METHODS,
     AlgorithmSpec,
-    BenchSpec,
     emit_table,
     run_bench,
     run_method,
@@ -48,16 +47,12 @@ from .objectives import ObjectiveSpec, builtin_names, registry_lookup
 from .trace import build_trace_document, write_trace
 
 
-class CliError(Exception):
-    """User-facing error; its message becomes the one-line diagnostic."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Turns every usage error into a CliError, so it prints as one line.
+    """Turns every usage error into a ValueError, so it prints as one line.
     add_subparsers builds the subcommand parsers with this class too."""
 
     def error(self, message: str):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _parse_bool(text: str) -> bool:
@@ -66,14 +61,16 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise CliError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
+    # argparse keeps an ArgumentTypeError's message and names the flag;
+    # a ValueError's message it replaces with "invalid _parse_point value"
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError:
-        raise CliError(f"not a comma-separated point: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a comma-separated point: {text!r}") from None
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -82,14 +79,14 @@ def read_config(path: str) -> dict[str, str]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as e:
-        raise CliError(f"cannot read config {path}: {e.strerror or e}") from None
+        raise ValueError(f"cannot read config {path}: {e.strerror or e}") from None
     out: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CliError(f"malformed config {path}: line {lineno}: expected key = value")
+            raise ValueError(f"malformed config {path}: line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
@@ -158,8 +155,8 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
         # argv[0] is the subcommand; the flags parsed once already, so
         # any error here is the file's
         return parser.parse_args([argv[0], *tokens, *argv[1:]])
-    except CliError as e:
-        raise CliError(f"bad config value in {path}: {e}") from None
+    except ValueError as e:
+        raise ValueError(f"bad config value in {path}: {e}") from None
 
 
 def _algorithm(ns: argparse.Namespace, kind: str) -> AlgorithmSpec:
@@ -177,7 +174,7 @@ def _algorithm(ns: argparse.Namespace, kind: str) -> AlgorithmSpec:
 
 def _objective(ns: argparse.Namespace) -> ObjectiveSpec:
     if ns.function is None:
-        raise CliError(f"{ns.subcommand} needs --function (or a config entry)")
+        raise ValueError(f"{ns.subcommand} needs --function (or a config entry)")
     return registry_lookup(ns.function)
 
 
@@ -214,12 +211,9 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     # runs once, at its first position
     names = (name for part in _names(ns.function)
              for name in (builtin_names() if part == "all" else (part,)))
-    spec = BenchSpec(
-        objectives=tuple(dict.fromkeys(names)),
-        algorithms=tuple(_algorithm(ns, kind) for kind in _names(ns.method)),
-        repeats=ns.repeats,
-    )
-    text = emit_table(run_bench(spec), ns.format)
+    algorithms = [_algorithm(ns, kind) for kind in _names(ns.method)]
+    rows = run_bench(list(dict.fromkeys(names)), algorithms, ns.repeats)
+    text = emit_table(rows, ns.format)
     if ns.out is None:
         sys.stdout.write(text)
     else:
@@ -227,7 +221,7 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
             with open(ns.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as e:
-            raise CliError(f"cannot write {ns.out}: {e.strerror or e}") from None
+            raise ValueError(f"cannot write {ns.out}: {e.strerror or e}") from None
     return 0
 
 
@@ -239,7 +233,7 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
     try:
         written = write_trace(files, ns.out)
     except OSError as e:
-        raise CliError(f"cannot write trace to {ns.out}: {e.strerror or e}") from None
+        raise ValueError(f"cannot write trace to {ns.out}: {e.strerror or e}") from None
     for path in written:
         print(path)
     return 0
@@ -270,7 +264,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[ns.subcommand](ns)
     except SystemExit as e:  # --help
         return int(e.code or 0)
-    except (CliError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # any other failure

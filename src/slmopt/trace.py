@@ -7,6 +7,7 @@ give identical bytes.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .engine import GenerationRecord, RunResult
@@ -16,6 +17,8 @@ from .geometry import format_box, format_number, format_point
 PLOT_SIZE = 440.0
 PAD = 18.0
 LEGEND_HEIGHT = 72.0
+# the legend row ends before x = 380; a narrower plot keeps the canvas this wide
+LEGEND_WIDTH = 400.0
 # marker fill by label: 0, 1, 2 (SVG is 2-D only, so no other label occurs)
 PALETTE = ("#2a9d8f", "#e76f51", "#4361ee")
 CHOSEN_FILL = "#ffd166"
@@ -49,24 +52,32 @@ def render_generation_svg(g: GenerationRecord) -> str:
         raise ValueError(f"svg rendering supports 2-D only, got {g.box.dimension}-D")
 
     # viewport covers the box expanded by the probe radius, so arrows
-    # to targets just outside the box stay inside the drawing. Origin
-    # and span are taken in halves, which is exact, and plot_h scales the
-    # aspect ratio: x1 - x0 overflows for a box wider than MAX_BOUND.
+    # to targets just outside the box stay inside the drawing. Each axis
+    # is scaled by 2**k, which brings its largest coordinate into
+    # [0.5, 1) (k stops at 1023, where 2**k is still a float). That is
+    # exact in the normal range, x1 - x0 cannot overflow and a subnormal
+    # span stays nonzero. The aspect ratio (sh / sw) * 2**(kx - ky) may
+    # exceed the float range, so the longer side is drawn PLOT_SIZE long.
     ex = [s / 2.0 for s in g.spacing]
     x0, y0 = g.box.lo[0] - ex[0], g.box.lo[1] - ex[1]
     x1, y1 = g.box.hi[0] + ex[0], g.box.hi[1] + ex[1]
-    hx0, hy1 = x0 / 2, y1 / 2
-    hw, hh = x1 / 2 - hx0, hy1 - y0 / 2
-    plot_w = PLOT_SIZE
-    plot_h = PLOT_SIZE * (hh / hw)
-    width = plot_w + 2 * PAD
+    kx, ky = (min(-math.frexp(max(abs(a), abs(b)))[1], 1023) for a, b in ((x0, x1), (y0, y1)))
+    fx, fy = math.ldexp(1.0, kx), math.ldexp(1.0, ky)
+    sx0, sy1 = x0 * fx, y1 * fy
+    sw, sh = x1 * fx - sx0, sy1 - y0 * fy
+    aspect, shift = sh / sw, kx - ky
+    if math.frexp(aspect)[1] + shift <= 1 and math.ldexp(aspect, shift) <= 1:
+        plot_w, plot_h = PLOT_SIZE, PLOT_SIZE * math.ldexp(aspect, shift)
+    else:
+        plot_w, plot_h = PLOT_SIZE * math.ldexp(sw / sh, -shift), PLOT_SIZE
+    width = max(plot_w + 2 * PAD, LEGEND_WIDTH)
     height = plot_h + 2 * PAD + LEGEND_HEIGHT
 
     def px(x: float) -> float:
-        return PAD + (x / 2 - hx0) / hw * plot_w
+        return PAD + (x * fx - sx0) / sw * plot_w
 
     def py(y: float) -> float:
-        return PAD + (hy1 - y / 2) / hh * plot_h
+        return PAD + (sy1 - y * fy) / sh * plot_h
 
     def rect(box, klass: str, fill: str, opacity: str, stroke: str) -> str:
         return (

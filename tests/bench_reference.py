@@ -5,6 +5,7 @@ BenchRows, so the round trips can be checked for equality.
 test_bench and test_cli import it."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -34,3 +35,9 @@ def parse_json_lines(text):
     """One JSON object per line, keyed by field name."""
     return [BenchRow(**{name: _field(value) for name, value in json.loads(line).items()})
             for line in text.splitlines()]
+
+
+def mask_wall_time(rows):
+    """The rows with wall_time_ms zeroed, the one field that differs
+    between runs of the same bench."""
+    return [dataclasses.replace(row, wall_time_ms=0.0) for row in rows]

@@ -19,7 +19,6 @@ from slmopt.baselines import (
 )
 from slmopt.bench import (
     AlgorithmSpec,
-    BenchSpec,
     emit_csv,
     emit_json_lines,
     emit_markdown,
@@ -326,14 +325,14 @@ def mask_json_wall_time(text):
 
 def test_criterion_11_bench_determinism(capsys):
     started = time.perf_counter()
-    spec = BenchSpec(
+    spec = dict(
         objectives=("sphere_min", "rosenbrock"),
         algorithms=(AlgorithmSpec("slm", tolerance=0.125),
                     AlgorithmSpec("rs", iterations=200),
                     AlgorithmSpec("sa", iterations=100)),
         repeats=2,
     )
-    first, second = run_bench(spec), run_bench(spec)
+    first, second = run_bench(**spec), run_bench(**spec)
     ok = (emit_markdown(first) == emit_markdown(second)
           and mask_csv_wall_time(emit_csv(first)) == mask_csv_wall_time(emit_csv(second))
           and mask_json_wall_time(emit_json_lines(first))

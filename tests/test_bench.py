@@ -10,7 +10,6 @@ from slmopt.bench import (
     FIELD_NAMES,
     AlgorithmSpec,
     BenchRow,
-    BenchSpec,
     default_tolerance,
     deviation,
     emit_csv,
@@ -21,10 +20,11 @@ from slmopt.bench import (
 )
 from slmopt.objectives import UnknownObjectiveError, registry_lookup
 
-from bench_reference import parse_csv, parse_json_lines
+from bench_reference import mask_wall_time, parse_csv, parse_json_lines
 
 
 def small_spec(**kw):
+    """run_bench's keyword arguments for a small matrix."""
     defaults = dict(
         objectives=("sphere_min",),
         algorithms=(AlgorithmSpec("slm", tolerance=0.0625),
@@ -32,7 +32,7 @@ def small_spec(**kw):
         repeats=1,
     )
     defaults.update(kw)
-    return BenchSpec(**defaults)
+    return defaults
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_default_tolerance_is_width_over_1024():
 
 
 # ---------------------------------------------------------------------------
-# Spec validation
+# Input validation
 # ---------------------------------------------------------------------------
 
 def test_algorithm_spec_rejects_unknown_kind():
@@ -76,20 +76,19 @@ def test_algorithm_spec_rejects_unknown_kind():
 
 
 def test_bench_spec_validation():
-    with pytest.raises(ValueError):
-        small_spec(repeats=0)
+    with pytest.raises(ValueError, match="repeats must be at least 1"):
+        run_bench(**small_spec(repeats=0))
 
 
 @pytest.mark.parametrize("field", ("objectives", "algorithms"))
 def test_bench_spec_rejects_an_empty_matrix(field):
     with pytest.raises(ValueError, match="at least one"):
-        small_spec(**{field: ()})
+        run_bench(**small_spec(**{field: ()}))
 
 
 def test_unknown_objective_aborts_before_running():
-    spec = small_spec(objectives=("sphere_min", "nope"))
     with pytest.raises(UnknownObjectiveError):
-        run_bench(spec)
+        run_bench(**small_spec(objectives=("sphere_min", "nope")))
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +96,9 @@ def test_unknown_objective_aborts_before_running():
 # ---------------------------------------------------------------------------
 
 def test_row_order_is_objective_major():
-    spec = BenchSpec(
-        objectives=("sphere_min", "rosenbrock"),
-        algorithms=(AlgorithmSpec("slm", tolerance=0.25),
-                    AlgorithmSpec("rs", iterations=20)),
-        repeats=2,
-    )
-    rows = run_bench(spec)
+    rows = run_bench(("sphere_min", "rosenbrock"),
+                     (AlgorithmSpec("slm", tolerance=0.25), AlgorithmSpec("rs", iterations=20)),
+                     repeats=2)
     key = [(r.objective, r.algorithm, r.seed) for r in rows]
     assert key == [
         ("sphere_min", "slm", 0), ("sphere_min", "slm", 1),
@@ -115,14 +110,14 @@ def test_row_order_is_objective_major():
 
 def test_slm_rows_ignore_the_seed():
     spec = small_spec(repeats=3)
-    rows = [r for r in run_bench(spec) if r.algorithm == "slm"]
+    rows = [r for r in run_bench(**spec) if r.algorithm == "slm"]
     assert len(rows) == 3
     assert len({r.found_point for r in rows}) == 1
     assert len({r.iterations for r in rows}) == 1
 
 
 def test_slm_iterations_are_generation_count():
-    rows = run_bench(small_spec())
+    rows = run_bench(**small_spec())
     slm = next(r for r in rows if r.algorithm == "slm")
     assert slm.iterations == 6  # halvings of width 4 down to 0.0625
     assert abs(slm.found_point[1] - 0.4) <= 0.0625
@@ -132,7 +127,7 @@ def test_slm_iterations_are_generation_count():
 
 def test_baseline_rows_consume_the_seed():
     spec = small_spec(repeats=2)
-    rs = [r for r in run_bench(spec) if r.algorithm == "rs"]
+    rs = [r for r in run_bench(**spec) if r.algorithm == "rs"]
     assert [r.seed for r in rs] == [0, 1]
     assert rs[0].found_point != rs[1].found_point
     assert all(r.iterations == 50 for r in rs)
@@ -141,7 +136,7 @@ def test_baseline_rows_consume_the_seed():
 def test_baseline_default_iterations():
     spec = small_spec(algorithms=(AlgorithmSpec("rs"), AlgorithmSpec("rsw"),
                                   AlgorithmSpec("sa")))
-    rows = run_bench(spec)
+    rows = run_bench(**spec)
     assert [r.iterations for r in rows] == [
         DEFAULT_ITERATIONS["rs"], DEFAULT_ITERATIONS["rsw"],
         DEFAULT_ITERATIONS["sa"],
@@ -153,7 +148,7 @@ def test_baseline_default_iterations():
 # ---------------------------------------------------------------------------
 
 def test_markdown_shape():
-    text = emit_markdown(run_bench(small_spec()))
+    text = emit_markdown(run_bench(**small_spec()))
     lines = text.splitlines()
     assert lines[0] == "## sphere_min"
     assert lines[2] == "| Algorithm | Iterations | Optimal point | Deviation |"
@@ -165,18 +160,18 @@ def test_markdown_shape():
 
 def test_markdown_groups_by_objective():
     spec = small_spec(objectives=("sphere_min", "rosenbrock"))
-    text = emit_markdown(run_bench(spec))
+    text = emit_markdown(run_bench(**spec))
     assert text.index("## sphere_min") < text.index("## rosenbrock")
     assert text.count("| Algorithm |") == 2
 
 
 def test_csv_round_trip_is_lossless():
-    rows = run_bench(small_spec(repeats=2))
+    rows = run_bench(**small_spec(repeats=2))
     assert parse_csv(emit_csv(rows)) == rows
 
 
 def test_csv_header_and_vector_cells():
-    text = emit_csv(run_bench(small_spec()))
+    text = emit_csv(run_bench(**small_spec()))
     lines = text.splitlines()
     assert lines[0] == ",".join(FIELD_NAMES)
     assert '"[' in lines[1]  # point serialized as a JSON array cell
@@ -199,7 +194,7 @@ def test_row_encodings_are_pinned():
 
 
 def test_json_lines_fields():
-    rows = run_bench(small_spec())
+    rows = run_bench(**small_spec())
     text = emit_json_lines(rows)
     assert text.endswith("\n")
     parsed = [json.loads(line) for line in text.splitlines()]
@@ -214,7 +209,7 @@ def test_json_lines_fields():
 
 
 def test_emit_table_dispatch():
-    rows = run_bench(small_spec())
+    rows = run_bench(**small_spec())
     assert emit_table(rows, "markdown") == emit_markdown(rows)
     assert emit_table(rows, "csv") == emit_csv(rows)
     assert emit_table(rows, "json-lines") == emit_json_lines(rows)
@@ -222,17 +217,9 @@ def test_emit_table_dispatch():
         emit_table(rows, "yaml")
 
 
-def mask_wall_time(rows):
-    return [
-        BenchRow(r.algorithm, r.objective, r.iterations, r.found_point,
-                 r.found_value, r.deviation, 0.0, r.seed)
-        for r in rows
-    ]
-
-
 def test_repeated_benches_are_byte_identical():
     spec = small_spec(repeats=2)
-    a, b = run_bench(spec), run_bench(spec)
+    a, b = run_bench(**spec), run_bench(**spec)
     assert emit_markdown(a) == emit_markdown(b)
     assert emit_csv(mask_wall_time(a)) == emit_csv(mask_wall_time(b))
     assert emit_json_lines(mask_wall_time(a)) == emit_json_lines(mask_wall_time(b))

@@ -2,7 +2,6 @@
 
 import argparse
 import itertools
-import json
 import math
 import os
 import re
@@ -12,7 +11,7 @@ import sys
 import pytest
 
 import slmopt
-from slmopt.cli import CliError, _parse_point, build_parser, main, read_config
+from slmopt.cli import _parse_point, build_parser, main, read_config
 from slmopt.geometry import SearchBox, format_point
 from slmopt.labeling import Sense
 from slmopt.objectives import (
@@ -23,7 +22,7 @@ from slmopt.objectives import (
     registry_lookup,
 )
 
-from bench_reference import parse_csv
+from bench_reference import mask_wall_time, parse_csv, parse_json_lines
 
 # child interpreters import the same slmopt as this one, installed or not
 SRC_DIR = os.path.dirname(os.path.dirname(slmopt.__file__))
@@ -58,7 +57,7 @@ def test_read_config_parses_flat_keys(tmp_path):
 
 
 def test_read_config_missing_file_names_the_path():
-    with pytest.raises(CliError) as err:
+    with pytest.raises(ValueError) as err:
         read_config("/definitely/missing.conf")
     assert "/definitely/missing.conf" in str(err.value)
 
@@ -66,7 +65,7 @@ def test_read_config_missing_file_names_the_path():
 def test_read_config_rejects_malformed_lines(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_text("function sphere_min\n")
-    with pytest.raises(CliError) as err:
+    with pytest.raises(ValueError) as err:
         read_config(str(path))
     assert "line 1" in str(err.value)
 
@@ -134,7 +133,7 @@ def test_optimize_bad_initial_flag(capsys):
                            "--method", "rs", "--iterations", "5",
                            "--initial", "1.0;2.0")
     assert rc == 2 and out == ""
-    assert "not a comma-separated point" in err
+    assert err == "error: argument --initial: not a comma-separated point: '1.0;2.0'\n"
 
 
 def test_optimize_requires_function(capsys):
@@ -273,7 +272,7 @@ def test_usage_error_is_one_line(argv, capsys):
 @pytest.mark.parametrize("subcommand, entry, message", (
     ("optimize", "iterations = soon", "argument --iterations: invalid int value: 'soon'"),
     ("optimize", "tol = abc", "argument --tol: invalid float value: 'abc'"),
-    ("optimize", "initial = 1;2", "not a comma-separated point: '1;2'"),
+    ("optimize", "initial = 1;2", "argument --initial: not a comma-separated point: '1;2'"),
     ("trace", "explore-all = maybe", "not a boolean: 'maybe'"),
     ("bench", "repeats = two", "argument --repeats: invalid int value: 'two'"),
     ("optimize", "method = newton",
@@ -448,6 +447,30 @@ def test_bench_empty_matrix_is_one_line_error(flag, capsys):
     assert err.startswith("error: bench needs at least one ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, message", (
+    ("--function=", "bench needs at least one objective"),
+    ("--method=", "bench needs at least one method"),
+    ("--repeats=0", "repeats must be at least 1"),
+))
+def test_bench_input_error_stops_before_any_run(flag, message, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a method ran")
+
+    monkeypatch.setattr(slmopt.bench, "run_method", no_run)
+    rc, out, err = run_cli(capsys, "bench", flag)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_other_exception_is_one_line_naming_its_type(capsys, monkeypatch):
+    # main's last-resort branch: a failure that is not a ValueError
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(slmopt.cli, "run_bench", boom)
+    rc, out, err = run_cli(capsys, "bench", "--function", "sphere_min")
+    assert (rc, out, err) == (2, "", "error: RuntimeError: boom\n")
+
+
 def test_bench_objective_without_optimum_is_one_line_error(capsys, monkeypatch):
     # checked with the names, before any method runs on any objective
     calls = []
@@ -491,9 +514,9 @@ def test_bench_deviation_on_the_widest_scale(capsys):
                            "--method", "slm,rs", "--format", "json-lines")
     assert rc == 0 and err == ""
     rows = parse_json_lines(out)
-    assert [r["algorithm"] for r in rows] == ["slm", "rs"]
+    assert [r.algorithm for r in rows] == ["slm", "rs"]
     for r in rows:
-        assert r["deviation"] == [abs(r["found_point"][0] - 1e199)]
+        assert r.deviation == (abs(r.found_point[0] - 1e199),)
 
 
 @pytest.mark.parametrize("functions, expected", (
@@ -506,7 +529,7 @@ def test_bench_function_list_expands_all_and_runs_each_name_once(functions, expe
     rc, out, err = run_cli(capsys, "bench", "--function", functions.format(far=far),
                            "--method", "rs", "--iterations", "3", "--format", "json-lines")
     assert rc == 0 and err == ""
-    assert [r["objective"] for r in parse_json_lines(out)] == [
+    assert [r.objective for r in parse_json_lines(out)] == [
         name.format(far=far) for name in expected]
 
 
@@ -522,11 +545,6 @@ def test_bench_missing_config_file(capsys):
     assert "missing.conf" in err
 
 
-def parse_json_lines(text):
-    return [{k: v for k, v in json.loads(line).items() if k != "wall_time_ms"}
-            for line in text.splitlines()]
-
-
 def test_bench_ignores_config_keys_it_has_no_flag_for(tmp_path, capsys):
     # optimize and trace take these; a shared config must not change bench
     path = tmp_path / "run.conf"
@@ -536,7 +554,7 @@ def test_bench_ignores_config_keys_it_has_no_flag_for(tmp_path, capsys):
     _, plain, _ = run_cli(capsys, *argv)
     rc, configured, _ = run_cli(capsys, *argv, "--config", str(path))
     assert rc == 0
-    assert parse_json_lines(configured) == parse_json_lines(plain)
+    assert mask_wall_time(parse_json_lines(configured)) == mask_wall_time(parse_json_lines(plain))
 
 
 def test_bench_payload_is_byte_deterministic(capsys):

@@ -1,16 +1,21 @@
 """Trace rendering: text tables, SVG drawings, file layout."""
 
+import math
 import os
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from slmopt.engine import GenerationRecord, SlmConfig, run_slm
-from slmopt.geometry import MAX_BOUND, SearchBox
+from slmopt.geometry import MAX_BOUND, SearchBox, splittable
 from slmopt.labeling import Sense
 from slmopt.objectives import registry_lookup
 from slmopt.trace import (
+    LEGEND_HEIGHT,
+    LEGEND_WIDTH,
+    PAD,
     PALETTE,
+    PLOT_SIZE,
     build_trace_document,
     render_generation_svg,
     render_generation_table,
@@ -138,21 +143,43 @@ def test_svg_rejects_non_planar_records():
     assert str(err.value) == "svg rendering supports 2-D only, got 3-D"
 
 
+TINY = math.ulp(0.0)  # 5e-324, the least positive float
+
+
 @pytest.mark.parametrize("lo, hi", (
     ((-MAX_BOUND, -MAX_BOUND), (MAX_BOUND, MAX_BOUND)),
     ((-MAX_BOUND, 0.0), (MAX_BOUND, 1.0)),
+    ((0.0, -MAX_BOUND), (1.0, MAX_BOUND)),
+    ((0.0, 0.0), (TINY, TINY)),
 ))
 def test_svg_of_the_widest_boxes_is_finite(lo, hi):
-    # the viewport, the box grown by half a spacing, is wider than MAX_BOUND
+    # the viewport, the box grown by half a spacing, is wider than
+    # MAX_BOUND, or its aspect ratio is, or it is one ulp wide, so that
+    # halving its width gives 0 (and so would an eighth as tolerance)
     domain = SearchBox(lo, hi)
-    res = run_slm(lambda p: (p[0] / MAX_BOUND) ** 2 + p[1] / hi[1], domain,
-                  SlmConfig(sense=Sense.MINIMIZE, tolerance=max(domain.widths()) / 8))
+    res = run_slm(lambda p: (p[0] / hi[0]) ** 2 + p[1] / hi[1], domain,
+                  SlmConfig(sense=Sense.MINIMIZE,
+                            tolerance=max(max(domain.widths()) / 8, TINY)))
     files = build_trace_document(res, "wide", 0.0, "minimize")
     svgs = [text for name, text in files.items() if name.endswith(".svg")]
-    assert len(svgs) == len(res.generations) > 1
+    # a box one ulp wide cannot be halved, so its run has one generation
+    assert len(svgs) == len(res.generations) > (1 if splittable(domain) else 0)
     for text in svgs:
-        svg_root(text)
+        root = svg_root(text)
         assert "nan" not in text and "inf" not in text
+        assert LEGEND_WIDTH <= float(root.get("width")) <= PLOT_SIZE + 2 * PAD
+        assert float(root.get("height")) <= PLOT_SIZE + 2 * PAD + LEGEND_HEIGHT
+
+
+def test_svg_of_a_tall_box_is_the_wide_box_turned():
+    # the longer side is drawn PLOT_SIZE long on either axis
+    sizes = []
+    for hi in ((2.0, 1.0), (1.0, 2.0)):
+        res = run_slm(lambda p: p[0] + p[1], SearchBox((0.0, 0.0), hi),
+                      SlmConfig(sense=Sense.MINIMIZE, tolerance=0.5))
+        [box] = by_class(svg_root(render_generation_svg(res.generations[0])), "box")
+        sizes.append((box.get("width"), box.get("height")))
+    assert sizes[0] == sizes[1][::-1] == ("220.00", "110.00")
 
 
 def test_document_skips_svg_for_non_planar_runs():
