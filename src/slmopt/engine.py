@@ -115,13 +115,13 @@ def complete_cells(cells: Sequence[Cell], labels: Sequence[int]) -> tuple[Cell, 
     """Cells whose vertex labels cover {0, 1, ..., n}, input order kept."""
     if not cells:
         return ()
-    needed = set(range(cells[0].box.dimension + 1))
+    needed = set(range(len(cells[0].lo) + 1))
     return tuple(c for c in cells if needed.issubset(map(labels.__getitem__, c.vertex_indices)))
 
 
 def _cell_key(cell: Cell, ranks: Sequence[float]) -> tuple[float, Point]:
     """A cell's selection key: its best vertex rank, then its lower corner."""
-    return min(map(ranks.__getitem__, cell.vertex_indices)), cell.box.lo
+    return min(map(ranks.__getitem__, cell.vertex_indices)), cell.lo
 
 
 def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[LatticeAxis],
@@ -138,7 +138,7 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
     for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
         if gen == 0:
             grid: tuple[Point, ...] = corners(box)
-            cells: tuple[Cell, ...] = (Cell(box, tuple(range(len(grid)))),)
+            cells: tuple[Cell, ...] = (Cell(box.lo, box.hi, tuple(range(len(grid)))),)
         else:
             grid, cells = subdivide(box)
         layouts.append((box, grid, cells))
@@ -218,10 +218,10 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
         chosen = refine[0] if refine and not config.explore_all else None  # descent has one box
         generations += [GenerationRecord(gen, box, spacing, vertices, complete, chosen)
                         for box, _, vertices, complete, _ in staged]
-        if not all(splittable(c.box) for c in refine):
+        frontier = [c.box for c in refine]
+        if not all(map(splittable, frontier)):
             termination = BOX_UNSPLITTABLE
             break
-        frontier = [c.box for c in refine]
 
     # The first best entry in evaluation order: min and max keep the first
     # of equal keys, so this is the first of least rank at a C-level key.

@@ -26,7 +26,8 @@ MAX_BOUND = sys.float_info.max / 2
 class SearchBox:
     """Closed axis-aligned box, -MAX_BOUND <= lo[i] < hi[i] <= MAX_BOUND in
     every dimension: there the sum and difference of any two floats are
-    finite, and so is every width, centre and midpoint."""
+    finite, and so is every width, centre and midpoint. Every box is
+    checked when it is made."""
 
     lo: Point
     hi: Point
@@ -41,15 +42,6 @@ class SearchBox:
         for a, b in zip(self.lo, self.hi):
             if not -MAX_BOUND <= a < b <= MAX_BOUND:
                 raise ValueError(f"bounds ({a!r}, {b!r}) need -M <= lo < hi <= M = {MAX_BOUND!r}")
-
-    @classmethod
-    def _unchecked(cls, lo: Point, hi: Point) -> SearchBox:
-        """A box from float tuples the caller has already checked."""
-        box = object.__new__(cls)
-        fields = box.__dict__
-        fields["lo"] = lo
-        fields["hi"] = hi
-        return box
 
     @property
     def dimension(self) -> int:
@@ -89,11 +81,17 @@ def format_box(box: SearchBox) -> str:
 
 
 class Cell(NamedTuple):
-    """One sub-box of a subdivision, with indices of its corners in the
+    """One sub-box of a subdivision: its lower and upper corners lo and
+    hi, and vertex_indices, the indices of its corners in the
     generation's grid (corner order matches corners(box))."""
 
-    box: SearchBox
+    lo: Point
+    hi: Point
     vertex_indices: tuple[int, ...]
+
+    @property
+    def box(self) -> SearchBox:
+        return SearchBox(self.lo, self.hi)
 
 
 def corners(box: SearchBox) -> tuple[Point, ...]:
@@ -118,16 +116,14 @@ def subdivide(box: SearchBox) -> tuple[tuple[Point, ...], tuple[Cell, ...]]:
     the 2**n covering cells, each pointing at its corner indices in the
     grid. Midpoints are (lo + hi) / 2, so binary-representable bounds
     subdivide exactly under repeated halving. Raises ValueError unless
-    the box is splittable; the cells are then valid boxes and are built
-    without SearchBox's checks.
+    the box is splittable.
     """
     axes = [(a, (a + b) / 2.0, b) for a, b in zip(box.lo, box.hi)]
     for a, m, b in axes:
         if not a < m < b:
             raise ValueError(f"box {format_box(box)} cannot be halved")
     grid = tuple(itertools.product(*axes))
-    unchecked = SearchBox._unchecked
-    cells = tuple(Cell(unchecked(grid[ix[0]], grid[ix[-1]]), ix)
+    cells = tuple(Cell(grid[ix[0]], grid[ix[-1]], ix)
                   for ix in _cell_corner_indices(box.dimension))
     return grid, cells
 

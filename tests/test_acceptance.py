@@ -4,9 +4,6 @@ generation scaling, baseline quality, bench determinism, and structural
 invariants. Each check prints one `criterion N: PASS/FAIL` line outside the
 capture so the verdicts always reach the console log, then asserts."""
 
-import csv
-import io
-import json
 import math
 import random
 import time
@@ -34,6 +31,7 @@ from slmopt.objectives import (
     registry_lookup,
 )
 
+from bench_reference import mask_wall_time, parse_csv, parse_json_lines
 from lattice_reference import index_step, run_lattice
 
 
@@ -306,23 +304,6 @@ def test_criterion_10_baseline_quality(capsys):
 # criterion 11: bench payload determinism
 # ---------------------------------------------------------------------------
 
-def mask_csv_wall_time(text):
-    rows = list(csv.reader(io.StringIO(text)))
-    col = rows[0].index("wall_time_ms")
-    for row in rows[1:]:
-        row[col] = "x"
-    return rows
-
-
-def mask_json_wall_time(text):
-    out = []
-    for line in text.splitlines():
-        record = json.loads(line)
-        record.pop("wall_time_ms")
-        out.append(record)
-    return out
-
-
 def test_criterion_11_bench_determinism(capsys):
     started = time.perf_counter()
     spec = dict(
@@ -334,9 +315,10 @@ def test_criterion_11_bench_determinism(capsys):
     )
     first, second = run_bench(**spec), run_bench(**spec)
     ok = (emit_markdown(first) == emit_markdown(second)
-          and mask_csv_wall_time(emit_csv(first)) == mask_csv_wall_time(emit_csv(second))
-          and mask_json_wall_time(emit_json_lines(first))
-          == mask_json_wall_time(emit_json_lines(second)))
+          and mask_wall_time(parse_csv(emit_csv(first)))
+          == mask_wall_time(parse_csv(emit_csv(second)))
+          and mask_wall_time(parse_json_lines(emit_json_lines(first)))
+          == mask_wall_time(parse_json_lines(emit_json_lines(second))))
     in_time, clock = timed(started, 5.0)
     report(capsys, 11, ok and in_time,
            f"two runs, markdown byte-identical and csv/json-lines identical "

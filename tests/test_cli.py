@@ -1,7 +1,6 @@
 """Command-line front end: flags, config files, payload/diagnostic split."""
 
 import argparse
-import itertools
 import math
 import os
 import re
@@ -16,10 +15,8 @@ from slmopt.geometry import SearchBox, format_point
 from slmopt.labeling import Sense
 from slmopt.objectives import (
     ObjectiveSpec,
-    UnknownObjectiveError,
     builtin_names,
     register_objective,
-    registry_lookup,
 )
 
 from bench_reference import mask_wall_time, parse_csv, parse_json_lines
@@ -151,19 +148,17 @@ def test_optimize_unknown_function(capsys):
 
 def _raising_objective():
     name = "test_raising_xyzzy"
-    try:
-        registry_lookup(name)
-    except UnknownObjectiveError:
-        register_objective(ObjectiveSpec(
-            name=name,
-            domain=SearchBox((0.0,), (1.0,)),
-            sense=Sense.MINIMIZE,
-            known_optima=(((0.5,), 0.0),),
-            evaluator=lambda p: 1.0 / 0.0,
-        ))
+    register_objective(ObjectiveSpec(
+        name=name,
+        domain=SearchBox((0.0,), (1.0,)),
+        sense=Sense.MINIMIZE,
+        known_optima=(((0.5,), 0.0),),
+        evaluator=lambda p: 1.0 / 0.0,
+    ))
     return name
 
 
+@pytest.mark.usefixtures("scratch_registry")
 @pytest.mark.parametrize("argv", (
     ("optimize",),
     ("optimize", "--method", "sa"),
@@ -180,11 +175,8 @@ def test_raising_objective_is_one_line_error(argv, tmp_path, capsys):
                    f"at {point} at evaluation 1\n")
 
 
-_non_finite_ids = itertools.count()
-
-
 def _non_finite_objective(bad):
-    """Register a fresh 1-D objective that returns bad on its first call
+    """Register a 1-D objective that returns bad on its first call
     (nan) or on every call (inf); returns its name."""
     calls = []
 
@@ -192,7 +184,7 @@ def _non_finite_objective(bad):
         calls.append(p)
         return bad if math.isinf(bad) or len(calls) == 1 else p[0]
 
-    name = f"test_non_finite_{next(_non_finite_ids)}"
+    name = "test_non_finite"
     register_objective(ObjectiveSpec(
         name=name,
         domain=SearchBox((0.0,), (1.0,)),
@@ -203,6 +195,7 @@ def _non_finite_objective(bad):
     return name
 
 
+@pytest.mark.usefixtures("scratch_registry")
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 @pytest.mark.parametrize("method", ("slm", "rs", "rsw", "sa"))
 def test_non_finite_value_is_one_line_error(method, bad, capsys):
@@ -471,6 +464,7 @@ def test_other_exception_is_one_line_naming_its_type(capsys, monkeypatch):
     assert (rc, out, err) == (2, "", "error: RuntimeError: boom\n")
 
 
+@pytest.mark.usefixtures("scratch_registry")
 def test_bench_objective_without_optimum_is_one_line_error(capsys, monkeypatch):
     # checked with the names, before any method runs on any objective
     calls = []
@@ -496,19 +490,17 @@ def _far_objective():
     """A 1-D objective on [-1e200, 1e200]; found points lie farther than
     1.3e154 from its optimum, where (a - b) ** 2 overflows."""
     name = "test_far_optimum_xyzzy"
-    try:
-        registry_lookup(name)
-    except UnknownObjectiveError:
-        register_objective(ObjectiveSpec(
-            name=name,
-            domain=SearchBox((-1e200,), (1e200,)),
-            sense=Sense.MINIMIZE,
-            known_optima=(((1e199,), 0.0),),
-            evaluator=lambda p: abs(p[0] - 1e199),
-        ))
+    register_objective(ObjectiveSpec(
+        name=name,
+        domain=SearchBox((-1e200,), (1e200,)),
+        sense=Sense.MINIMIZE,
+        known_optima=(((1e199,), 0.0),),
+        evaluator=lambda p: abs(p[0] - 1e199),
+    ))
     return name
 
 
+@pytest.mark.usefixtures("scratch_registry")
 def test_bench_deviation_on_the_widest_scale(capsys):
     rc, out, err = run_cli(capsys, "bench", "--function", _far_objective(),
                            "--method", "slm,rs", "--format", "json-lines")
@@ -519,6 +511,7 @@ def test_bench_deviation_on_the_widest_scale(capsys):
         assert r.deviation == (abs(r.found_point[0] - 1e199),)
 
 
+@pytest.mark.usefixtures("scratch_registry")
 @pytest.mark.parametrize("functions, expected", (
     ("all,{far}", builtin_names() + ("{far}",)),
     ("shekel,all", ("shekel", "sphere_min", "trig", "sphere_max", "rosenbrock")),

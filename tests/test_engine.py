@@ -383,7 +383,7 @@ def test_raising_objective_names_the_runs_call(explore_all):
 
 @pytest.mark.parametrize("pick, field", (
     (lambda g: g.vertices[0], "label"),
-    (lambda g: g.complete_cells[0], "box"),
+    (lambda g: g.complete_cells[0], "lo"),
     (lambda g: g, "chosen"),
 ), ids=("LabeledVertex", "Cell", "GenerationRecord"))
 def test_records_are_read_only(pick, field):
@@ -439,7 +439,7 @@ def unstored_run(f, domain, cfg):
         return v
 
     def cell_rank(cell, vertices):
-        return min(rank(vertices[i].value) for i in cell.vertex_indices), cell.box.lo
+        return min(rank(vertices[i].value) for i in cell.vertex_indices), cell.lo
 
     records, frontier, spacing, gen = [], [domain], domain.widths(), 0
     while True:
@@ -447,7 +447,7 @@ def unstored_run(f, domain, cfg):
         for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
             if gen == 0:
                 grid = corners(box)
-                cells = (Cell(box, tuple(range(len(grid)))),)
+                cells = (Cell(box.lo, box.hi, tuple(range(len(grid)))),)
             else:
                 grid, cells = subdivide(box)
             step = 2 ** (depth - gen - 1)
@@ -723,6 +723,8 @@ def test_generations_halve_nest_and_stay_in_budget(n, data, halvings, explore_al
     by_gen = {}
     for g in res.generations:
         assert all(0 <= v.label <= n for v in g.vertices)
+        for c in g.complete_cells + ((g.chosen,) if g.chosen is not None else ()):
+            assert _inside(c, g.box) and c.box == SearchBox(c.lo, c.hi)
         by_gen.setdefault(g.index, []).append(g)
     assert list(by_gen) == list(range(len(by_gen)))
     for k in range(1, len(by_gen)):

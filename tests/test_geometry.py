@@ -202,8 +202,9 @@ def test_subdivide_rejects_a_box_it_cannot_halve():
 
 
 def test_subdivide_cells_equal_checked_boxes():
-    _, cells = subdivide(SearchBox((-65.536, 0.1), (65.536, 0.7)))
+    grid, cells = subdivide(SearchBox((-65.536, 0.1), (65.536, 0.7)))
     for cell in cells:
+        assert (cell.lo, cell.hi) == (grid[cell.vertex_indices[0]], grid[cell.vertex_indices[-1]])
         checked = SearchBox(cell.box.lo, cell.box.hi)
         assert cell.box == checked and hash(cell.box) == hash(checked)
         assert repr(cell.box) == repr(checked)

@@ -92,8 +92,9 @@ ROSEN_FINE_ROWS = (  # spacing (0.512, 0.512)
 )
 
 # For these two points the valley is so flat that several neighbors are
-# nearly tied; the winning neighbor is (0.512, 0.512) in both cases, and
-# only the label is pinned here.
+# nearly tied; the winning neighbor is (0.512, 0.512) in both cases.
+# check_rows pins the probe target as well as the label, as for every
+# other row.
 ROSEN_FINE_LABEL_ONLY = (
     ((1.024, 0.0), (0.512, 0.512), 1),
     ((0.0, 1.024), (0.512, 0.512), 2),

@@ -253,18 +253,16 @@ def test_unknown_name_error_reads_as_its_message():
                               + ", ".join(builtin_names()))
 
 
+@pytest.mark.usefixtures("scratch_registry")
 def test_register_custom_objective():
     name = "test_ridge_xyzzy"
-    try:
-        registry_lookup(name)
-    except UnknownObjectiveError:
-        register_objective(ObjectiveSpec(
-            name=name,
-            domain=SearchBox((0.0,), (1.0,)),
-            sense=Sense.MINIMIZE,
-            known_optima=(((0.5,), 0.0),),
-            evaluator=lambda p: (p[0] - 0.5) ** 2,
-        ))
+    register_objective(ObjectiveSpec(
+        name=name,
+        domain=SearchBox((0.0,), (1.0,)),
+        sense=Sense.MINIMIZE,
+        known_optima=(((0.5,), 0.0),),
+        evaluator=lambda p: (p[0] - 0.5) ** 2,
+    ))
     assert name not in builtin_names()
     assert registry_lookup(name).evaluator((0.5,)) == 0.0
     with pytest.raises(ValueError):
@@ -277,6 +275,7 @@ def test_register_custom_objective():
         ))
 
 
+@pytest.mark.usefixtures("scratch_registry")
 def test_register_rejects_optimum_outside_domain():
     with pytest.raises(ValueError):
         register_objective(ObjectiveSpec(
@@ -288,6 +287,7 @@ def test_register_rejects_optimum_outside_domain():
         ))
 
 
+@pytest.mark.usefixtures("scratch_registry")
 def test_register_rejects_an_overflowing_domain():
     # the domain is checked as the spec is built, before anything registers
     name = "test_overflowing_domain_xyzzy"
