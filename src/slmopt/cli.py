@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from typing import Sequence
 
@@ -49,7 +50,15 @@ from .trace import build_trace_document, write_trace
 
 class _Parser(argparse.ArgumentParser):
     """Turns every usage error into a ValueError, so it prints as one line.
-    add_subparsers builds the subcommand parsers with this class too."""
+    add_subparsers builds the subcommand parsers with this class too.
+
+    A value that starts with "-" and a digit, or "-." and a digit, is a
+    value, not a flag: argparse's own pattern takes "-1" and "-.5" but
+    not the point "-1,2"."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
         raise ValueError(message)

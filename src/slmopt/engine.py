@@ -21,9 +21,11 @@ generation tolerance and max_generations allow, so the last
 generation's probes are one index apart. Per axis, a table
 (geometry.LatticeAxis) maps each index to the float subdivide computes
 for it. label_grid labels on that lattice only: it takes every probe
-coordinate from the table and rejects a vertex coordinate that is not
-in it, so a lattice point has one float on every domain, whether
-reached as a grid point or as a probe. run_slm owns a point -> value
+coordinate from the table and rejects a vertex coordinate the table has
+not made, so a lattice point has one float on every domain, whether
+reached as a grid point or as a probe. Every grid point is made before
+its generation: generation 0's corners are the table's ends, and every
+later grid point was a probe of the generation before. run_slm owns a point -> value
 store keyed on the float tuple and hands it to every label_grid call,
 which evaluates and checks only the points missing from it, numbering
 them on from the store's size, so a failing call names the run's

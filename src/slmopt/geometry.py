@@ -162,23 +162,11 @@ class LatticeAxis(dict):
 
     def probes(self, step: int, x: float) -> tuple[float, ...]:
         """The floats of indices k - step, k and k + step that lie in
-        [0, 2**depth], where k is the index of the lattice float x.
-
-        An x the table has not made yet is found by bisecting [0, 2**depth],
-        which makes the entries on its path; ValueError if x is not on
-        the lattice."""
+        [0, 2**depth], where k is index[x]; ValueError unless the table
+        has made x."""
         k = self.index.get(x)
         if k is None:
-            a, b = 0, self.top
-            while b - a > 1 and x not in self.index:
-                m = (a + b) // 2
-                if x < self[m]:
-                    b = m
-                else:
-                    a = m
-            k = self.index.get(x)
-            if k is None:
-                raise ValueError(f"{x!r} is not a lattice point")
+            raise ValueError(f"{x!r} is not a lattice point the table has made")
         if step <= k <= self.top - step:
             return self[k - step], self[k], self[k + step]
         return tuple([self[j] for j in (k - step, k, k + step) if 0 <= j <= self.top])

@@ -38,11 +38,6 @@ class ObjectiveSpec:
     evaluator: Callable[[Point], float]
 
 
-class UnknownObjectiveError(ValueError):
-    """registry_lookup found no objective by that name; callers catch it
-    to register the objective."""
-
-
 def eval_sphere_min(p: Sequence[float]) -> float:
     x1, x2 = p
     return x1 ** 2 + (x2 - 0.4) ** 2
@@ -124,8 +119,7 @@ def register_objective(spec: ObjectiveSpec) -> None:
 
 def registry_lookup(name: str) -> ObjectiveSpec:
     if name not in _REGISTRY:
-        raise UnknownObjectiveError(
-            f"unknown objective {name!r}; available: {', '.join(builtin_names())}")
+        raise ValueError(f"unknown objective {name!r}; available: {', '.join(_REGISTRY)}")
     return _REGISTRY[name]
 
 

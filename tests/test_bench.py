@@ -18,7 +18,7 @@ from slmopt.bench import (
     emit_table,
     run_bench,
 )
-from slmopt.objectives import UnknownObjectiveError, registry_lookup
+from slmopt.objectives import registry_lookup
 
 from bench_reference import mask_wall_time, parse_csv, parse_json_lines
 
@@ -87,7 +87,7 @@ def test_bench_spec_rejects_an_empty_matrix(field):
 
 
 def test_unknown_objective_aborts_before_running():
-    with pytest.raises(UnknownObjectiveError):
+    with pytest.raises(ValueError, match="^unknown objective 'nope'; available: "):
         run_bench(**small_spec(objectives=("sphere_min", "nope")))
 
 

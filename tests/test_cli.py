@@ -133,6 +133,15 @@ def test_optimize_bad_initial_flag(capsys):
     assert err == "error: argument --initial: not a comma-separated point: '1.0;2.0'\n"
 
 
+@pytest.mark.parametrize("point", ("-1,2", "-.5,-7", "-0,3"))
+def test_optimize_initial_may_start_with_a_minus(point, capsys):
+    # a separate argument that starts with "-" and a digit is the flag's value
+    args = ("optimize", "--function", "trig", "--method", "rsw", "--iterations", "20")
+    rc, out, err = run_cli(capsys, *args, "--initial", point)
+    assert (rc, err) == (0, "")
+    assert (rc, out, err) == run_cli(capsys, *args, f"--initial={point}")
+
+
 def test_optimize_requires_function(capsys):
     rc, out, err = run_cli(capsys, "optimize")
     assert rc == 2 and out == ""

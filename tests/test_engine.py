@@ -4,9 +4,10 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from slmopt import engine
 from slmopt.bench import default_tolerance
 from slmopt.engine import (
     BOX_UNSPLITTABLE,
@@ -17,7 +18,7 @@ from slmopt.engine import (
     run_slm,
 )
 from slmopt.geometry import MAX_BOUND, Cell, SearchBox, corners, splittable, subdivide
-from slmopt.labeling import ObjectiveEvaluationError, Sense
+from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid
 from slmopt.objectives import builtin_names, registry_lookup
 
 from lattice_reference import (
@@ -570,6 +571,51 @@ def test_float_keys_are_lattice_points_on_random_boxes(n, data, halvings, explor
                     explore_all=explore_all, cell_budget=cell_budget)
     res, seen = recorded_run(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)), domain, cfg)
     assert_one_key_per_lattice_point(res, seen, domain, cfg)
+
+
+def _ulps_above(x, count):
+    for _ in range(count):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    lo=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    # a float is the axis's width; an integer is its width in ulps, so
+    # that halving repeats floats and lattice entries collide
+    width=st.tuples(*[st.one_of(st.floats(0.01, 100.0), st.integers(1, 8))] * 3),
+    halvings=st.integers(1, 4),
+    explore_all=st.booleans(),
+    cell_budget=st.integers(1, 32),
+)
+@example(n=1, lo=(1.0,) * 3, width=(3,) * 3, halvings=4, explore_all=True, cell_budget=32)
+@example(n=2, lo=(0.1, -7.3, 0.0), width=(5, 1.7, 1.0), halvings=4, explore_all=False,
+         cell_budget=1)
+def test_every_grid_point_is_made_before_it_is_labeled(n, lo, width, halvings, explore_all,
+                                                       cell_budget):
+    # LatticeAxis.probes finds only floats its table has made; run_slm
+    # relies on every grid coordinate being one when its generation starts
+    hi = [_ulps_above(a, w) if isinstance(w, int) else a + w for a, w in zip(lo, width)]
+    domain = SearchBox(lo[:n], hi[:n])
+    tolerance = max(domain.widths()) / 2 ** halvings
+    assume(tolerance > 0)
+    centre = tuple(a + (b - a) / 3.0 for a, b in zip(domain.lo, domain.hi))
+    grids = []
+
+    def made_first(f, grid, step, sense, values, lattice):
+        for p in grid:
+            assert all(x in axis.index for x, axis in zip(p, lattice)), p
+        grids.append(grid)
+        return label_grid(f, grid, step, sense, values, lattice)
+
+    cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=tolerance, explore_all=explore_all,
+                    cell_budget=cell_budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "label_grid", made_first)
+        res = run_slm(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)), domain, cfg)
+    assert len(grids) == res.generations[-1].index + 1
 
 
 def test_deep_run_evaluates_each_point_once():

@@ -260,21 +260,25 @@ def test_lattice_probes_reject_a_float_off_the_lattice():
             LatticeAxis(0.0, 1.0, 2).probes(1, bad)
 
 
-def test_lattice_probes_find_a_float_not_made_yet():
-    # axis[2] is 0.0, but no lookup has made it: probes bisects to it
+def test_lattice_probes_reject_a_float_not_made_yet():
+    # axis[2] is 0.0, on the lattice, but no lookup has made it
     axis = LatticeAxis(-2.0, 2.0, 2)
+    with pytest.raises(ValueError, match="^0.0 is not a lattice point the table has made$"):
+        axis.probes(1, 0.0)
+    assert axis[2] == 0.0
     assert axis.probes(1, 0.0) == (-1.0, 0.0, 1.0)
-    assert axis.index[0.0] == 2
 
 
 @settings(max_examples=60, deadline=None)
 @given(lo=st.floats(-100.0, 100.0), width=st.floats(0.01, 100.0), depth=st.integers(1, 8),
        step=st.integers(1, 2 ** 8))
 def test_lattice_probes_find_every_index_of_a_fresh_axis(lo, width, depth, step):
-    full = LatticeAxis(lo, lo + width, depth)
-    floats = [full[k] for k in range(full.top + 1)]
-    step = min(step, full.top)
+    # every index made first, then each float's probes read against the
+    # floats built by index
+    axis = LatticeAxis(lo, lo + width, depth)
+    floats = [axis[k] for k in range(axis.top + 1)]
+    step = min(step, axis.top)
     for k, x in enumerate(floats):
-        fresh = LatticeAxis(lo, lo + width, depth)
-        assert fresh.probes(step, x) == full.probes(step, x)
-        assert fresh.index[x] == k
+        assert axis.index[x] == k
+        assert axis.probes(step, x) == tuple(floats[j] for j in (k - step, k, k + step)
+                                             if 0 <= j <= axis.top)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from slmopt.geometry import LatticeAxis, SearchBox, corners
 from slmopt.labeling import (
-    LabeledVertex,
     ObjectiveEvaluationError,
     Sense,
     checked,
@@ -361,10 +360,10 @@ def test_label_grid_rejects_a_coordinate_off_the_lattice():
 
 
 def test_label_grid_on_a_fresh_lattice():
-    # no lookup has made axis[2] == 0.0; the vertex is still labeled
-    out = label_grid(lambda p: (p[0] - 1.0) ** 2, ((0.0,),), 1, Sense.MINIMIZE, {},
-                     (LatticeAxis(-2.0, 2.0, 2),))
-    assert out == (LabeledVertex(point=(0.0,), value=1.0, probe_target=(1.0,), label=0),)
+    # axis[2] == 0.0 is on the lattice, but no lookup has made it
+    with pytest.raises(ValueError, match="^0.0 is not a lattice point the table has made$"):
+        label_grid(lambda p: (p[0] - 1.0) ** 2, ((0.0,),), 1, Sense.MINIMIZE, {},
+                   (LatticeAxis(-2.0, 2.0, 2),))
 
 
 def test_probe_point_outside_domain_rejected():

@@ -13,7 +13,6 @@ from slmopt.geometry import SearchBox
 from slmopt.labeling import Sense
 from slmopt.objectives import (
     ObjectiveSpec,
-    UnknownObjectiveError,
     builtin_names,
     eval_rosenbrock,
     eval_shekel,
@@ -240,17 +239,33 @@ def test_known_optima_are_consistent():
 
 def test_unknown_name_error():
     # a plain ValueError: the message is all a caller reads
-    with pytest.raises(UnknownObjectiveError) as err:
+    with pytest.raises(ValueError) as err:
         registry_lookup("nope")
-    assert isinstance(err.value, ValueError) and not isinstance(err.value, KeyError)
+    assert type(err.value) is ValueError
     assert err.value.args == (str(err.value),)
 
 
 def test_unknown_name_error_reads_as_its_message():
-    with pytest.raises(UnknownObjectiveError) as err:
+    with pytest.raises(ValueError) as err:
         registry_lookup("nope")
+    assert type(err.value) is ValueError
     assert str(err.value) == ("unknown objective 'nope'; available: "
                               + ", ".join(builtin_names()))
+
+
+@pytest.mark.usefixtures("scratch_registry")
+def test_unknown_name_error_lists_every_registered_name():
+    register_objective(ObjectiveSpec(
+        name="custom",
+        domain=SearchBox((0.0,), (1.0,)),
+        sense=Sense.MINIMIZE,
+        known_optima=(),
+        evaluator=lambda p: p[0],
+    ))
+    with pytest.raises(ValueError) as err:
+        registry_lookup("custm")
+    assert str(err.value) == ("unknown objective 'custm'; available: sphere_min, trig, "
+                              "sphere_max, rosenbrock, shekel, custom")
 
 
 @pytest.mark.usefixtures("scratch_registry")
@@ -299,5 +314,5 @@ def test_register_rejects_an_overflowing_domain():
             known_optima=(),
             evaluator=lambda p: p[0],
         ))
-    with pytest.raises(UnknownObjectiveError):
+    with pytest.raises(ValueError, match="^unknown objective "):
         registry_lookup(name)
