@@ -10,12 +10,19 @@ through labeling.checked, as run_slm does: a call that raises or
 returns a non-finite value raises ObjectiveEvaluationError with its
 point and its 1-based evaluation number.
 
+Uniform points (random search's, annealing's temperature samples) are
+drawn ahead CHUNK points at a time, in the same dimension-major order,
+and built column by column with no Python frame per point; step scales
+are made a chunk at a time too, so a run holds O(CHUNK * n) floats
+whatever its iteration count. A run stopped by a failing evaluation has
+drawn further ahead than the points it evaluated, which nothing can
+observe, because each run owns its generator.
+
 Each run binds its invariants once: the bound ``random`` method, the
-objective, the comparison (Sense.better: operator.lt or operator.gt), the
-per-axis (lo, width) and (lo, hi, width) tuples and the step scale of
-every iteration. The clamp ``v = a if a > v else v; v = b if b < v
-else v`` is ``min(max(v, a), b)`` bit for bit, signed zeros included:
-each keeps v unless the bound compares strictly past it.
+objective, the comparison (Sense.better: operator.lt or operator.gt) and
+the per-axis (lo, hi, width) tuples. The clamp ``v = a if a > v else v;
+v = b if b < v else v`` is ``min(max(v, a), b)`` bit for bit, signed
+zeros included: each keeps v unless the bound compares strictly past it.
 """
 
 from __future__ import annotations
@@ -23,9 +30,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain, islice
+from typing import Callable, Iterator
 
-from .geometry import Point
+from .geometry import Point, SearchBox
 from .labeling import checked
 from .objectives import ObjectiveSpec
 
@@ -36,6 +44,9 @@ STEP_SCALE_FINAL = 0.01
 # annealing starts at the value spread of this many uniform samples
 TEMPERATURE_SAMPLES = 10
 COOLING_RATIO = 0.95
+# uniform points and step scales are made this many at a time; it only
+# bounds memory, to O(CHUNK * n) floats, and changes no value
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -62,13 +73,35 @@ class OptimRunResult:
     notes: tuple[str, ...] = ()
 
 
-def _step_scales(cfg: BaselineConfig) -> list[float]:
+def _step_scales(cfg: BaselineConfig) -> Iterator[float]:
     """Proposal radius for each iteration, as a fraction of the width:
-    geometric decay from STEP_SCALE_INITIAL to STEP_SCALE_FINAL."""
+    geometric decay from STEP_SCALE_INITIAL to STEP_SCALE_FINAL, made
+    CHUNK iterations at a time."""
     s0 = STEP_SCALE_INITIAL
     ratio = STEP_SCALE_FINAL / s0
-    last = max(1, cfg.iterations - 1)
-    return [s0 * ratio ** (t / last) for t in range(cfg.iterations)]
+    count = cfg.iterations
+    last = max(1, count - 1)
+    return chain.from_iterable(
+        [s0 * ratio ** (t / last) for t in range(start, min(start + CHUNK, count))]
+        for start in range(0, count, CHUNK))
+
+
+def _uniform_points(draw: Callable[[], float], domain: SearchBox, count: int) -> Iterator[Point]:
+    """count uniform points of domain, a + w * u on each axis (lo a, width
+    w), u read from draw dimension-major. Each chunk of k points takes its
+    k * n draws at once and builds axis i's column from every n-th draw,
+    so exactly count * n values are drawn once every point is read."""
+    axes = tuple(enumerate(zip(domain.lo, domain.widths())))
+    n = len(axes)
+    stream = iter(draw, None)
+
+    def chunks() -> Iterator[Iterator[Point]]:
+        for start in range(0, count, CHUNK):
+            us = list(islice(stream, min(CHUNK, count - start) * n))
+            yield zip(*[[a + w * u for u in us[i::n]] for i, (a, w) in axes])
+
+    # chain reads each chunk's zip at C level: no Python frame per point
+    return chain.from_iterable(chunks())
 
 
 def _propose(draw: Callable[[], float], x: Point,
@@ -88,14 +121,12 @@ def random_search(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunResult:
 
     evaluations == cfg.iterations.
     """
-    draw = random.Random(cfg.seed).random
     better = spec.sense.better
     f = checked(spec.evaluator)
-    axes = tuple(zip(spec.domain.lo, spec.domain.widths()))
-    best_p = tuple([a + w * draw() for a, w in axes])
+    points = _uniform_points(random.Random(cfg.seed).random, spec.domain, cfg.iterations)
+    best_p = next(points)
     best_v = f(best_p)
-    for _ in range(cfg.iterations - 1):
-        p = tuple([a + w * draw() for a, w in axes])
+    for p in points:
         v = f(p)
         if better(v, best_v):
             best_p, best_v = p, v
@@ -151,11 +182,9 @@ def simulated_annealing(spec: ObjectiveSpec, cfg: BaselineConfig) -> OptimRunRes
     better = spec.sense.better
     f = checked(spec.evaluator)
     exp = math.exp
-    lo, widths = spec.domain.lo, spec.domain.widths()
-    axes = tuple(zip(lo, widths))
-    bounds = tuple(zip(lo, spec.domain.hi, widths))
+    bounds = tuple(zip(spec.domain.lo, spec.domain.hi, spec.domain.widths()))
     x, notes = _initial(spec, cfg)
-    samples = [f(tuple([a + w * draw() for a, w in axes])) for _ in range(TEMPERATURE_SAMPLES)]
+    samples = [f(p) for p in _uniform_points(draw, spec.domain, TEMPERATURE_SAMPLES)]
     temperature = max(samples) - min(samples)
     if temperature <= 0.0:
         temperature = 1.0

@@ -4,12 +4,14 @@ import dataclasses
 import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slmopt.baselines import (
+    CHUNK,
     BaselineConfig,
     random_search,
     random_search_walk,
@@ -85,8 +87,8 @@ def test_runs_do_not_share_state():
 # ---------------------------------------------------------------------------
 
 # iterations 1 is the single draw of random_search and the zero-span
-# step decay of the walks
-ITERATION_COUNTS = (1, 2, 123)
+# step decay of the walks; 2 * CHUNK + 3 ends in a partial chunk
+ITERATION_COUNTS = (1, 2, 123, 2 * CHUNK + 3)
 
 
 def check_evaluations(run, extra):
@@ -278,8 +280,12 @@ TRAJECTORY_SHA = {
 }
 
 
-@pytest.mark.parametrize("name, kind, initial", TRAJECTORY_SHA)
-def test_builtin_trajectories_are_bit_stable(name, kind, initial):
+# the same digest for rs on trig at 2500 iterations, seed 0: its uniform
+# points cross two chunk boundaries and end in a partial chunk
+RS_2500_TRAJECTORY_SHA = "30e5d227f2bf1d1b5d92bd4d878fbe9eecfdd0ae0cbfbfa0e188145d58782c37"
+
+
+def trajectory_digest(name, kind, iterations, initial=None):
     spec = registry_lookup(name)
     trajectory = []
 
@@ -289,9 +295,18 @@ def test_builtin_trajectories_are_bit_stable(name, kind, initial):
         return v
 
     _BASELINE_FNS[kind](dataclasses.replace(spec, evaluator=f),
-                       cfg(iterations=DEFAULT_ITERATIONS[kind], seed=0, initial_point=initial))
-    digest = hashlib.sha256(repr(trajectory).encode()).hexdigest()
+                       cfg(iterations=iterations, seed=0, initial_point=initial))
+    return hashlib.sha256(repr(trajectory).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, kind, initial", TRAJECTORY_SHA)
+def test_builtin_trajectories_are_bit_stable(name, kind, initial):
+    digest = trajectory_digest(name, kind, DEFAULT_ITERATIONS[kind], initial)
     assert digest == TRAJECTORY_SHA[name, kind, initial]
+
+
+def test_random_search_trajectory_across_chunks_is_bit_stable():
+    assert trajectory_digest("trig", "rs", 2500) == RS_2500_TRAJECTORY_SHA
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +347,8 @@ def start_coordinate(draw, lo, hi):
 
 
 @st.composite
-def baseline_cases(draw):
-    n = draw(st.integers(1, 3))
+def baseline_cases(draw, dimensions=st.integers(1, 3), iterations=st.integers(1, 200)):
+    n = draw(dimensions)
     bounds = [draw(axis_bounds()) for _ in range(n)]
     domain = SearchBox(*zip(*bounds))
     start = None
@@ -341,8 +356,13 @@ def baseline_cases(draw):
         start = tuple(draw(start_coordinate(a, b)) for a, b in bounds)
     centre = tuple(draw(st.floats(a, b)) for a, b in bounds)
     return (domain, draw(st.sampled_from(Sense)), centre, draw(st.booleans()),
-            BaselineConfig(iterations=draw(st.integers(1, 200)),
+            BaselineConfig(iterations=draw(iterations),
                            seed=draw(st.integers(0, 2**32)), initial_point=start))
+
+
+REFERENCE_PAIRS = ((random_search, ref.random_search),
+                   (random_search_walk, ref.random_search_walk),
+                   (simulated_annealing, ref.simulated_annealing))
 
 
 def recorded_run(run, domain, sense, centre, quantized, config):
@@ -371,9 +391,31 @@ def recorded_run(run, domain, sense, centre, quantized, config):
 @example(case=(SearchBox((-TINY,), (-0.0,)), Sense.MAXIMIZE, (0.0,), True,
                BaselineConfig(iterations=20, seed=1, initial_point=(0.0,))))
 def test_baselines_match_the_reference_loops(case):
-    for run, oracle in ((random_search, ref.random_search),
-                        (random_search_walk, ref.random_search_walk),
-                        (simulated_annealing, ref.simulated_annealing)):
+    for run, oracle in REFERENCE_PAIRS:
+        assert recorded_run(run, *case) == recorded_run(oracle, *case)
+
+
+# iteration counts around the chunk size of the uniform points and the
+# step scales: one short of a chunk, exactly one, one over, and two whole
+# chunks plus a partial one
+CHUNK_EDGES = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+
+@settings(max_examples=5, deadline=None)
+@given(case=baseline_cases(st.integers(1, 4), st.sampled_from(CHUNK_EDGES)))
+# every edge, n = 1..4, both senses, tied and untied values, and a zero
+# bound of each sign on every domain
+@example(case=(SearchBox((-0.0,), (3.5,)), Sense.MAXIMIZE, (1.0,), True,
+               BaselineConfig(iterations=CHUNK_EDGES[0], seed=11)))
+@example(case=(SearchBox((0.0, -7.25), (TINY, -0.0)), Sense.MINIMIZE, (0.0, -1.0), True,
+               BaselineConfig(iterations=CHUNK_EDGES[1], seed=12, initial_point=(-0.0, 0.0))))
+@example(case=(SearchBox((-1.5, 0.0, -TINY), (2.25, 9.0, 0.0)), Sense.MAXIMIZE, (0.5, 3.0, -0.0),
+               False, BaselineConfig(iterations=CHUNK_EDGES[2], seed=13)))
+@example(case=(SearchBox((-0.0, -3.0, 0.0, 10.0), (1.0, -0.0, 50.0, 12.5)), Sense.MINIMIZE,
+               (0.25, -1.0, 20.0, 11.0), True,
+               BaselineConfig(iterations=CHUNK_EDGES[3], seed=14, initial_point=(0.5, 0.0, -1.0, 13.0))))
+def test_baselines_match_the_reference_loops_across_chunks(case):
+    for run, oracle in REFERENCE_PAIRS:
         assert recorded_run(run, *case) == recorded_run(oracle, *case)
 
 
@@ -424,3 +466,65 @@ def test_raising_objective_names_the_point_and_call(run):
     assert isinstance(err.value.__cause__, RuntimeError)
     assert str(err.value) == (f"objective raised RuntimeError: no value here at {seen[-1]!r} "
                               "at evaluation 5")
+
+
+@pytest.mark.parametrize("failure", ("raise", "nan"))
+@pytest.mark.parametrize("run, oracle, k", (
+    (random_search, ref.random_search, CHUNK + 3),
+    # a temperature sample, then a proposal two chunks of step scales on
+    (simulated_annealing, ref.simulated_annealing, 7),
+    (simulated_annealing, ref.simulated_annealing, CHUNK + 3),
+), ids=("rs", "sa-sample", "sa-proposal"))
+def test_failure_after_the_first_chunk_names_its_call_and_point(run, oracle, k, failure):
+    # points drawn ahead in chunks must not shift the call numbering: the
+    # run stops at call k, at the reference loop's k-th point, and calls
+    # nothing after it
+    config = cfg(iterations=2 * CHUNK + 3, seed=6)
+    spec, expected = recording(SPHERE)
+    oracle(spec, config)
+    seen = []
+
+    def f(p):
+        seen.append(p)
+        if len(seen) == k:
+            if failure == "raise":
+                raise RuntimeError("no value here")
+            return math.nan
+        return SPHERE.evaluator(p)
+
+    with pytest.raises(ObjectiveEvaluationError) as err:
+        run(dataclasses.replace(SPHERE, evaluator=f), config)
+    assert err.value.evaluation == k
+    assert repr(err.value.point) == repr(expected[k - 1])
+    assert repr(seen) == repr(expected[:k])
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+def test_walk_step_scales_take_bounded_memory():
+    # the step scales are made a chunk at a time, not as one list of
+    # cfg.iterations floats (about 9.8 MB at 300 000). A fully traced run
+    # takes about 3 s, so the objective stops this one once it has used
+    # three chunks of scales; a list made up front is already counted then.
+    stop = 3 * CHUNK + 1
+    calls = 0
+
+    def f(p):
+        nonlocal calls
+        calls += 1
+        if calls == stop:
+            raise RuntimeError("stop")
+        return 0.0
+
+    spec = ObjectiveSpec("flat", SearchBox((0.0,), (1.0,)), Sense.MINIMIZE, (((0.0,), 0.0),), f)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ObjectiveEvaluationError) as err:
+            random_search_walk(spec, cfg(iterations=300_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.evaluation == stop
+    assert peak < 2_000_000
