@@ -471,9 +471,10 @@ def test_raising_objective_names_the_point_and_call(run):
 @pytest.mark.parametrize("failure", ("raise", "nan"))
 @pytest.mark.parametrize("run, oracle, k", (
     (random_search, ref.random_search, CHUNK + 3),
-    # a temperature sample, then a proposal two chunks of step scales on
+    # a temperature sample, then proposal CHUNK + 3, in the second chunk
+    # of step scales, after the 10 samples and the start point
     (simulated_annealing, ref.simulated_annealing, 7),
-    (simulated_annealing, ref.simulated_annealing, CHUNK + 3),
+    (simulated_annealing, ref.simulated_annealing, 11 + CHUNK + 3),
 ), ids=("rs", "sa-sample", "sa-proposal"))
 def test_failure_after_the_first_chunk_names_its_call_and_point(run, oracle, k, failure):
     # points drawn ahead in chunks must not shift the call numbering: the
