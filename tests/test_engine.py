@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from slmopt import engine
+from slmopt import engine, labeling
 from slmopt.bench import default_tolerance
 from slmopt.engine import (
     BOX_UNSPLITTABLE,
@@ -618,6 +618,44 @@ def test_every_grid_point_is_made_before_it_is_labeled(n, lo, width, halvings, e
     assert len(grids) == res.generations[-1].index + 1
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(3, 4),
+    lo=st.tuples(*[st.floats(-100.0, 100.0)] * 4),
+    # as above: an integer width in ulps makes lattice floats collide
+    width=st.tuples(*[st.one_of(st.floats(0.01, 100.0), st.integers(1, 20))] * 4),
+    halvings=st.integers(1, 5),
+    sense=st.sampled_from(Sense),
+)
+@example(n=3, lo=(0.1, 1.0, -3.0, 0.0), width=(5, 5, 5, 1.0), halvings=5,
+         sense=Sense.MINIMIZE)
+def test_block_path_changes_no_run_result(n, lo, width, halvings, sense):
+    # each generation's single box takes label_grid's block path at n >= 3,
+    # unless two of its block floats collide; the per-vertex loop must give
+    # the same run, call for call
+    hi = [_ulps_above(a, w) if isinstance(w, int) else a + w for a, w in zip(lo, width)]
+    domain = SearchBox(lo[:n], hi[:n])
+    centre = tuple(a + (b - a) / 3.0 for a, b in zip(domain.lo, domain.hi))
+    cfg = SlmConfig(sense=sense, tolerance=max(domain.widths()) / 2 ** halvings)
+
+    def run():
+        calls = []
+
+        def f(p):
+            calls.append(p)
+            total = 0.0
+            for x, c in zip(p, centre):
+                total += abs(x - c)
+            return total
+
+        return run_slm(f, domain, cfg), calls
+
+    with_blocks = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "_probe_block", lambda grid, step, lattice: None)
+        assert run() == with_blocks
+
+
 def test_deep_run_evaluates_each_point_once():
     # a box about 72 000 ulps wide stops being splittable after 16 halvings,
     # far short of the 61-level lattice that tolerance and cap allow
@@ -728,17 +766,50 @@ RUN_DIGESTS = {
 }
 
 
+# The same digest of shifted-sphere descents at tolerance width/64 on
+# [-2, 2]^n, n = 3 and 4, where every generation after the first labels
+# one box's 3**n grid. At each n one centre is inside; the other lies
+# within a cell of two domain faces, so the last boxes are flush with them.
+SPHERE_DIGESTS = {
+    (0.3, -0.7, 1.1):
+        "062a6a9b0026ed4fa3d54f93e449498ab83ddabdb9f9812c9e4a786a575ab5c1",
+    (1.97, -0.4, -1.99):
+        "7d806511d2a0d488b4fe3cf82cdfa29b1af5db2d5e437d4341aa00d37f9d3b20",
+    (0.3, -0.7, 1.1, -0.2):
+        "ffded090300e91e782be6494aa3fce86354942ba9f0ea1536a3bf7f114db99b7",
+    (1.97, -0.4, 0.6, -1.99):
+        "d8218acb973cb9c65d0d2f372fa0b339050f879eeb962b3224a81ccd6a7b4e7c",
+}
+
+
+def run_digest(res):
+    parts = [res.best_point, res.best_value, res.termination, res.candidates]
+    for g in res.generations:
+        parts.append((g.box, g.spacing, g.chosen and g.chosen.box,
+                      [(v.point, v.value, v.probe_target, v.label) for v in g.vertices]))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("explore_all", (False, True))
 @pytest.mark.parametrize("name", builtin_names())
 def test_builtin_runs_are_bit_stable(name, explore_all):
     res, _ = run_builtin(name, default_tolerance(registry_lookup(name)),
                          explore_all=explore_all)
-    parts = [res.best_point, res.best_value, res.termination, res.candidates]
-    for g in res.generations:
-        parts.append((g.box, g.spacing, g.chosen and g.chosen.box,
-                      [(v.point, v.value, v.probe_target, v.label) for v in g.vertices]))
-    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
-    assert digest == RUN_DIGESTS[name, explore_all]
+    assert run_digest(res) == RUN_DIGESTS[name, explore_all]
+
+
+@pytest.mark.parametrize("centre", SPHERE_DIGESTS, ids=str)
+def test_shifted_sphere_descents_are_bit_stable(centre):
+    def f(p):
+        total = 0.0  # not sum(), which rounds differently from Python 3.12 on
+        for x, c in zip(p, centre):
+            total += (x - c) ** 2
+        return total
+
+    n = len(centre)
+    res = run_slm(f, SearchBox((-2.0,) * n, (2.0,) * n),
+                  SlmConfig(sense=Sense.MINIMIZE, tolerance=4.0 / 64))
+    assert run_digest(res) == SPHERE_DIGESTS[centre]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slmopt import labeling
 from slmopt.geometry import LatticeAxis, SearchBox, corners
 from slmopt.labeling import (
     ObjectiveEvaluationError,
@@ -351,6 +352,117 @@ def test_label_grid_matches_lattice_vertex_on_boundary_boxes(n, data, depth, sen
     assert len(calls) == len(set(calls))
     assert set(calls) == set(values)
     assert list(out) == [lattice_vertex(f, p, step, tables, sense) for p in grid]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((3, 4)),
+    data=st.data(),
+    depth=st.integers(2, 6),
+    sense=st.sampled_from(Sense),
+    quantized=st.booleans(),
+    failure=st.sampled_from(("raise", "nan")),
+)
+def test_box_grids_match_lattice_vertex_in_the_loops_call_order(n, data, depth, sense,
+                                                                 quantized, failure):
+    # one box's 3**n grid as run_slm lays it out (grid step twice the
+    # probe step), flush with drawn domain faces, on a partly filled store
+    lo = data.draw(st.tuples(*[st.floats(-100.0, 100.0) for _ in range(n)]))
+    widths = data.draw(st.tuples(*[st.floats(0.01, 100.0) for _ in range(n)]))
+    domain = SearchBox(lo, tuple(a + w for a, w in zip(lo, widths)))
+    top = 2 ** depth
+    step = 2 ** data.draw(st.integers(0, depth - 2))
+    ks = []
+    for _ in range(n):
+        face = data.draw(st.sampled_from(("lo", "hi", "any")))
+        ks.append(0 if face == "lo" else top - 4 * step if face == "hi"
+                  else data.draw(st.integers(0, top - 4 * step)))
+    tables = lattice_floats(domain, depth)
+    grid = [tuple(t[k] for t, k in zip(tables, ix))
+            for ix in itertools.product(*[(k, k + 2 * step, k + 4 * step) for k in ks])]
+    centre = data.draw(st.tuples(*[st.floats(a, b) for a, b in zip(domain.lo, domain.hi)]))
+    unit = max(widths) ** 2 / 16
+
+    def f(p):
+        v = sum((x - c) ** 2 for x, c in zip(p, centre))
+        return float(round(v / unit)) if quantized else v
+
+    reached = []
+
+    def recorded(p):
+        reached.append(p)
+        return f(p)
+
+    expected = [lattice_vertex(recorded, p, step, tables, sense) for p in grid]
+    first_reached = list(dict.fromkeys(reached))
+    rng = data.draw(st.randoms(use_true_random=False))
+    share = data.draw(st.sampled_from((0.0, 0.3, 0.9)))
+    stored = {q: f(q) for q in first_reached if rng.random() < share}
+    missing = [q for q in first_reached if q not in stored]
+
+    def label(g):
+        blocks = []
+
+        def spy(*args):
+            blocks.append(args)
+            return label_block(*args)
+
+        values = dict(stored)
+        label_block = labeling._label_block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(labeling, "_label_block", spy)
+            out = label_grid(g, grid, step, sense, values, run_lattice(domain, depth, grid))
+        assert len(blocks) == 1, "the grid takes the block path"
+        return out, values
+
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return f(p)
+
+    out, values = label(counted)
+    assert list(out) == expected
+    assert calls == missing
+    assert list(values) == [*stored, *missing]
+
+    if missing:
+        fail_at = data.draw(st.integers(1, len(missing)))
+        calls.clear()
+
+        def failing(p):
+            calls.append(p)
+            if len(calls) == fail_at:
+                return 1.0 / 0.0 if failure == "raise" else math.nan
+            return f(p)
+
+        with pytest.raises(ObjectiveEvaluationError) as err:
+            label(failing)
+        assert (err.value.point, err.value.evaluation) == (missing[fail_at - 1],
+                                                            len(stored) + fail_at)
+
+
+def test_box_grid_evaluates_its_own_points():
+    # the grid's -0.0 is the lattice's 0.0: f and the store get the grid's
+    # own point, as from the per-vertex loop
+    domain = SearchBox((-1.0,) * 3, (1.0,) * 3)
+    grid = tuple(itertools.product((-1.0, -0.0, 1.0), repeat=3))
+
+    def run():
+        calls = []
+
+        def f(p):
+            calls.append(p)
+            return math.copysign(1.0, p[0]) + p[1] + p[2]
+
+        values = {}
+        out = label_grid(f, grid, 1, Sense.MINIMIZE, values, run_lattice(domain, 2, grid))
+        return repr((out, calls, list(values.items())))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "_probe_block", lambda grid, step, lattice: None)
+        looped = run()
+    assert run() == looped
 
 
 def test_label_grid_rejects_a_coordinate_off_the_lattice():
