@@ -32,7 +32,7 @@ from slmopt.objectives import (
 )
 
 from bench_reference import mask_wall_time, parse_csv, parse_json_lines
-from lattice_reference import index_step, run_lattice
+from slm_reference import index_step, run_lattice
 
 
 def report(capsys, num, ok, detail):

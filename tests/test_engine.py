@@ -21,7 +21,7 @@ from slmopt.geometry import MAX_BOUND, Cell, SearchBox, corners, splittable, sub
 from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid
 from slmopt.objectives import builtin_names, registry_lookup
 
-from lattice_reference import (
+from slm_reference import (
     lattice_depth,
     lattice_floats,
     lattice_indices,

@@ -1,6 +1,6 @@
-"""Vertex labeling on a run's lattice against the lattice reference
-(lattice_reference.lattice_vertex) plus hand-checked worked-example rows
-for the sphere and banana surfaces."""
+"""Vertex labeling on a run's lattice against the store-free reference's
+lattice pieces (slm_reference.lattice_vertex) plus hand-checked
+worked-example rows for the sphere and banana surfaces."""
 
 import itertools
 import math
@@ -20,7 +20,7 @@ from slmopt.labeling import (
 )
 from slmopt.objectives import eval_rosenbrock, eval_sphere_min
 
-from lattice_reference import (
+from slm_reference import (
     index_step,
     label_of,
     lattice_floats,
