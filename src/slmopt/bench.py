@@ -99,6 +99,14 @@ def slm_config(ospec: ObjectiveSpec, algo: AlgorithmSpec) -> SlmConfig:
     )
 
 
+def baseline_config(algo: AlgorithmSpec, seed: int) -> BaselineConfig:
+    return BaselineConfig(
+        iterations=algo.iterations if algo.iterations is not None else DEFAULT_ITERATIONS[algo.kind],
+        seed=seed,
+        initial_point=algo.initial_point,
+    )
+
+
 def run_method(ospec: ObjectiveSpec, algo: AlgorithmSpec,
                seed: int) -> tuple[RunResult | OptimRunResult, int]:
     """The one run path: run one method on one objective. Returns the
@@ -107,11 +115,7 @@ def run_method(ospec: ObjectiveSpec, algo: AlgorithmSpec,
     if algo.kind == "slm":
         res = run_slm(ospec.evaluator, ospec.domain, slm_config(ospec, algo))
         return res, res.generations[-1].index
-    cfg = BaselineConfig(
-        iterations=algo.iterations if algo.iterations is not None else DEFAULT_ITERATIONS[algo.kind],
-        seed=seed,
-        initial_point=algo.initial_point,
-    )
+    cfg = baseline_config(algo, seed)
     return _BASELINE_FNS[algo.kind](ospec, cfg), cfg.iterations
 
 
@@ -135,8 +139,9 @@ def run_bench(objectives: Sequence[str], algorithms: Sequence[AlgorithmSpec],
               repeats: int = 1) -> list[BenchRow]:
     """One row per (objective, algorithm, seed), in that nesting order,
     with seeds range(repeats). An empty matrix, repeats below 1, an
-    unknown objective name or an objective with no known optimum to
-    measure deviation from aborts before any run starts."""
+    unknown objective name, an objective with no known optimum to
+    measure deviation from or a method setting its config rejects aborts
+    before any run starts."""
     if not objectives:
         raise ValueError("bench needs at least one objective")
     if not algorithms:
@@ -148,6 +153,11 @@ def run_bench(objectives: Sequence[str], algorithms: Sequence[AlgorithmSpec],
         if not ospec.known_optima:
             raise ValueError(f"objective {ospec.name!r} has no known optimum "
                              "to measure deviation from")
+        for algo in algorithms:  # building each run's config checks its settings
+            if algo.kind == "slm":
+                slm_config(ospec, algo)
+            else:
+                baseline_config(algo, seed=0)  # every seed in range(repeats) is valid
     return [_run_one(ospec, algo, seed) for ospec in specs
             for algo in algorithms for seed in range(repeats)]
 

@@ -1,14 +1,36 @@
-"""The test suite's one reference for a run's dyadic lattice, coded apart
-from geometry.LatticeAxis: its depth, its floats built level by level, the
-index of a lattice point, and the labeling of one vertex on it, with
-the label rule label_grid is checked against (label_of).
+"""The test suite's one store-free model of the subdivision search,
+coded apart from slmopt.engine and slmopt.labeling, as
+baseline_reference.py is for the baselines.
+
+reference_run labels every vertex on its own (lattice_vertex), so every
+probe calls f; it picks cells with next_cells, the frontier policy, and
+applies the complete-cell rule (labels covering {0..n}) itself. From
+slmopt it takes only data types, geometry helpers and the termination
+names. run_slm must return its RunResult and call f at its distinct
+points in the same order. The lattice pieces, coded apart from
+geometry.LatticeAxis, give the run's lattice depth, its floats built
+level by level, a point's indices and one vertex's labeling, with the
+label rule (label_of) that label_grid is checked against.
+
+lattice_floats asserts that a domain's lattice floats are distinct, so
+the reference cannot model a box a few ulps wide, where halving repeats
+floats. The ulp-wide properties in test_engine,
+test_every_grid_point_is_made_before_it_is_labeled and
+test_block_path_changes_no_run_result, keep their own checks.
 
 test_engine, test_labeling and test_acceptance import it."""
 
 import itertools
 
-from slmopt.geometry import LatticeAxis
-from slmopt.labeling import LabeledVertex
+from slmopt.engine import (
+    BOX_UNSPLITTABLE,
+    GENERATION_CAP,
+    TOLERANCE_REACHED,
+    GenerationRecord,
+    RunResult,
+)
+from slmopt.geometry import Cell, LatticeAxis, corners, splittable, subdivide
+from slmopt.labeling import LabeledVertex, Sense
 
 
 def label_of(displacement):
@@ -94,3 +116,84 @@ def run_lattice(domain, depth, points):
     for p, ks in zip(points, lattice_indices(points, tables)):
         assert tuple(axis[k] for axis, k in zip(axes, ks)) == p
     return axes
+
+
+def _rank(value, sense):
+    """Lower is better in either sense."""
+    return value if sense is Sense.MINIMIZE else -value
+
+
+def next_cells(staged, cfg):
+    """The frontier policy: the cells whose boxes the next generation
+    labels. staged holds (box, cells, vertices, complete cells) per box.
+
+    The complete cells of every box come first, then every cell of each
+    box that has none. Each group is ordered by its cells' best vertex
+    value, then by lower corner. explore_all keeps the first cell_budget
+    cells, single descent the first one."""
+    def key(cell, vertices):
+        return min(_rank(vertices[i].value, cfg.sense) for i in cell.vertex_indices), cell.lo
+
+    sure = [(key(c, vs), c) for _, _, vs, complete in staged for c in complete]
+    unsure = [(key(c, vs), c) for _, cells, vs, complete in staged if not complete
+              for c in cells]
+    ranked = [c for _, c in sorted(sure, key=lambda kc: kc[0])]
+    ranked += [c for _, c in sorted(unsure, key=lambda kc: kc[0])]
+    return ranked[:cfg.cell_budget if cfg.explore_all else 1]
+
+
+def reference_run(f, domain, cfg):
+    """The search loop without the point store. Returns the RunResult
+    run_slm must return, whose evaluations count the distinct points f
+    was called at, and those points in the order of their first call."""
+    sense = cfg.sense
+    values = {}  # each distinct point's first value, in order of first call
+
+    def called(p):
+        v = f(p)
+        values.setdefault(p, v)
+        return v
+
+    depth = lattice_depth(domain, cfg)
+    tables = lattice_floats(domain, depth)
+    all_labels = set(range(domain.dimension + 1))
+    records, frontier, spacing, gen = [], [domain], domain.widths(), 0
+    while True:
+        staged = []
+        for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
+            if gen == 0:
+                grid = corners(box)
+                cells = (Cell(box.lo, box.hi, tuple(range(len(grid)))),)
+            else:
+                grid, cells = subdivide(box)
+            step = 2 ** (depth - gen - 1)
+            vertices = tuple(lattice_vertex(called, p, step, tables, sense) for p in grid)
+            complete = tuple(c for c in cells
+                             if {vertices[i].label for i in c.vertex_indices} == all_labels)
+            staged.append((box, cells, vertices, complete))
+        termination = (TOLERANCE_REACHED if max(spacing) <= cfg.tolerance
+                       else GENERATION_CAP if gen >= cfg.max_generations else None)
+        kept = next_cells(staged, cfg) if termination is None else []
+        chosen = kept[0] if kept and not cfg.explore_all else None
+        records += [GenerationRecord(gen, box, spacing, vertices, complete, chosen)
+                    for box, _, vertices, complete in staged]
+        if termination is None and not all(splittable(c.box) for c in kept):
+            termination = BOX_UNSPLITTABLE
+        if termination is not None:
+            break
+        frontier = [c.box for c in kept]
+        spacing = tuple(v / 2.0 for v in spacing)
+        gen += 1
+
+    best_point = min(values, key=lambda p: _rank(values[p], sense))  # the first called of the best
+    candidates = ()
+    if cfg.explore_all:
+        reps = {}
+        for _, _, vertices, _ in staged:
+            top = min(vertices, key=lambda v: _rank(v.value, sense))
+            reps.setdefault(top.point, top.value)
+        candidates = tuple(sorted(reps.items(), key=lambda pv: (_rank(pv[1], sense), pv[0])))
+    return (RunResult(best_point=best_point, best_value=values[best_point],
+                      candidates=candidates, generations=tuple(records),
+                      evaluations=len(values), termination=termination),
+            list(values))

@@ -18,7 +18,9 @@ from slmopt.bench import (
     emit_table,
     run_bench,
 )
-from slmopt.objectives import registry_lookup
+from slmopt.geometry import SearchBox
+from slmopt.labeling import Sense
+from slmopt.objectives import ObjectiveSpec, register_objective, registry_lookup
 
 from bench_reference import mask_wall_time, parse_csv, parse_json_lines
 
@@ -89,6 +91,29 @@ def test_bench_spec_rejects_an_empty_matrix(field):
 def test_unknown_objective_aborts_before_running():
     with pytest.raises(ValueError, match="^unknown objective 'nope'; available: "):
         run_bench(**small_spec(objectives=("sphere_min", "nope")))
+
+
+@pytest.mark.usefixtures("scratch_registry")
+@pytest.mark.parametrize("bad, message", (
+    (AlgorithmSpec("slm", tolerance=-1.0), "tolerance must be positive and finite"),
+    (AlgorithmSpec("rs", iterations=0), "iterations must be at least 1"),
+    (AlgorithmSpec("slm", max_generations=0), "max_generations must be at least 1"),
+    (AlgorithmSpec("rsw", initial_point=(math.nan,)), "initial point (nan,) has a NaN coordinate"),
+), ids=("tolerance", "iterations", "max_generations", "initial_point"))
+def test_bad_method_setting_aborts_before_running(bad, message):
+    # placed after a good method: no method runs on any objective
+    calls = []
+    name = "test_counting_xyzzy"
+    register_objective(ObjectiveSpec(
+        name=name,
+        domain=SearchBox((0.0,), (1.0,)),
+        sense=Sense.MINIMIZE,
+        known_optima=(((0.0,), 0.0),),
+        evaluator=lambda p: calls.append(p) or p[0],
+    ))
+    with pytest.raises(ValueError) as err:
+        run_bench((name, "sphere_min"), (AlgorithmSpec("rs", iterations=20), bad))
+    assert (str(err.value), calls) == (message, [])
 
 
 # ---------------------------------------------------------------------------

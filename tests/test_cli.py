@@ -453,6 +453,8 @@ def test_bench_empty_matrix_is_one_line_error(flag, capsys):
     ("--function=", "bench needs at least one objective"),
     ("--method=", "bench needs at least one method"),
     ("--repeats=0", "repeats must be at least 1"),
+    ("--iterations=0", "iterations must be at least 1"),
+    ("--tol=-1", "tolerance must be positive and finite"),
 ))
 def test_bench_input_error_stops_before_any_run(flag, message, capsys, monkeypatch):
     def no_run(*args):

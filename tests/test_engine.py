@@ -17,16 +17,11 @@ from slmopt.engine import (
     complete_cells,
     run_slm,
 )
-from slmopt.geometry import MAX_BOUND, Cell, SearchBox, corners, splittable, subdivide
+from slmopt.geometry import MAX_BOUND, SearchBox, subdivide
 from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid
 from slmopt.objectives import builtin_names, registry_lookup
 
-from slm_reference import (
-    lattice_depth,
-    lattice_floats,
-    lattice_indices,
-    lattice_vertex,
-)
+from slm_reference import lattice_depth, lattice_floats, lattice_indices, reference_run
 
 TRIG_FAMILY = tuple(
     (float(x1), float(x2)) for x1 in (-6, -2, 2, 6) for x2 in (-3, 1, 5)
@@ -423,85 +418,24 @@ def test_infinite_tolerance_rejected():
 # Point store: each lattice point evaluated and labeled once per run
 # ---------------------------------------------------------------------------
 
-def unstored_run(f, domain, cfg):
-    """The search loop without the point store: every vertex is labeled
-    on its own on the lattice (lattice_vertex) and every probe calls f.
-    Returns what run_slm returns apart from the evaluation count."""
-    sense = cfg.sense
-    rank = (lambda v: v) if sense is Sense.MINIMIZE else (lambda v: -v)
-    best = []
-    depth = lattice_depth(domain, cfg)
-    tables = lattice_floats(domain, depth)
-
-    def tracked(p):
-        v = f(p)
-        if not best or sense.better(v, best[1]):
-            best[:] = [p, v]
-        return v
-
-    def cell_rank(cell, vertices):
-        return min(rank(vertices[i].value) for i in cell.vertex_indices), cell.lo
-
-    records, frontier, spacing, gen = [], [domain], domain.widths(), 0
-    while True:
-        staged = []
-        for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
-            if gen == 0:
-                grid = corners(box)
-                cells = (Cell(box.lo, box.hi, tuple(range(len(grid)))),)
-            else:
-                grid, cells = subdivide(box)
-            step = 2 ** (depth - gen - 1)
-            vertices = tuple(lattice_vertex(tracked, p, step, tables, sense) for p in grid)
-            complete = complete_cells(cells, [v.label for v in vertices])
-            staged.append((box, vertices, complete, cells))
-        termination = (TOLERANCE_REACHED if max(spacing) <= cfg.tolerance
-                       else GENERATION_CAP if gen >= cfg.max_generations else None)
-        chosen = None
-        if termination is None:
-            sure = [(cell_rank(c, vs), c) for _, vs, cm, _ in staged for c in cm]
-            unsure = [(cell_rank(c, vs), c) for _, vs, cm, cs in staged if not cm
-                      for c in cs]
-            ranked = [c for _, c in sorted(sure, key=lambda rc: rc[0])]
-            ranked += [c for _, c in sorted(unsure, key=lambda rc: rc[0])]
-            kept = ranked[:cfg.cell_budget if cfg.explore_all else 1]
-            if not cfg.explore_all:
-                chosen = kept[0]
-            frontier = [c.box for c in kept]
-        for i, (box, vertices, complete, _) in enumerate(staged):
-            records.append((gen, box, spacing, vertices, complete,
-                            chosen if i == 0 else None, not complete))
-        if termination is None and not all(splittable(b) for b in frontier):
-            termination = BOX_UNSPLITTABLE
-        if termination is not None:
-            break
-        spacing = tuple(v / 2.0 for v in spacing)
-        gen += 1
-    candidates = ()
-    if cfg.explore_all:
-        reps = {}
-        for _, vertices, _, _ in staged:
-            top = min(vertices, key=lambda v: rank(v.value))
-            reps.setdefault(top.point, top.value)
-        candidates = tuple(sorted(reps.items(), key=lambda pv: (rank(pv[1]), pv[0])))
-    return best[0], best[1], candidates, records, termination
-
-
-def assert_store_invisible(f, domain, cfg):
+def recorded_run(f, domain, cfg):
+    """run_slm's result and every point f was called at, in order."""
     seen = []
 
     def recorded(p):
         seen.append(p)
         return f(p)
 
-    res = run_slm(recorded, domain, cfg)
-    assert res.evaluations == len(set(seen)) == len(seen)
-    best_point, best_value, candidates, records, termination = unstored_run(f, domain, cfg)
-    assert (res.best_point, res.best_value) == (best_point, best_value)
-    assert res.candidates == candidates
-    assert res.termination == termination
-    assert [(g.index, g.box, g.spacing, g.vertices, g.complete_cells, g.chosen,
-             g.fallback_used) for g in res.generations] == records
+    return run_slm(recorded, domain, cfg), seen
+
+
+def assert_store_invisible(f, domain, cfg):
+    """run_slm returns the store-free reference's result, evaluations
+    included, and calls f at its distinct points in first-call order."""
+    res, seen = recorded_run(f, domain, cfg)
+    expected, first_calls = reference_run(f, domain, cfg)
+    assert res == expected
+    assert seen == first_calls
     return res
 
 
@@ -523,17 +457,6 @@ def test_point_store_changes_no_result(name, explore_all):
                     explore_all=explore_all)
     res = assert_store_invisible(spec.evaluator, spec.domain, cfg)
     assert res.evaluations == DISTINCT_POINTS[name][explore_all]
-
-
-def recorded_run(f, domain, cfg):
-    """run_slm's result and every point f was called at, in order."""
-    seen = []
-
-    def recorded(p):
-        seen.append(p)
-        return f(p)
-
-    return run_slm(recorded, domain, cfg), seen
 
 
 def assert_one_key_per_lattice_point(res, seen, domain, cfg):
@@ -688,8 +611,12 @@ def test_point_store_invisible_on_shifted_spheres(n, data, halvings, explore_all
 
 
 # Quantized L1 cones are flat in steps, so several vertices of a box often
-# tie for best: these examples are descents where the first cell holding
+# tie for best: the descent examples are runs where the first cell holding
 # the first best vertex is not the smallest lower corner among tied cells.
+# The two 1-D explore-all examples at budget 2 have a box with a complete
+# cell and a second cell holding its best vertex, so keeping that cell too,
+# in engine._next_cells or slm_reference.next_cells alone, fails them on
+# every run.
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 3),
@@ -707,6 +634,10 @@ def test_point_store_invisible_on_shifted_spheres(n, data, halvings, explore_all
 @example(n=2, quarters=(-6, 9, 0), q=1.0, halvings=4, explore_all=False, cell_budget=1,
          sense=Sense.MINIMIZE)
 @example(n=3, quarters=(-4, -9, 2), q=0.5, halvings=3, explore_all=False, cell_budget=1,
+         sense=Sense.MINIMIZE)
+@example(n=1, quarters=(0, 0, 0), q=0.5, halvings=2, explore_all=True, cell_budget=2,
+         sense=Sense.MINIMIZE)
+@example(n=1, quarters=(0, 0, 0), q=1.0, halvings=2, explore_all=True, cell_budget=2,
          sense=Sense.MINIMIZE)
 def test_point_store_invisible_on_quantized_cones(n, quarters, q, halvings, explore_all,
                                                   cell_budget, sense):
