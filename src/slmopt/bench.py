@@ -22,6 +22,7 @@ from typing import Sequence
 from .baselines import (
     BaselineConfig,
     OptimRunResult,
+    _initial,
     random_search,
     random_search_walk,
     simulated_annealing,
@@ -140,7 +141,8 @@ def run_bench(objectives: Sequence[str], algorithms: Sequence[AlgorithmSpec],
     """One row per (objective, algorithm, seed), in that nesting order,
     with seeds range(repeats). An empty matrix, repeats below 1, an
     unknown objective name, an objective with no known optimum to
-    measure deviation from or a method setting its config rejects aborts
+    measure deviation from, a method setting its config rejects or an
+    initial point of another dimension than an objective's aborts
     before any run starts."""
     if not objectives:
         raise ValueError("bench needs at least one objective")
@@ -156,8 +158,8 @@ def run_bench(objectives: Sequence[str], algorithms: Sequence[AlgorithmSpec],
         for algo in algorithms:  # building each run's config checks its settings
             if algo.kind == "slm":
                 slm_config(ospec, algo)
-            else:
-                baseline_config(algo, seed=0)  # every seed in range(repeats) is valid
+            else:  # seed 0 stands for every seed; _initial checks a start point
+                _initial(ospec, baseline_config(algo, seed=0))
     return [_run_one(ospec, algo, seed) for ospec in specs
             for algo in algorithms for seed in range(repeats)]
 

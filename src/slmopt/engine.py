@@ -34,8 +34,9 @@ its boxes together.
 Each lattice point is then evaluated once per run and labeled at most
 once per generation, and `evaluations` counts them. 0.0 and -0.0
 compare equal and share one key. First-time evaluations happen in the
-same order as without the store, so results do not depend on it.
-Nothing is kept across runs.
+same order as without the store, so results do not depend on it. No
+point or value outlives its run; only process-wide caches of pure
+functions of shape do (geometry._cell_corner_indices, labeling._block_plan).
 
 The reported best is the best point ever evaluated, including probe
 candidates, not just grid vertices: the first best entry of the store

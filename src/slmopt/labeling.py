@@ -11,21 +11,19 @@ before calling f. checked numbers and checks the objective's calls for
 every method, slm and the baselines alike.
 
 label_grid has two paths with one result: the same labels, targets,
-evaluations, call numbers and errors. The per-vertex loop labels any
-grid and memoizes each axis's candidates; it looks up p and its up to
-3**n candidates, 9**n store lookups for a box's 3**n grid. The block
-path labels a single box's 3**n grid for n >= 3, laid out as run_slm
-lays out a descent box: it looks each of the box's at most 7**n probe
-block points up once, then picks each vertex's winner through a plan
-cached per block shape. Per-job time, block path over loop, on
-CPython 3.11 and 3.13 (BENCH_26.json): sphere4d descent 0.86-0.87,
-sphere3d 0.89-0.90. Two-dimensional grids keep the loop: there the
-block path measured 0.97-1.02 per descent job, against 0.99-1.01
-between two copies of the same code, a gain of at most about 2% that
-no workload metric resolves. Grids of several boxes (explore-all
-generations) keep it too: their points are not one box's product, and
-labeling box by box would split the one label_grid call each
-generation makes.
+evaluations, call numbers and errors. Which one runs depends only on
+whether the grid is one box's. The block path labels a single box's
+3**n grid, laid out as run_slm lays out a box, at any n: it looks each
+of the box's at most 7**n probe block points up once, then picks each
+vertex's winner through a plan cached per block shape. The per-vertex
+loop labels any other grid (generation 0's corners, explore-all's
+generations of several boxes, loose point sets) and memoizes each
+axis's candidates; it looks up p and its up to 3**n candidates, 9**n
+store lookups for a box's 3**n grid. Per-job time, block path over
+loop, on CPython 3.11 and 3.13 (BENCH_26.json): sphere4d descent
+0.86-0.87, sphere3d 0.89-0.90; 2-D descent is neutral end to end.
+Labeling a grid of several boxes box by box took 1.09-1.33 times the
+loop's time on explore-all, so those grids keep the loop.
 """
 
 from __future__ import annotations
@@ -118,19 +116,18 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
     Calls are numbered on from len(values), so with the run's store a
     failing call names the run's call number.
 
-    Two paths give this result (see the module docstring). A grid of
-    3**n points, n >= 3, that is the lexicographic product of each
-    axis's made lattice points at indices k, k + 2 step and k + 4 step
-    (one box of run_slm's, from generation 1 on) takes the block path:
-    one store lookup per probe block point, at most 7**n. Any other
-    grid takes the per-vertex loop, with 9**n lookups per 3**n grid.
+    Two paths give this result (see the module docstring). A grid that
+    is one box's, the lexicographic product of each axis's made lattice
+    points at indices k, k + 2 step and k + 4 step (run_slm's single box
+    of a generation from 1 on), takes the block path: one store lookup
+    per probe block point, at most 7**n. Any other grid takes the
+    per-vertex loop, with 9**n lookups per 3**n grid.
     """
-    n = len(lattice)
     f = checked(f, len(values))
-    if n >= 3 and len(grid) == 3 ** n and step > 0:
-        block = _probe_block(grid, step, lattice)
-        if block is not None:
-            return _label_block(f, grid, sense, values, *block)
+    block = _probe_block(grid, step, lattice)
+    if block is not None:
+        return _label_block(f, grid, sense, values, *block)
+    n = len(lattice)
     minimize = sense is Sense.MINIMIZE
     per_axis = tuple((axis, {}) for axis in lattice)
     labeled = []
@@ -170,11 +167,11 @@ def _probe_block(grid: Sequence[Point], step: int, lattice: Sequence[LatticeAxis
     floats, those of indices k - step to k + 5 step in [0, 2**depth]
     (made in the order the loop's probes make them), and the block's
     shape, per axis whether k - step and k + 5 step are in it. None for
-    any other grid, or when two block floats of an axis are equal."""
-    lo, mid, hi = grid[0], grid[len(grid) // 2], grid[-1]
-    n = len(lattice)
-    if not len(lo) == len(mid) == len(hi) == n:
+    any other grid, for a step below 1, or when two block floats of an
+    axis are equal."""
+    if step < 1 or len(grid) != 3 ** len(lattice):
         return None
+    lo, mid, hi = grid[0], grid[len(grid) // 2], grid[-1]
     ks = []
     for axis, a, m, b in zip(lattice, lo, mid, hi):
         k = axis.index.get(a)
@@ -192,7 +189,7 @@ def _probe_block(grid: Sequence[Point], step: int, lattice: Sequence[LatticeAxis
     return axes, tuple((k >= step, k + 5 * step <= axis.top) for axis, k in zip(lattice, ks))
 
 
-_Vertex = tuple[int, Callable[[list[float]], tuple[float, ...]], tuple[int, ...], tuple[int, ...]]
+_Vertex = tuple[Callable[[list[float]], tuple[float, ...]], tuple[int, ...], tuple[int, ...]]
 
 
 @functools.lru_cache(maxsize=32)
@@ -201,8 +198,10 @@ def _block_plan(shape: tuple[tuple[bool, bool], ...]) -> tuple[tuple[int, ...],
     """The labeling plan of a probe block of this shape, flat indices in
     row-major (lexicographic) order: the fill order, each block position
     in the order the per-vertex loop first reaches it (vertex, then its
-    candidates), and per grid vertex its own index, a getter of its
-    candidates' values, their indices and the label each would give."""
+    candidates), and per grid vertex a getter of its candidates' values,
+    their indices and the label each would give. A vertex's own index
+    comes first among its candidates, with label 0, as the loop
+    compares p before its candidates."""
     sizes = [5 + has_lo + has_hi for has_lo, has_hi in shape]
     strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
     # per axis, each vertex's block position and its candidates' positions
@@ -213,14 +212,13 @@ def _block_plan(shape: tuple[tuple[bool, bool], ...]) -> tuple[tuple[int, ...],
     vertices = []
     for axes in itertools.product(*per_axis):
         own = [c for c, _ in axes]
-        cands, labels = [], []
+        cands, labels = [sum(map(operator.mul, own, strides))], [0]
         for q in itertools.product(*[js for _, js in axes]):
             cands.append(sum(map(operator.mul, q, strides)))
             labels.append(max([i + 1 for i, (j, c) in enumerate(zip(q, own)) if j < c],
                               default=0))
-        at = sum(map(operator.mul, own, strides))
-        fill.update(dict.fromkeys([at, *cands]))
-        vertices.append((at, operator.itemgetter(*cands), tuple(cands), tuple(labels)))
+        fill.update(dict.fromkeys(cands))
+        vertices.append((operator.itemgetter(*cands), tuple(cands), tuple(labels)))
     return tuple(fill), tuple(vertices)
 
 
@@ -229,28 +227,24 @@ def _label_block(f: Objective, grid: Sequence[Point], sense: Sense, values: dict
                  ) -> tuple[LabeledVertex, ...]:
     """label_grid's block path: look every block point up in the store
     once, evaluate the misses in the loop's order, then pick each
-    vertex's winner from its candidates' values. min and max return the
-    first of equal values and .index finds it, so the first candidate in
-    lexicographic order wins, and it replaces p only if strictly better."""
+    vertex's winner from its candidates' values, p's own first. min and
+    max return the first of equal values and .index finds it, so p wins
+    unless a candidate is strictly better, and among equal candidates
+    the first in lexicographic order wins: the loop's ties keep the
+    incumbent."""
     fill, plan = _block_plan(shape)
     points = list(itertools.product(*axes))
-    for (at, *_), p in zip(plan, grid):
-        points[at] = p  # f and the store see the grid's own point, as in the loop
+    for (_, cands, _), p in zip(plan, grid):
+        points[cands[0]] = p  # f and the store see the grid's own point, as in the loop
     block = list(map(values.get, points))
     for i in fill:
         if block[i] is None:
             q = points[i]
             block[i] = values[q] = f(q)
-    minimize = sense is Sense.MINIMIZE
-    pick = min if minimize else max
+    pick = min if sense is Sense.MINIMIZE else max
     labeled = []
-    for p, (at, get, cands, labels) in zip(grid, plan):
-        value = block[at]
+    for p, (get, cands, labels) in zip(grid, plan):
         vs = get(block)
-        best_v = pick(vs)
-        if (best_v < value) if minimize else (best_v > value):
-            j = vs.index(best_v)
-            labeled.append(LabeledVertex(p, value, points[cands[j]], labels[j]))
-        else:
-            labeled.append(LabeledVertex(p, value, p, 0))
+        j = vs.index(pick(vs))
+        labeled.append(LabeledVertex(p, vs[0], points[cands[j]], labels[j]))
     return tuple(labeled)

@@ -99,7 +99,9 @@ def test_unknown_objective_aborts_before_running():
     (AlgorithmSpec("rs", iterations=0), "iterations must be at least 1"),
     (AlgorithmSpec("slm", max_generations=0), "max_generations must be at least 1"),
     (AlgorithmSpec("rsw", initial_point=(math.nan,)), "initial point (nan,) has a NaN coordinate"),
-), ids=("tolerance", "iterations", "max_generations", "initial_point"))
+    (AlgorithmSpec("sa", initial_point=(0.5, 0.5)),
+     "initial point (0.5, 0.5) is 2-D; test_counting_xyzzy is 1-D"),
+), ids=("tolerance", "iterations", "max_generations", "initial_point", "initial_dimension"))
 def test_bad_method_setting_aborts_before_running(bad, message):
     # placed after a good method: no method runs on any objective
     calls = []

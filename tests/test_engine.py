@@ -543,7 +543,7 @@ def test_every_grid_point_is_made_before_it_is_labeled(n, lo, width, halvings, e
 
 @settings(max_examples=30, deadline=None)
 @given(
-    n=st.integers(3, 4),
+    n=st.integers(1, 4),
     lo=st.tuples(*[st.floats(-100.0, 100.0)] * 4),
     # as above: an integer width in ulps makes lattice floats collide
     width=st.tuples(*[st.one_of(st.floats(0.01, 100.0), st.integers(1, 20))] * 4),
@@ -553,9 +553,9 @@ def test_every_grid_point_is_made_before_it_is_labeled(n, lo, width, halvings, e
 @example(n=3, lo=(0.1, 1.0, -3.0, 0.0), width=(5, 5, 5, 1.0), halvings=5,
          sense=Sense.MINIMIZE)
 def test_block_path_changes_no_run_result(n, lo, width, halvings, sense):
-    # each generation's single box takes label_grid's block path at n >= 3,
-    # unless two of its block floats collide; the per-vertex loop must give
-    # the same run, call for call
+    # each generation's single box takes label_grid's block path, unless
+    # two of its block floats collide; the per-vertex loop must give the
+    # same run, call for call
     hi = [_ulps_above(a, w) if isinstance(w, int) else a + w for a, w in zip(lo, width)]
     domain = SearchBox(lo[:n], hi[:n])
     centre = tuple(a + (b - a) / 3.0 for a, b in zip(domain.lo, domain.hi))
@@ -573,7 +573,15 @@ def test_block_path_changes_no_run_result(n, lo, width, halvings, sense):
 
         return run_slm(f, domain, cfg), calls
 
-    with_blocks = run()
+    blocks = []
+    label_block = labeling._label_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "_label_block",
+                   lambda *args: blocks.append(args) or label_block(*args))
+        with_blocks = run()
+    if not any(isinstance(w, int) for w in width[:n]):
+        # no float collides on these lattices: every generation from 1 on
+        assert len(blocks) == with_blocks[0].generations[-1].index, "boxes take the block path"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(labeling, "_probe_block", lambda grid, step, lattice: None)
         assert run() == with_blocks

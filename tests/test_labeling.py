@@ -356,7 +356,7 @@ def test_label_grid_matches_lattice_vertex_on_boundary_boxes(n, data, depth, sen
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n=st.sampled_from((3, 4)),
+    n=st.integers(1, 4),
     data=st.data(),
     depth=st.integers(2, 6),
     sense=st.sampled_from(Sense),
@@ -445,24 +445,39 @@ def test_box_grids_match_lattice_vertex_in_the_loops_call_order(n, data, depth, 
 def test_box_grid_evaluates_its_own_points():
     # the grid's -0.0 is the lattice's 0.0: f and the store get the grid's
     # own point, as from the per-vertex loop
-    domain = SearchBox((-1.0,) * 3, (1.0,) * 3)
-    grid = tuple(itertools.product((-1.0, -0.0, 1.0), repeat=3))
-
-    def run():
+    def run(n):
+        domain = SearchBox((-1.0,) * n, (1.0,) * n)
+        grid = tuple(itertools.product((-1.0, -0.0, 1.0), repeat=n))
         calls = []
 
         def f(p):
             calls.append(p)
-            return math.copysign(1.0, p[0]) + p[1] + p[2]
+            return math.copysign(1.0, p[0]) + sum(p[1:])
 
         values = {}
         out = label_grid(f, grid, 1, Sense.MINIMIZE, values, run_lattice(domain, 2, grid))
         return repr((out, calls, list(values.items())))
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(labeling, "_probe_block", lambda grid, step, lattice: None)
-        looped = run()
-    assert run() == looped
+    for n in (2, 3):
+        blocks = []
+        label_block = labeling._label_block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(labeling, "_label_block",
+                       lambda *args: blocks.append(args) or label_block(*args))
+            with_blocks = run(n)
+        assert len(blocks) == 1, "the grid takes the block path"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(labeling, "_probe_block", lambda grid, step, lattice: None)
+            assert run(n) == with_blocks
+
+
+def test_step_zero_grid_takes_the_loop():
+    # three copies of one point pass as a box's grid at step 0, whose
+    # probe block has no extent; the loop labels it, each point its own winner
+    axis = LatticeAxis(0.0, 1.0, 2)
+    p = (axis[2],)
+    out = label_grid(lambda q: q[0], (p,) * 3, 0, Sense.MINIMIZE, {}, (axis,))
+    assert out == ((p, 0.5, p, 0),) * 3
 
 
 def test_label_grid_rejects_a_coordinate_off_the_lattice():
