@@ -40,13 +40,17 @@ functions of shape do (geometry._cell_corner_indices, labeling._block_plan).
 
 The reported best is the best point ever evaluated, including probe
 candidates, not just grid vertices: the first best entry of the store
-in evaluation order.
+in evaluation order. run_slm finds it with no Python frame per point:
+min or max over the store's values, .index of that value, and the key
+at that position.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .geometry import (
@@ -56,6 +60,7 @@ from .geometry import (
     SearchBox,
     Spacing,
     corners,
+    make_cell,
     splittable,
     subdivide,
 )
@@ -104,6 +109,11 @@ class GenerationRecord(NamedTuple):
         return not self.complete_cells
 
 
+# A GenerationRecord from one 6-tuple, built in C: tuple.__new__ skips the
+# NamedTuple's generated Python __new__ (a frame per box) and its arity check.
+_record = functools.partial(tuple.__new__, GenerationRecord)
+
+
 @dataclass(frozen=True)
 class RunResult:
     best_point: Point
@@ -119,7 +129,7 @@ def complete_cells(cells: Sequence[Cell], labels: Sequence[int]) -> tuple[Cell, 
     if not cells:
         return ()
     needed = set(range(len(cells[0].lo) + 1))
-    return tuple(c for c in cells if needed.issubset(map(labels.__getitem__, c.vertex_indices)))
+    return tuple([c for c in cells if needed.issubset(map(labels.__getitem__, c.vertex_indices))])
 
 
 def _cell_key(cell: Cell, ranks: Sequence[float]) -> tuple[float, Point]:
@@ -141,7 +151,7 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
     for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
         if gen == 0:
             grid: tuple[Point, ...] = corners(box)
-            cells: tuple[Cell, ...] = (Cell(box.lo, box.hi, tuple(range(len(grid)))),)
+            cells: tuple[Cell, ...] = (make_cell((box.lo, box.hi, tuple(range(len(grid))))),)
         else:
             grid, cells = subdivide(box)
         layouts.append((box, grid, cells))
@@ -219,19 +229,23 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
         staged = _label_frontier(f, store, lattice, frontier, gen, sense)
         refine = _next_cells(staged, config) if gen + 1 < len(spacings) else []
         chosen = refine[0] if refine and not config.explore_all else None  # descent has one box
-        generations += [GenerationRecord(gen, box, spacing, vertices, complete, chosen)
+        generations += [_record((gen, box, spacing, vertices, complete, chosen))
                         for box, _, vertices, complete, _ in staged]
         frontier = [c.box for c in refine]
         if not all(map(splittable, frontier)):
             termination = BOX_UNSPLITTABLE
             break
 
-    # The first best entry in evaluation order: min and max keep the first
-    # of equal keys, so this is the first of least rank at a C-level key.
-    best_point = (min if sense is Sense.MINIMIZE else max)(store, key=store.__getitem__)
+    # The first best entry in evaluation order, scanned in C: min and max
+    # return the first of equal values, .index finds that same position
+    # (0.0 and -0.0 are equal, so a signed zero cannot move it), and the
+    # store's keys are in the order of its values.
+    values = list(store.values())
+    i = values.index((min if sense is Sense.MINIMIZE else max)(values))
+    best_point = next(islice(store, i, None))
     return RunResult(
         best_point=best_point,
-        best_value=store[best_point],
+        best_value=values[i],
         candidates=_candidates(staged) if config.explore_all else (),
         generations=tuple(generations),
         evaluations=len(store),

@@ -33,8 +33,8 @@ class SearchBox:
     hi: Point
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", tuple(float(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(float(v) for v in self.hi))
+        object.__setattr__(self, "lo", tuple(map(float, self.lo)))
+        object.__setattr__(self, "hi", tuple(map(float, self.hi)))
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have the same length")
         if not self.lo:
@@ -94,6 +94,11 @@ class Cell(NamedTuple):
         return SearchBox(self.lo, self.hi)
 
 
+# A Cell from one 3-tuple, built in C: tuple.__new__ skips the
+# NamedTuple's generated Python __new__ (a frame per cell) and its arity check.
+make_cell = functools.partial(tuple.__new__, Cell)
+
+
 def corners(box: SearchBox) -> tuple[Point, ...]:
     """The 2**n corners, lexicographic with lo before hi per dimension."""
     return tuple(itertools.product(*zip(box.lo, box.hi)))
@@ -123,8 +128,8 @@ def subdivide(box: SearchBox) -> tuple[tuple[Point, ...], tuple[Cell, ...]]:
         if not a < m < b:
             raise ValueError(f"box {format_box(box)} cannot be halved")
     grid = tuple(itertools.product(*axes))
-    cells = tuple(Cell(grid[ix[0]], grid[ix[-1]], ix)
-                  for ix in _cell_corner_indices(box.dimension))
+    cells = tuple([make_cell((grid[ix[0]], grid[ix[-1]], ix))
+                   for ix in _cell_corner_indices(box.dimension)])
     return grid, cells
 
 

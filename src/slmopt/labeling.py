@@ -72,12 +72,18 @@ class LabeledVertex(NamedTuple):
     label: int
 
 
+# A LabeledVertex from one 4-tuple, built in C: tuple.__new__ skips the
+# NamedTuple's generated Python __new__ (a frame per vertex) and its arity check.
+_vertex = functools.partial(tuple.__new__, LabeledVertex)
+
+
 def checked(f: Objective, done: int = 0) -> Objective:
     """f wrapped so that its calls are numbered from done + 1 and each
     call is checked: one that raises, or returns a value float() rejects
     or that is not finite, raises ObjectiveEvaluationError with the
     point, the value or exception and the call's number."""
     calls = done
+    isfinite = math.isfinite
 
     def g(p: Point) -> float:
         nonlocal calls
@@ -86,7 +92,7 @@ def checked(f: Objective, done: int = 0) -> Objective:
             v = float(f(p))
         except Exception as e:
             raise ObjectiveEvaluationError(p, e, calls) from e
-        if not math.isfinite(v):
+        if not isfinite(v):
             raise ObjectiveEvaluationError(p, v, calls)
         return v
 
@@ -155,7 +161,7 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
             for i, t in enumerate(best):
                 if t < p[i]:
                     label = i + 1
-        labeled.append(LabeledVertex(p, value, best, label))
+        labeled.append(_vertex((p, value, best, label)))
     return tuple(labeled)
 
 
@@ -246,5 +252,5 @@ def _label_block(f: Objective, grid: Sequence[Point], sense: Sense, values: dict
     for p, (get, cands, labels) in zip(grid, plan):
         vs = get(block)
         j = vs.index(pick(vs))
-        labeled.append(LabeledVertex(p, vs[0], points[cands[j]], labels[j]))
+        labeled.append(_vertex((p, vs[0], points[cands[j]], labels[j])))
     return tuple(labeled)

@@ -1,6 +1,9 @@
 """Subdivision search: cell selection, descent trajectories, stopping."""
 
+import collections
+import functools
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -13,12 +16,13 @@ from slmopt.engine import (
     BOX_UNSPLITTABLE,
     GENERATION_CAP,
     TOLERANCE_REACHED,
+    GenerationRecord,
     SlmConfig,
     complete_cells,
     run_slm,
 )
-from slmopt.geometry import MAX_BOUND, SearchBox, subdivide
-from slmopt.labeling import ObjectiveEvaluationError, Sense, label_grid
+from slmopt.geometry import MAX_BOUND, Cell, SearchBox, subdivide
+from slmopt.labeling import LabeledVertex, ObjectiveEvaluationError, Sense, label_grid
 from slmopt.objectives import builtin_names, registry_lookup
 
 from slm_reference import lattice_depth, lattice_floats, lattice_indices, reference_run
@@ -191,19 +195,48 @@ def test_shekel_descent():
     assert math.isclose(res.best_value, 0.9980038388186492, rel_tol=1e-12)
 
 
-def test_best_tracks_every_evaluation():
-    spec = registry_lookup("sphere_min")
-    seen = []
+def signed_zero_plateau(sign, first, later):
+    """sign times the distance beyond 0.75 from the origin, which is zero
+    on a disc of many lattice points: the first zero returned is `first`,
+    every later one `later` (0.0 or -0.0)."""
+    zeros = 0
 
-    def counted(p):
-        v = spec.evaluator(p)
-        seen.append(v)
+    def f(p):
+        nonlocal zeros
+        v = sign * max(math.hypot(*p) - 0.75, 0.0)
+        if v == 0.0:
+            v = first if not zeros else later
+            zeros += 1
         return v
 
-    cfg = SlmConfig(sense=spec.sense, tolerance=0.0625)
-    res = run_slm(counted, spec.domain, cfg)
-    assert res.evaluations == len(seen)
-    assert res.best_value == min(seen)
+    return f
+
+
+def test_best_tracks_every_evaluation():
+    # the best point is the first point called among those with the best
+    # value, and its value is the one that call returned, signed zero and all
+    cases = [(lambda: registry_lookup("sphere_min").evaluator, Sense.MINIMIZE, False),
+             (lambda: registry_lookup("sphere_max").evaluator, Sense.MAXIMIZE, False)]
+    cases += [(functools.partial(signed_zero_plateau, sign, first, later), sense, True)
+              for sign, sense in ((1.0, Sense.MINIMIZE), (-1.0, Sense.MAXIMIZE))
+              for first, later in ((0.0, -0.0), (-0.0, 0.0))]
+    for (make, sense, signed_zeros), explore_all in itertools.product(cases, (False, True)):
+        f, calls = make(), []  # a fresh objective: a plateau counts its zeros
+
+        def recorded(p):
+            v = f(p)
+            calls.append((p, v))
+            return v
+
+        cfg = SlmConfig(sense=sense, tolerance=0.0625, explore_all=explore_all)
+        res = run_slm(recorded, SearchBox((-2.0, -2.0), (2.0, 2.0)), cfg)
+        assert res.evaluations == len(calls)
+        best = (min if sense is Sense.MINIMIZE else max)(v for _, v in calls)
+        ties = [(p, v) for p, v in calls if v == best]
+        assert (res.best_point, res.best_value) == ties[0]
+        assert math.copysign(1.0, res.best_value) == math.copysign(1.0, ties[0][1])
+        if signed_zeros:
+            assert len(ties) > 1 and {math.copysign(1.0, v) for _, v in ties} == {1.0, -1.0}
 
 
 def test_evaluation_budget_per_generation():
@@ -391,6 +424,29 @@ def test_records_are_read_only(pick, field):
         setattr(record, field, None)
     assert record == tuple(record)
     assert getattr(record, field) is record[type(record)._fields.index(field)]
+
+
+def test_records_are_exactly_their_types(monkeypatch):
+    # run records are built with tuple.__new__ on their class, which skips
+    # the NamedTuple's arity check: each is its class with every field
+    blocks = []
+    label_block = labeling._label_block
+    monkeypatch.setattr(labeling, "_label_block", lambda *a: blocks.append(a) or label_block(*a))
+    # descent labels one box per generation, on the block path from
+    # generation 1 on, and chooses generation 0's one cell; explore-all
+    # labels generations of several boxes on the per-vertex loop
+    descent, spec = run_builtin("trig", 0.5)
+    assert [g.index for g in descent.generations] == list(range(len(descent.generations)))
+    assert len(blocks) == len(descent.generations) - 1
+    assert descent.generations[0].chosen == (spec.domain.lo, spec.domain.hi, (0, 1, 2, 3))
+    explore, _ = run_builtin("trig", 0.5, explore_all=True)
+    assert max(collections.Counter(g.index for g in explore.generations).values()) > 1
+    for g in descent.generations + explore.generations:
+        assert type(g) is GenerationRecord and len(g) == len(GenerationRecord._fields)
+        for v in g.vertices:
+            assert type(v) is LabeledVertex and len(v) == len(LabeledVertex._fields)
+        for c in g.complete_cells + ((g.chosen,) if g.chosen else ()):
+            assert type(c) is Cell and len(c) == len(Cell._fields)
 
 
 def test_runs_are_deterministic():
