@@ -216,11 +216,11 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
 
 
 def _cmd_bench(ns: argparse.Namespace) -> int:
-    # 'all' stands for the builtins where it appears; a name given twice
-    # runs once, at its first position
+    # 'all' stands for the builtins where it appears; a name or method
+    # given twice runs once, at its first position
     names = (name for part in _names(ns.function)
              for name in (builtin_names() if part == "all" else (part,)))
-    algorithms = [_algorithm(ns, kind) for kind in _names(ns.method)]
+    algorithms = [_algorithm(ns, kind) for kind in dict.fromkeys(_names(ns.method))]
     rows = run_bench(list(dict.fromkeys(names)), algorithms, ns.repeats)
     text = emit_table(rows, ns.format)
     if ns.out is None:

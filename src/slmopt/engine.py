@@ -29,8 +29,9 @@ later grid point was a probe of the generation before. run_slm owns a point -> v
 store keyed on the float tuple and hands it to every label_grid call,
 which evaluates and checks only the points missing from it, numbering
 them on from the store's size, so a failing call names the run's
-call number; each generation labels the distinct grid points of all
-its boxes together.
+call number. A generation of one box labels its grid and, from
+generation 1 on, names its lower corner so that label_grid takes the
+block path; several boxes label their distinct grid points together.
 Each lattice point is then evaluated once per run and labeled at most
 once per generation, and `evaluations` counts them. 0.0 and -0.0
 compare equal and share one key. First-time evaluations happen in the
@@ -139,15 +140,16 @@ def _cell_key(cell: Cell, ranks: Sequence[float]) -> tuple[float, Point]:
 
 def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[LatticeAxis],
                     frontier: Sequence[SearchBox], gen: int, sense: Sense) -> list[_Staged]:
-    """Label the grids of all frontier boxes, ordered by corners, with
-    one label_grid call over their distinct points (in order of first
-    appearance) that reads and fills the run's store and probes the
-    lattice at half the generation's grid step. Returns (box, cells,
-    vertices, complete cells, ranks) per box; a vertex's rank is its
-    value when minimizing and minus its value when maximizing, so lower
-    ranks are better and every selection reads ranks, not the sense."""
+    """Label the grids of all frontier boxes with one label_grid call that
+    reads and fills the run's store and probes the lattice at half the
+    generation's grid step: a single box's own grid, with its lower
+    corner's lattice indices from generation 1 on, or the distinct points
+    of several boxes' grids, ordered by corners, in order of first
+    appearance. Returns (box, cells, vertices, complete cells, ranks) per
+    box; a vertex's rank is its value when minimizing and minus its value
+    when maximizing, so lower ranks are better and every selection reads
+    ranks, not the sense."""
     layouts = []
-    position: dict[Point, int] = {}
     for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
         if gen == 0:
             grid: tuple[Point, ...] = corners(box)
@@ -155,13 +157,21 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
         else:
             grid, cells = subdivide(box)
         layouts.append((box, grid, cells))
-        for p in grid:
-            position.setdefault(p, len(position))
-    labeled = label_grid(f, tuple(position), lattice[0].top >> (gen + 1), sense, store, lattice)
+    step = lattice[0].top >> (gen + 1)
+    if len(layouts) == 1:
+        ((box, grid, _),) = layouts
+        corner = [axis.index[a] for axis, a in zip(lattice, box.lo)] if gen else None
+        per_box = [label_grid(f, grid, step, sense, store, lattice, corner=corner)]
+    else:
+        position: dict[Point, int] = {}
+        for _, grid, _ in layouts:
+            for p in grid:
+                position.setdefault(p, len(position))
+        labeled = label_grid(f, tuple(position), step, sense, store, lattice)
+        per_box = [tuple(labeled[position[p]] for p in grid) for _, grid, _ in layouts]
     minimize = sense is Sense.MINIMIZE
     staged = []
-    for box, grid, cells in layouts:
-        vertices = tuple(labeled[position[p]] for p in grid)
+    for (box, _, cells), vertices in zip(layouts, per_box):
         ranks = [v.value for v in vertices] if minimize else [-v.value for v in vertices]
         staged.append((box, cells, vertices, complete_cells(cells, [v.label for v in vertices]),
                        ranks))

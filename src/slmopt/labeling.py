@@ -11,18 +11,16 @@ before calling f. checked numbers and checks the objective's calls for
 every method, slm and the baselines alike.
 
 label_grid has two paths with one result: the same labels, targets,
-evaluations, call numbers and errors. Which one runs depends only on
-whether the grid is one box's. The block path labels a single box's
-3**n grid, laid out as run_slm lays out a box, at any n: it looks each
-of the box's at most 7**n probe block points up once, then picks each
-vertex's winner through a plan cached per block shape. The per-vertex
-loop labels any other grid (generation 0's corners, explore-all's
-generations of several boxes, loose point sets) and memoizes each
-axis's candidates; it looks up p and its up to 3**n candidates, 9**n
-store lookups for a box's 3**n grid. Per-job time, block path over
-loop, on CPython 3.11 and 3.13 (BENCH_26.json): sphere4d descent
-0.86-0.87, sphere3d 0.89-0.90; 2-D descent is neutral end to end.
-Labeling a grid of several boxes box by box took 1.09-1.33 times the
+evaluations, call numbers and errors. The caller picks the path. Given
+the lattice indices of a box's lower corner, the block path labels the
+box's 3**n subdivide grid at any n: it looks each of the at most 7**n
+probe block points up once and picks each vertex's winner through a
+plan cached per block shape. Otherwise the per-vertex loop labels the
+grid (generation 0's corners, explore-all's generations of several
+boxes, loose point sets), memoizing each axis's candidates: 9**n store
+lookups for a box's 3**n grid. Block over loop per job on CPython 3.11
+and 3.13 (BENCH_26.json): sphere4d descent 0.86-0.87, sphere3d
+0.89-0.90. Labeling several boxes box by box took 1.09-1.33 times the
 loop's time on explore-all, so those grids keep the loop.
 """
 
@@ -100,8 +98,8 @@ def checked(f: Objective, done: int = 0) -> Objective:
 
 
 def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
-               values: dict[Point, float],
-               lattice: Sequence[LatticeAxis]) -> tuple[LabeledVertex, ...]:
+               values: dict[Point, float], lattice: Sequence[LatticeAxis],
+               corner: Sequence[int] | None = None) -> tuple[LabeledVertex, ...]:
     """Label every grid point, same order as the input grid.
 
     lattice is the run's lattice, one LatticeAxis per axis, and step the
@@ -122,15 +120,16 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
     Calls are numbered on from len(values), so with the run's store a
     failing call names the run's call number.
 
-    Two paths give this result (see the module docstring). A grid that
-    is one box's, the lexicographic product of each axis's made lattice
-    points at indices k, k + 2 step and k + 4 step (run_slm's single box
-    of a generation from 1 on), takes the block path: one store lookup
-    per probe block point, at most 7**n. Any other grid takes the
-    per-vertex loop, with 9**n lookups per 3**n grid.
+    Two paths give this result (see the module docstring). corner
+    promises that grid is subdivide's grid of the box whose lower corner
+    has these lattice indices, and step >= 1; run_slm passes it for a
+    generation's single box from generation 1 on. It selects the block
+    path (at most 7**n store lookups); a grid of another length, or one
+    not starting and ending at the corner's floats, raises ValueError.
+    Without a corner, or when two block floats collide, the loop runs.
     """
     f = checked(f, len(values))
-    block = _probe_block(grid, step, lattice)
+    block = None if corner is None else _probe_block(grid, step, lattice, corner)
     if block is not None:
         return _label_block(f, grid, sense, values, *block)
     n = len(lattice)
@@ -165,42 +164,34 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
     return tuple(labeled)
 
 
-def _probe_block(grid: Sequence[Point], step: int, lattice: Sequence[LatticeAxis]
-                 ) -> tuple[list[list[float]], tuple[tuple[bool, bool], ...]] | None:
-    """The probe block of a grid laid out as run_slm lays out one box:
-    the lexicographic product, per axis, of the made lattice points at
-    indices k, k + 2 step and k + 4 step. Returns each axis's block
-    floats, those of indices k - step to k + 5 step in [0, 2**depth]
-    (made in the order the loop's probes make them), and the block's
-    shape, per axis whether k - step and k + 5 step are in it. None for
-    any other grid, for a step below 1, or when two block floats of an
-    axis are equal."""
-    if step < 1 or len(grid) != 3 ** len(lattice):
-        return None
-    lo, mid, hi = grid[0], grid[len(grid) // 2], grid[-1]
-    ks = []
-    for axis, a, m, b in zip(lattice, lo, mid, hi):
-        k = axis.index.get(a)
-        if k is None or axis.index.get(m) != k + 2 * step or axis.index.get(b) != k + 4 * step:
-            return None
-        ks.append(k)
-    if tuple(grid) != tuple(itertools.product(*zip(lo, mid, hi))):
-        return None
-    axes = []
-    for axis, k in zip(lattice, ks):
+_Shape = tuple[tuple[bool, bool], ...]  # per axis: does the block hold k - step, k + 5 step
+_Vertex = tuple[Callable[[list[float]], tuple[float, ...]], tuple[int, ...], tuple[int, ...]]
+
+
+def _probe_block(grid: Sequence[Point], step: int, lattice: Sequence[LatticeAxis],
+                 corner: Sequence[int]) -> tuple[list[list[float]], _Shape] | None:
+    """The probe block of the box whose lower corner has lattice indices
+    corner: per axis, the floats of indices k - step to k + 5 step in
+    [0, 2**depth], made in the loop's probe order, and the block's shape,
+    whether k - step and k + 5 step are in it. None when two block floats
+    of an axis are equal; ValueError unless grid has 3**n points, the
+    first and last at the block floats of k and k + 4 step."""
+    axes, shape = [], []
+    for axis, k in zip(lattice, corner):
         xs = [axis[j] for j in range(k - step, k + 6 * step, step) if 0 <= j <= axis.top]
         if not all(map(operator.lt, xs, xs[1:])):
             return None
         axes.append(xs)
-    return axes, tuple((k >= step, k + 5 * step <= axis.top) for axis, k in zip(lattice, ks))
-
-
-_Vertex = tuple[Callable[[list[float]], tuple[float, ...]], tuple[int, ...], tuple[int, ...]]
+        shape.append((k >= step, k + 5 * step <= axis.top))
+    first = [xs[lo] for xs, (lo, _) in zip(axes, shape)]
+    last = [xs[lo + 4] for xs, (lo, _) in zip(axes, shape)]
+    if len(grid) != 3 ** len(axes) or list(grid[0]) != first or list(grid[-1]) != last:
+        raise ValueError("the grid is not the 3**n grid of the box at corner")
+    return axes, tuple(shape)
 
 
 @functools.lru_cache(maxsize=32)
-def _block_plan(shape: tuple[tuple[bool, bool], ...]) -> tuple[tuple[int, ...],
-                                                               tuple[_Vertex, ...]]:
+def _block_plan(shape: _Shape) -> tuple[tuple[int, ...], tuple[_Vertex, ...]]:
     """The labeling plan of a probe block of this shape, flat indices in
     row-major (lexicographic) order: the fill order, each block position
     in the order the per-vertex loop first reaches it (vertex, then its
@@ -229,8 +220,7 @@ def _block_plan(shape: tuple[tuple[bool, bool], ...]) -> tuple[tuple[int, ...],
 
 
 def _label_block(f: Objective, grid: Sequence[Point], sense: Sense, values: dict[Point, float],
-                 axes: list[list[float]], shape: tuple[tuple[bool, bool], ...]
-                 ) -> tuple[LabeledVertex, ...]:
+                 axes: list[list[float]], shape: _Shape) -> tuple[LabeledVertex, ...]:
     """label_grid's block path: look every block point up in the store
     once, evaluate the misses in the loop's order, then pick each
     vertex's winner from its candidates' values, p's own first. min and

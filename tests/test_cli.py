@@ -537,6 +537,17 @@ def test_bench_function_list_expands_all_and_runs_each_name_once(functions, expe
         name.format(far=far) for name in expected]
 
 
+@pytest.mark.parametrize("methods, expected", (
+    ("slm,slm,rs", ("slm", "rs")),
+    ("rs,slm,rs,sa,slm", ("rs", "slm", "sa")),
+))
+def test_bench_method_list_runs_each_method_once(methods, expected, capsys):
+    rc, out, err = run_cli(capsys, "bench", "--function", "sphere_min", "--method", methods,
+                           "--iterations", "3", "--tol", "0.5", "--format", "json-lines")
+    assert rc == 0 and err == ""
+    assert [r.algorithm for r in parse_json_lines(out)] == list(expected)
+
+
 def test_bench_unknown_method(capsys):
     rc, _, err = run_cli(capsys, "bench", "--method", "slm,magic")
     assert rc == 2

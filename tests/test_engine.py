@@ -583,11 +583,11 @@ def test_every_grid_point_is_made_before_it_is_labeled(n, lo, width, halvings, e
     centre = tuple(a + (b - a) / 3.0 for a, b in zip(domain.lo, domain.hi))
     grids = []
 
-    def made_first(f, grid, step, sense, values, lattice):
+    def made_first(f, grid, step, sense, values, lattice, corner=None):
         for p in grid:
             assert all(x in axis.index for x, axis in zip(p, lattice)), p
         grids.append(grid)
-        return label_grid(f, grid, step, sense, values, lattice)
+        return label_grid(f, grid, step, sense, values, lattice, corner=corner)
 
     cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=tolerance, explore_all=explore_all,
                     cell_budget=cell_budget)
@@ -639,8 +639,46 @@ def test_block_path_changes_no_run_result(n, lo, width, halvings, sense):
         # no float collides on these lattices: every generation from 1 on
         assert len(blocks) == with_blocks[0].generations[-1].index, "boxes take the block path"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(labeling, "_probe_block", lambda grid, step, lattice: None)
+        mp.setattr(labeling, "_probe_block", lambda grid, step, lattice, corner: None)
         assert run() == with_blocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    lo=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    width=st.tuples(*[st.floats(0.01, 100.0)] * 3),
+    halvings=st.integers(1, 5),
+    explore_all=st.booleans(),
+    cell_budget=st.integers(1, 32),
+)
+def test_a_single_box_generation_passes_its_corner(n, lo, width, halvings, explore_all,
+                                                    cell_budget):
+    # run_slm names a box's corner, its lattice indices, exactly when a
+    # generation from 1 on has one box; generation 0's corners and several
+    # boxes' merged grids take none
+    domain = SearchBox(lo[:n], [a + w for a, w in zip(lo, width[:n])])
+    centre = tuple(a + (b - a) / 3.0 for a, b in zip(domain.lo, domain.hi))
+    cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=max(domain.widths()) / 2 ** halvings,
+                    explore_all=explore_all, cell_budget=cell_budget)
+    corners_passed = []
+
+    def spy(*args, **kwargs):
+        corners_passed.append(kwargs.get("corner"))
+        return label_grid(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "label_grid", spy)
+        res = run_slm(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)), domain, cfg)
+    tables = lattice_floats(domain, lattice_depth(domain, cfg))
+    per_generation = collections.defaultdict(list)
+    for record in res.generations:
+        per_generation[record.index].append(record.box)
+    expected = [list(lattice_indices([boxes[0].lo], tables)[0])
+                if gen and len(boxes) == 1 else None
+                for gen, boxes in sorted(per_generation.items())]
+    assert corners_passed == expected
+    assert explore_all or all(c is not None for c in corners_passed[1:])
 
 
 def test_deep_run_evaluates_each_point_once():

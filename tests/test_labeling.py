@@ -7,7 +7,7 @@ import math
 import operator
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slmopt import labeling
@@ -411,7 +411,8 @@ def test_box_grids_match_lattice_vertex_in_the_loops_call_order(n, data, depth, 
         label_block = labeling._label_block
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(labeling, "_label_block", spy)
-            out = label_grid(g, grid, step, sense, values, run_lattice(domain, depth, grid))
+            out = label_grid(g, grid, step, sense, values, run_lattice(domain, depth, grid),
+                             corner=ks)
         assert len(blocks) == 1, "the grid takes the block path"
         return out, values
 
@@ -445,7 +446,7 @@ def test_box_grids_match_lattice_vertex_in_the_loops_call_order(n, data, depth, 
 def test_box_grid_evaluates_its_own_points():
     # the grid's -0.0 is the lattice's 0.0: f and the store get the grid's
     # own point, as from the per-vertex loop
-    def run(n):
+    def run(n, corner):
         domain = SearchBox((-1.0,) * n, (1.0,) * n)
         grid = tuple(itertools.product((-1.0, -0.0, 1.0), repeat=n))
         calls = []
@@ -455,7 +456,8 @@ def test_box_grid_evaluates_its_own_points():
             return math.copysign(1.0, p[0]) + sum(p[1:])
 
         values = {}
-        out = label_grid(f, grid, 1, Sense.MINIMIZE, values, run_lattice(domain, 2, grid))
+        out = label_grid(f, grid, 1, Sense.MINIMIZE, values, run_lattice(domain, 2, grid),
+                         corner=corner)
         return repr((out, calls, list(values.items())))
 
     for n in (2, 3):
@@ -464,20 +466,136 @@ def test_box_grid_evaluates_its_own_points():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(labeling, "_label_block",
                        lambda *args: blocks.append(args) or label_block(*args))
-            with_blocks = run(n)
+            with_blocks = run(n, (0,) * n)
         assert len(blocks) == 1, "the grid takes the block path"
+        assert run(n, None) == with_blocks
+
+
+def _ulps_above(x, count):
+    for _ in range(count):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    data=st.data(),
+    depth=st.integers(2, 6),
+    sense=st.sampled_from(Sense),
+    quantized=st.booleans(),
+    failure=st.sampled_from(("raise", "nan")),
+)
+def test_a_box_corner_changes_no_label_call_or_error(n, data, depth, sense, quantized, failure):
+    # label_grid given a box's corner, as run_slm reads it from the
+    # lattice's reverse map, against label_grid given none: the same
+    # labels, call order, store and failing call. An axis a few ulps wide
+    # makes lattice floats collide, so the corner may land on a colliding
+    # index; such a grid falls back to the per-vertex loop
+    top = 2 ** depth
+    step = 2 ** data.draw(st.integers(0, depth - 2))
+    boxes = top // (4 * step)  # boxes of this size per axis
+    lo = data.draw(st.tuples(*[st.one_of(st.floats(-100.0, 100.0),
+                                         st.sampled_from((0.0, -0.0, 1.0, -2.0)))
+                               for _ in range(n)]))
+    # a float is the axis's width; an integer is its width in ulps, 2 to 8
+    # ulps per box, so that probe floats a quarter box apart often collide
+    widths = data.draw(st.tuples(*[st.one_of(st.floats(0.01, 100.0),
+                                             st.integers(2 * boxes, 8 * boxes))
+                                   for _ in range(n)]))
+    hi = [_ulps_above(a, w) if isinstance(w, int) else a + w for a, w in zip(lo, widths)]
+    ks = []
+    for _ in range(n):
+        face = data.draw(st.sampled_from(("lo", "hi", "any")))
+        ks.append(0 if face == "lo" else top - 4 * step if face == "hi"
+                  else 4 * step * data.draw(st.integers(0, top // (4 * step) - 1)))
+    # the entries earlier generations made, coarse to fine, in a drawn order
+    made = []
+    level = top
+    while level >= 2 * step:
+        made.append(data.draw(st.permutations(range(0, top + 1, level))))
+        level //= 2
+
+    def lattice():
+        axes = tuple(LatticeAxis(a, b, depth) for a, b in zip(lo, hi))
+        for axis in axes:
+            for level_ks in made:
+                for k in level_ks:
+                    axis[k]
+        return axes
+
+    axes = lattice()
+    per_axis = [(axis[k], axis[k + 2 * step], axis[k + 4 * step]) for axis, k in zip(axes, ks)]
+    assume(all(a < m < b for a, m, b in per_axis))  # a box subdivide can halve
+    grid = tuple(itertools.product(*per_axis))
+    corner = [axis.index[x] for axis, x in zip(axes, grid[0])]
+    centre = [a + (b - a) / 3.0 for a, b in zip(lo, hi)]
+    scale = [b - a for a, b in zip(lo, hi)]  # each axis's width, so ulp-wide axes count
+
+    def f(p):
+        v = sum(((x - c) / w) ** 2 for x, c, w in zip(p, centre, scale))
+        return float(round(16 * v)) if quantized else v
+
+    rng = data.draw(st.randoms(use_true_random=False))
+    stored = {}
+    label_grid(lambda p: stored.setdefault(p, f(p)), grid, step, sense, {}, lattice())
+    stored = {q: v for q, v in stored.items() if rng.random() < 0.3}
+
+    def label(g, points, corner):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return g(p, len(calls))
+
+        values = dict(stored)
+        blocks = []
+        label_block = labeling._label_block
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(labeling, "_probe_block", lambda grid, step, lattice: None)
-            assert run(n) == with_blocks
+            mp.setattr(labeling, "_label_block",
+                       lambda *args: blocks.append(args) or label_block(*args))
+            try:
+                out = label_grid(counted, points, step, sense, values, lattice(), corner=corner)
+            except ObjectiveEvaluationError as e:
+                out = (e.point, e.evaluation)
+        return repr((out, calls, list(values.items()))), len(blocks)
+
+    with_corner, blocks = label(lambda p, _: f(p), grid, corner)
+    assert (with_corner, 0) == label(lambda p, _: f(p), grid, None)
+    if not any(isinstance(w, int) for w in widths):
+        assert blocks == 1, "no lattice float collides: the grid takes the block path"
+    fail_at = data.draw(st.integers(1, 3 ** n))
+
+    def failing(p, call):
+        if call == fail_at:
+            return 1.0 / 0.0 if failure == "raise" else math.nan
+        return f(p)
+
+    assert label(failing, grid, corner)[0] == label(failing, grid, None)[0]
+    if blocks:
+        # a grid that does not start or end at the corner, or lacks a
+        # point, breaks the promise
+        for points in (grid[1:], grid[:-1], grid[::-1], grid[:1] + grid[2:], ()):
+            with pytest.raises(ValueError, match="not the 3\\*\\*n grid of the box at corner"):
+                label_grid(lambda p: f(p), points, step, sense, {}, lattice(), corner=corner)
 
 
-def test_step_zero_grid_takes_the_loop():
-    # three copies of one point pass as a box's grid at step 0, whose
-    # probe block has no extent; the loop labels it, each point its own winner
-    axis = LatticeAxis(0.0, 1.0, 2)
-    p = (axis[2],)
-    out = label_grid(lambda q: q[0], (p,) * 3, 0, Sense.MINIMIZE, {}, (axis,))
-    assert out == ((p, 0.5, p, 0),) * 3
+def test_colliding_block_floats_fall_back_to_the_loop():
+    # on [1, 1 + 6 ulps] at depth 3, index 3's midpoint rounds to index 2's
+    # float: the box at corner 0 halves, but its probe block has a repeated
+    # float, so label_grid labels it with the per-vertex loop
+    axis = LatticeAxis(1.0, _ulps_above(1.0, 6), 3)
+    grid = ((axis[0],), (axis[2],), (axis[4],))
+    assert axis[0] < axis[2] < axis[4] and axis[3] == axis[2]
+    blocks = []
+    label_block = labeling._label_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "_label_block",
+                   lambda *args: blocks.append(args) or label_block(*args))
+        out = label_grid(lambda p: -p[0], grid, 1, Sense.MINIMIZE, {}, (axis,), corner=[0])
+    assert blocks == []
+    assert out == label_grid(lambda p: -p[0], grid, 1, Sense.MINIMIZE, {},
+                             (LatticeAxis(1.0, axis[8], 3),))
 
 
 def test_label_grid_rejects_a_coordinate_off_the_lattice():
