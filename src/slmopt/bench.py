@@ -16,7 +16,8 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence
 
 from .baselines import (
@@ -184,6 +185,9 @@ def emit_markdown(rows: Sequence[BenchRow]) -> str:
 
 
 FIELD_NAMES = tuple(f.name for f in fields(BenchRow))
+# a row's field values in FIELD_NAMES order; dataclasses.asdict would
+# also deep-copy every tuple
+_field_values = attrgetter(*FIELD_NAMES)
 _TEXT_FIELDS = ("algorithm", "objective")
 
 
@@ -194,14 +198,15 @@ def emit_csv(rows: Sequence[BenchRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FIELD_NAMES)
-    for row in rows:
-        writer.writerow([value if name in _TEXT_FIELDS else json.dumps(value)
-                         for name, value in asdict(row).items()])
+    writer.writerows([[value if name in _TEXT_FIELDS else json.dumps(value)
+                       for name, value in zip(FIELD_NAMES, _field_values(row))]
+                      for row in rows])
     return buf.getvalue()
 
 
 def emit_json_lines(rows: Sequence[BenchRow]) -> str:
-    return "\n".join(json.dumps(asdict(row)) for row in rows) + ("\n" if rows else "")
+    return "".join([json.dumps(dict(zip(FIELD_NAMES, _field_values(row)))) + "\n"
+                    for row in rows])
 
 
 _EMITTERS = {"markdown": emit_markdown, "csv": emit_csv, "json-lines": emit_json_lines}

@@ -14,7 +14,7 @@ import functools
 import itertools
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 Point = tuple[float, ...]
 Spacing = tuple[float, ...]
@@ -72,11 +72,15 @@ def format_number(v: float) -> str:
     return repr(v)
 
 
-def format_point(p: Sequence[float]) -> str:
-    return "(" + ", ".join(format_number(v) for v in p) + ")"
+def format_point(p: Sequence[float],
+                 number: Callable[[float], str] = format_number) -> str:
+    """The point's coordinates in parentheses, each as number gives it:
+    format_number, or a cache of its texts."""
+    return "(" + ", ".join(map(number, p)) + ")"
 
 
-def format_box(box: SearchBox) -> str:
+def format_box(box: SearchBox | Cell) -> str:
+    """The box's sides, or a cell's, from its corners lo and hi."""
     return " x ".join(f"[{format_number(a)}, {format_number(b)}]" for a, b in zip(box.lo, box.hi))
 
 

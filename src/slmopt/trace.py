@@ -2,7 +2,15 @@
 2-D runs, standalone SVG drawings of the labeled grid.
 
 Both renderers are pure functions of their inputs; identical records
-give identical bytes.
+give identical bytes. build_trace_document renders every record of a
+run with one cache, made per document and dropped with it, never kept
+by the process: the text of each number and point in the tables, and
+in the drawings the header and legend of each plot size, the marker
+lines of each vertex position and label and each arrow line. A cached
+piece is a pure function of its key, and keys that compare equal print
+alike (0.0 and -0.0 are the one pair of equal floats that differ, and
+the classes below say why they cannot differ in print), so a document
+is byte for byte its records rendered one by one; the tests check that.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ import math
 import os
 
 from .engine import GenerationRecord, RunResult
-from .geometry import format_box, format_number, format_point
+from .geometry import Point, format_box, format_number, format_point
 
 
 PLOT_SIZE = 440.0
@@ -25,22 +33,63 @@ CHOSEN_FILL = "#ffd166"
 ARROW_COLOR = "#555555"
 
 
+class _NumberTexts(dict):
+    """format_number of each float, made on first lookup. 0.0 and -0.0
+    share a key, which is safe: format_number prints both as "0"."""
+
+    def __missing__(self, v: float) -> str:
+        text = self[v] = format_number(v)
+        return text
+
+
+class _PointTexts(dict):
+    """format_point of each point, made on first lookup from the cached
+    text of each coordinate."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.numbers = _NumberTexts()
+
+    def __missing__(self, p: Point) -> str:
+        text = self[p] = format_point(p, self.numbers.__getitem__)
+        return text
+
+
+class _SvgPieces:
+    """The SVG lines a document repeats, each rendered once: the header
+    and legend per plot size, and each vertex's marker lines and each
+    arrow line per pixel position. Keys are the exact floats that the
+    lines are printed from, and none is -0.0, which :.2f prints as
+    "-0.00" where 0.0 gives "0.00": a plot size is a product of
+    positive floats, and a pixel coordinate is PAD plus a float, a sum
+    that is -0.0 only when both addends are. So keys that compare equal
+    print the same."""
+
+    def __init__(self) -> None:
+        self.frames: dict[tuple[float, float], tuple[str, str]] = {}
+        self.marks: dict[tuple[float, float, int], str] = {}
+        self.arrows: dict[tuple[float, float, float, float], str] = {}
+
+
 def render_generation_table(g: GenerationRecord) -> str:
     """Text table: point | probe_target | label, one row per vertex in
     grid order, under header lines for spacing and the chosen cell."""
+    return _table(g, _PointTexts())
+
+
+def _table(g: GenerationRecord, texts: _PointTexts) -> str:
     lines = [
         f"generation {g.index}",
-        f"spacing: {format_point(g.spacing)}",
+        f"spacing: {texts[g.spacing]}",
         f"box: {format_box(g.box)}",
-        f"chosen: {format_box(g.chosen.box) if g.chosen is not None else 'none'}",
+        f"chosen: {format_box(g.chosen) if g.chosen is not None else 'none'}",
     ]
     if g.fallback_used:
         lines.append("fallback: no completely labeled cell this generation")
     if g.vertices:
         lines.append("")
         lines.append("point | probe_target | label")
-        for v in g.vertices:
-            lines.append(f"{format_point(v.point)} | {format_point(v.probe_target)} | {v.label}")
+        lines += [f"{texts[p]} | {texts[t]} | {label}" for p, _, t, label in g.vertices]
     return "\n".join(lines) + "\n"
 
 
@@ -48,6 +97,10 @@ def render_generation_svg(g: GenerationRecord) -> str:
     """Standalone SVG 1.1 of one 2-D generation: box outline, chosen
     cell highlight, label-colored vertex markers, probe arrows for
     vertices whose probe target moved, and a legend."""
+    return _svg(g, _SvgPieces())
+
+
+def _svg(g: GenerationRecord, pieces: _SvgPieces) -> str:
     if g.box.dimension != 2:
         raise ValueError(f"svg rendering supports 2-D only, got {g.box.dimension}-D")
 
@@ -70,8 +123,6 @@ def render_generation_svg(g: GenerationRecord) -> str:
         plot_w, plot_h = PLOT_SIZE, PLOT_SIZE * math.ldexp(aspect, shift)
     else:
         plot_w, plot_h = PLOT_SIZE * math.ldexp(sw / sh, -shift), PLOT_SIZE
-    width = max(plot_w + 2 * PAD, LEGEND_WIDTH)
-    height = plot_h + 2 * PAD + LEGEND_HEIGHT
 
     def px(x: float) -> float:
         return PAD + (x * fx - sx0) / sw * plot_w
@@ -87,7 +138,49 @@ def render_generation_svg(g: GenerationRecord) -> str:
             f' fill="{fill}" fill-opacity="{opacity}" stroke="{stroke}"/>'
         )
 
-    parts = [
+    frame = pieces.frames.get((plot_w, plot_h))
+    if frame is None:
+        frame = pieces.frames[plot_w, plot_h] = _frame(plot_w, plot_h)
+    parts = [frame[0]]
+    if g.chosen is not None:
+        parts.append(rect(g.chosen, "chosen", CHOSEN_FILL, "0.35", "none"))
+    parts.append(rect(g.box, "box", "none", "1", "#222222"))
+
+    marks, arrows = pieces.marks, pieces.arrows
+    vertex_lines = []
+    for p, _, target, label in g.vertices:
+        cx, cy = px(p[0]), py(p[1])
+        if target != p:
+            key = (cx, cy, px(target[0]), py(target[1]))
+            line = arrows.get(key)
+            if line is None:
+                line = arrows[key] = (
+                    f'  <line class="arrow" x1="{cx:.2f}" y1="{cy:.2f}"'
+                    f' x2="{key[2]:.2f}" y2="{key[3]:.2f}"'
+                    f' stroke="{ARROW_COLOR}" stroke-width="1.5" marker-end="url(#arrowhead)"/>'
+                )
+            parts.append(line)
+        key = (cx, cy, label)
+        lines = marks.get(key)
+        if lines is None:
+            lines = marks[key] = (
+                f'  <circle class="vertex" cx="{cx:.2f}" cy="{cy:.2f}"'
+                f' r="5" fill="{PALETTE[label]}" stroke="#ffffff" stroke-width="1"/>\n'
+                f'  <text class="vlabel" x="{cx + 7:.2f}" y="{cy - 7:.2f}"'
+                f' font-family="sans-serif" font-size="11">{label}</text>'
+            )
+        vertex_lines.append(lines)
+    parts += vertex_lines
+    parts.append(frame[1])
+    return "\n".join(parts)
+
+
+def _frame(plot_w: float, plot_h: float) -> tuple[str, str]:
+    """The lines before the first rect and, ending the file, the legend
+    and closing tag, of a drawing whose plot is plot_w by plot_h."""
+    width = max(plot_w + 2 * PAD, LEGEND_WIDTH)
+    height = plot_h + 2 * PAD + LEGEND_HEIGHT
+    head = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width:.0f}" height="{height:.0f}" '
@@ -99,27 +192,6 @@ def render_generation_svg(g: GenerationRecord) -> str:
         "  </defs>",
         f'  <rect width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
     ]
-    if g.chosen is not None:
-        parts.append(rect(g.chosen.box, "chosen", CHOSEN_FILL, "0.35", "none"))
-    parts.append(rect(g.box, "box", "none", "1", "#222222"))
-
-    for v in g.vertices:
-        if v.probe_target != v.point:
-            parts.append(
-                f'  <line class="arrow" x1="{px(v.point[0]):.2f}" y1="{py(v.point[1]):.2f}"'
-                f' x2="{px(v.probe_target[0]):.2f}" y2="{py(v.probe_target[1]):.2f}"'
-                f' stroke="{ARROW_COLOR}" stroke-width="1.5" marker-end="url(#arrowhead)"/>'
-            )
-    for v in g.vertices:
-        parts.append(
-            f'  <circle class="vertex" cx="{px(v.point[0]):.2f}" cy="{py(v.point[1]):.2f}"'
-            f' r="5" fill="{PALETTE[v.label]}" stroke="#ffffff" stroke-width="1"/>'
-        )
-        parts.append(
-            f'  <text class="vlabel" x="{px(v.point[0]) + 7:.2f}" y="{py(v.point[1]) - 7:.2f}"'
-            f' font-family="sans-serif" font-size="11">{v.label}</text>'
-        )
-
     ly = plot_h + 2 * PAD + 16
     legend = [f'  <g id="legend" font-family="sans-serif" font-size="12">']
     lx = PAD
@@ -133,9 +205,8 @@ def render_generation_svg(g: GenerationRecord) -> str:
     )
     legend.append(f'    <text x="{lx + 20:.2f}" y="{ly + 4:.2f}">chosen cell</text>')
     legend.append("  </g>")
-    parts.extend(legend)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    legend.append("</svg>\n")
+    return "\n".join(head), "\n".join(legend)
 
 
 def build_trace_document(result: RunResult, objective: str, tolerance: float,
@@ -149,7 +220,8 @@ def build_trace_document(result: RunResult, objective: str, tolerance: float,
         f"sense: {sense}\n"
         f"tolerance: {format_number(tolerance)}\n"
     )
-    tables = "\n".join(render_generation_table(g) for g in result.generations)
+    texts, pieces = _PointTexts(), _SvgPieces()
+    tables = "\n".join([_table(g, texts) for g in result.generations])
     files = {"trace.txt": header + "\n" + tables}
     seen: dict[int, int] = {}
     for g in result.generations:
@@ -158,17 +230,27 @@ def build_trace_document(result: RunResult, objective: str, tolerance: float,
         ordinal = seen.get(g.index, 0)
         seen[g.index] = ordinal + 1
         name = f"gen-{g.index}.svg" if ordinal == 0 else f"gen-{g.index}-{ordinal}.svg"
-        files[name] = render_generation_svg(g)
+        files[name] = _svg(g, pieces)
     return files
 
 
+# O_BINARY: Windows opens a file descriptor in text mode without it
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
 def write_trace(files: dict[str, str], directory: str) -> list[str]:
-    """Write each file of a trace document; returns written paths."""
+    """Write each file of a trace document as its text's UTF-8 bytes,
+    with no text layer in between; returns written paths."""
     os.makedirs(directory, exist_ok=True)
     written = []
     for name, text in files.items():
         path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        data = memoryview(text.encode())
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+        try:
+            while data:  # os.write may write fewer bytes than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         written.append(path)
     return written

@@ -1,5 +1,6 @@
 """Benchmark matrix: row production, deviation metric, emitters."""
 
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from slmopt.bench import (
     DEFAULT_ITERATIONS,
     FIELD_NAMES,
+    METHODS,
     AlgorithmSpec,
     BenchRow,
     default_tolerance,
@@ -20,7 +22,7 @@ from slmopt.bench import (
 )
 from slmopt.geometry import SearchBox
 from slmopt.labeling import Sense
-from slmopt.objectives import ObjectiveSpec, register_objective, registry_lookup
+from slmopt.objectives import ObjectiveSpec, builtin_names, register_objective, registry_lookup
 
 from bench_reference import mask_wall_time, parse_csv, parse_json_lines
 
@@ -218,6 +220,23 @@ def test_row_encodings_are_pinned():
         '"wall_time_ms": 2.5, "seed": 4}\n')
     [back] = parse_csv(emit_csv([row]))
     assert back == row and isinstance(back.iterations, int)
+
+
+# sha256 of each payload of `bench --function all --repeats 3`'s matrix,
+# every builtin by every method at its defaults, with wall_time_ms zeroed,
+# taken when the emitters read rows through dataclasses.asdict
+PAYLOAD_DIGESTS = {
+    "csv": "6972193b5a880bbe97822c16cd56b5d66031856e47f8ee4f83119a2e75472c7c",
+    "json-lines": "105df2b354c2bd35df7f53d042632f1c61d3ea2f76b1ffd4b88bbda547b18c3a",
+}
+
+
+def test_payloads_are_byte_stable():
+    rows = mask_wall_time(run_bench(builtin_names(), [AlgorithmSpec(k) for k in METHODS],
+                                    repeats=3))
+    assert len(rows) == 60
+    for fmt, digest in PAYLOAD_DIGESTS.items():
+        assert hashlib.sha256(emit_table(rows, fmt).encode()).hexdigest() == digest, fmt
 
 
 def test_json_lines_fields():

@@ -1,14 +1,19 @@
 """Trace rendering: text tables, SVG drawings, file layout."""
 
+import hashlib
 import math
 import os
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slmopt.engine import GenerationRecord, SlmConfig, run_slm
-from slmopt.geometry import MAX_BOUND, SearchBox, splittable
-from slmopt.labeling import Sense
+import slmopt.trace
+from slmopt.bench import default_tolerance
+from slmopt.engine import GenerationRecord, RunResult, SlmConfig, run_slm
+from slmopt.geometry import MAX_BOUND, Cell, SearchBox, splittable
+from slmopt.labeling import LabeledVertex, Sense
 from slmopt.objectives import registry_lookup
 from slmopt.trace import (
     LEGEND_HEIGHT,
@@ -191,6 +196,50 @@ def test_document_skips_svg_for_non_planar_runs():
     assert files["trace.txt"].count("generation ") == len(res.generations)
 
 
+def _record(draw, index):
+    """One 2-D record over a box drawn from few corners and widths, so
+    records of one document share plot sizes and pixel positions."""
+    lo = tuple(draw(st.sampled_from((-0.0, 0.0, -1.0, 0.5, 2.0))) for _ in range(2))
+    # unequal widths make tall and wide boxes
+    width = tuple(draw(st.sampled_from((0.25, 1.0, 4.0, 1e-3))) for _ in range(2))
+    hi = (lo[0] + width[0], lo[1] + width[1])
+    box = SearchBox(lo, hi)
+    mid = tuple((a + b) / 2.0 for a, b in zip(lo, hi))
+    half = tuple(w / 2.0 for w in width)
+    axes = [(-0.0, 0.0, a, m, b) for a, m, b in zip(lo, mid, hi)]
+    coordinate = [st.sampled_from(axis) for axis in axes]
+    point = st.tuples(*coordinate)
+    vertices = []
+    for _ in range(draw(st.integers(0, 6))):  # 0: a vertexless record
+        p = draw(point)
+        target = p if draw(st.booleans()) else draw(point)
+        vertices.append(LabeledVertex(p, 0.0, target, draw(st.integers(0, 2))))
+    chosen = draw(st.sampled_from((None, Cell(lo, mid, (0, 1, 3, 4)), Cell(mid, hi, (4, 5, 7, 8)))))
+    return GenerationRecord(index=index, box=box, spacing=draw(st.sampled_from((width, half))),
+                            vertices=tuple(vertices),
+                            complete_cells=() if chosen is None else (chosen,), chosen=chosen)
+
+
+@st.composite
+def documents(draw):
+    indexes = draw(st.lists(st.integers(0, 2), min_size=1, max_size=8))
+    return RunResult(best_point=(0.0, 0.0), best_value=0.0, candidates=(),
+                     generations=tuple(_record(draw, k) for k in indexes),
+                     evaluations=0, termination="tolerance reached")
+
+
+@settings(max_examples=150, deadline=None)
+@given(result=documents())
+def test_document_equals_each_record_rendered_alone(result):
+    # the document renders with one cache shared by its records; -0.0
+    # and 0.0 coordinates share its number keys and must print alike
+    files = build_trace_document(result, "drawn", 0.5, "minimize")
+    tables = "\n".join(render_generation_table(g) for g in result.generations)
+    assert files.pop("trace.txt") == (
+        "objective: drawn\nsense: minimize\ntolerance: 0.5\n\n" + tables)
+    assert list(files.values()) == [render_generation_svg(g) for g in result.generations]
+
+
 def test_rendering_is_deterministic():
     res1, _ = sphere_run()
     res2, _ = sphere_run()
@@ -202,6 +251,54 @@ def test_rendering_is_deterministic():
 # ---------------------------------------------------------------------------
 # File layout
 # ---------------------------------------------------------------------------
+
+# sha256 of the sha256sum lines ("<file sha256>  <name>\n") of every file
+# a default-tolerance trace writes, in write order, taken before the
+# renderers cached repeated pieces; the tier1 workflow checks the trig
+# digest against `python -m slmopt.cli trace` on every interpreter
+TRACE_DIGESTS = {
+    ("trig", True): "0fb243f24b226e2d473a5ed0249995799cf3217040d0eebece0886820a30909c",
+    ("sphere_min", False): "3f11d22312132baf4999e60b53a3d2f397a99c1fa851081d2217e0ddb1f463ac",
+}
+
+
+def manifest_digest(paths):
+    lines = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {os.path.basename(path)}\n")
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, explore_all", TRACE_DIGESTS)
+def test_default_traces_are_byte_stable(name, explore_all, tmp_path):
+    spec = registry_lookup(name)
+    cfg = SlmConfig(sense=spec.sense, tolerance=default_tolerance(spec),
+                    explore_all=explore_all)
+    res = run_slm(spec.evaluator, spec.domain, cfg)
+    files = build_trace_document(res, spec.name, cfg.tolerance, spec.sense.value)
+    assert manifest_digest(write_trace(files, str(tmp_path))) == TRACE_DIGESTS[name, explore_all]
+
+
+def test_write_trace_writes_utf8_bytes(tmp_path):
+    res, _ = sphere_run(tolerance=0.5)
+    files = build_trace_document(res, "sphère-β", 0.5, "minimize")
+    write_trace(files, str(tmp_path))
+    data = (tmp_path / "trace.txt").read_bytes()
+    assert data.startswith("objective: sphère-β\n".encode("utf-8"))
+    assert data == files["trace.txt"].encode("utf-8")
+
+
+def test_write_trace_finishes_short_writes(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than it is given
+    write = os.write
+    monkeypatch.setattr(slmopt.trace.os, "write", lambda fd, data: write(fd, data[:100]))
+    res, spec = sphere_run(tolerance=0.5)
+    files = build_trace_document(res, spec.name, 0.5, spec.sense.value)
+    write_trace(files, str(tmp_path))
+    monkeypatch.undo()
+    assert {name: (tmp_path / name).read_bytes() for name in files} == \
+        {name: text.encode("utf-8") for name, text in files.items()}
 
 def test_write_trace_single_path(tmp_path):
     res, spec = sphere_run(tolerance=0.5)
