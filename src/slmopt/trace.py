@@ -2,21 +2,25 @@
 2-D runs, standalone SVG drawings of the labeled grid.
 
 Both renderers are pure functions of their inputs; identical records
-give identical bytes. build_trace_document renders every record of a
-run with one cache, made per document and dropped with it, never kept
-by the process: the text of each number and point in the tables, and
-in the drawings the header and legend of each plot size, the marker
-lines of each vertex position and label and each arrow line. A cached
-piece is a pure function of its key, and keys that compare equal print
-alike (0.0 and -0.0 are the one pair of equal floats that differ, and
-the classes below say why they cannot differ in print), so a document
-is byte for byte its records rendered one by one; the tests check that.
+give identical bytes. Each piece a trace repeats is a plain function of
+its key: format_number and format_point in the tables, _frame, _marker
+and _arrow in the drawings. The per-record renderers call them as they
+are; build_trace_document wraps each in functools.cache, made per
+document and dropped with it. Keys that compare equal print alike, so a
+cache cannot move a byte. 0.0 and -0.0 are the one pair of equal floats
+that differ: format_number prints both as "0", and no SVG key is -0.0
+(:.2f prints "-0.00"), since a plot size is a product of positive floats
+and a pixel coordinate is PAD plus a float, -0.0 only when both addends
+are. So a document is byte for byte its records rendered one by one;
+the tests check that.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+from typing import Callable
 
 from .engine import GenerationRecord, RunResult
 from .geometry import Point, format_box, format_number, format_point
@@ -33,54 +37,16 @@ CHOSEN_FILL = "#ffd166"
 ARROW_COLOR = "#555555"
 
 
-class _NumberTexts(dict):
-    """format_number of each float, made on first lookup. 0.0 and -0.0
-    share a key, which is safe: format_number prints both as "0"."""
-
-    def __missing__(self, v: float) -> str:
-        text = self[v] = format_number(v)
-        return text
-
-
-class _PointTexts(dict):
-    """format_point of each point, made on first lookup from the cached
-    text of each coordinate."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.numbers = _NumberTexts()
-
-    def __missing__(self, p: Point) -> str:
-        text = self[p] = format_point(p, self.numbers.__getitem__)
-        return text
-
-
-class _SvgPieces:
-    """The SVG lines a document repeats, each rendered once: the header
-    and legend per plot size, and each vertex's marker lines and each
-    arrow line per pixel position. Keys are the exact floats that the
-    lines are printed from, and none is -0.0, which :.2f prints as
-    "-0.00" where 0.0 gives "0.00": a plot size is a product of
-    positive floats, and a pixel coordinate is PAD plus a float, a sum
-    that is -0.0 only when both addends are. So keys that compare equal
-    print the same."""
-
-    def __init__(self) -> None:
-        self.frames: dict[tuple[float, float], tuple[str, str]] = {}
-        self.marks: dict[tuple[float, float, int], str] = {}
-        self.arrows: dict[tuple[float, float, float, float], str] = {}
-
-
 def render_generation_table(g: GenerationRecord) -> str:
     """Text table: point | probe_target | label, one row per vertex in
     grid order, under header lines for spacing and the chosen cell."""
-    return _table(g, _PointTexts())
+    return _table(g, format_point)
 
 
-def _table(g: GenerationRecord, texts: _PointTexts) -> str:
+def _table(g: GenerationRecord, point: Callable[[Point], str]) -> str:
     lines = [
         f"generation {g.index}",
-        f"spacing: {texts[g.spacing]}",
+        f"spacing: {point(g.spacing)}",
         f"box: {format_box(g.box)}",
         f"chosen: {format_box(g.chosen) if g.chosen is not None else 'none'}",
     ]
@@ -89,7 +55,7 @@ def _table(g: GenerationRecord, texts: _PointTexts) -> str:
     if g.vertices:
         lines.append("")
         lines.append("point | probe_target | label")
-        lines += [f"{texts[p]} | {texts[t]} | {label}" for p, _, t, label in g.vertices]
+        lines += [f"{point(p)} | {point(t)} | {label}" for p, _, t, label in g.vertices]
     return "\n".join(lines) + "\n"
 
 
@@ -97,10 +63,11 @@ def render_generation_svg(g: GenerationRecord) -> str:
     """Standalone SVG 1.1 of one 2-D generation: box outline, chosen
     cell highlight, label-colored vertex markers, probe arrows for
     vertices whose probe target moved, and a legend."""
-    return _svg(g, _SvgPieces())
+    return _svg(g, _frame, _marker, _arrow)
 
 
-def _svg(g: GenerationRecord, pieces: _SvgPieces) -> str:
+def _svg(g: GenerationRecord, frame, marker, arrow) -> str:
+    """g's drawing, its pieces from _frame, _marker and _arrow or caches of them."""
     if g.box.dimension != 2:
         raise ValueError(f"svg rendering supports 2-D only, got {g.box.dimension}-D")
 
@@ -138,41 +105,39 @@ def _svg(g: GenerationRecord, pieces: _SvgPieces) -> str:
             f' fill="{fill}" fill-opacity="{opacity}" stroke="{stroke}"/>'
         )
 
-    frame = pieces.frames.get((plot_w, plot_h))
-    if frame is None:
-        frame = pieces.frames[plot_w, plot_h] = _frame(plot_w, plot_h)
-    parts = [frame[0]]
+    head, legend = frame(plot_w, plot_h)
+    parts = [head]
     if g.chosen is not None:
         parts.append(rect(g.chosen, "chosen", CHOSEN_FILL, "0.35", "none"))
     parts.append(rect(g.box, "box", "none", "1", "#222222"))
 
-    marks, arrows = pieces.marks, pieces.arrows
     vertex_lines = []
     for p, _, target, label in g.vertices:
         cx, cy = px(p[0]), py(p[1])
         if target != p:
-            key = (cx, cy, px(target[0]), py(target[1]))
-            line = arrows.get(key)
-            if line is None:
-                line = arrows[key] = (
-                    f'  <line class="arrow" x1="{cx:.2f}" y1="{cy:.2f}"'
-                    f' x2="{key[2]:.2f}" y2="{key[3]:.2f}"'
-                    f' stroke="{ARROW_COLOR}" stroke-width="1.5" marker-end="url(#arrowhead)"/>'
-                )
-            parts.append(line)
-        key = (cx, cy, label)
-        lines = marks.get(key)
-        if lines is None:
-            lines = marks[key] = (
-                f'  <circle class="vertex" cx="{cx:.2f}" cy="{cy:.2f}"'
-                f' r="5" fill="{PALETTE[label]}" stroke="#ffffff" stroke-width="1"/>\n'
-                f'  <text class="vlabel" x="{cx + 7:.2f}" y="{cy - 7:.2f}"'
-                f' font-family="sans-serif" font-size="11">{label}</text>'
-            )
-        vertex_lines.append(lines)
+            parts.append(arrow(cx, cy, px(target[0]), py(target[1])))
+        vertex_lines.append(marker(cx, cy, label))
     parts += vertex_lines
-    parts.append(frame[1])
+    parts.append(legend)
     return "\n".join(parts)
+
+
+def _marker(cx: float, cy: float, label: int) -> str:
+    """A vertex's circle, filled by its label, and its label text."""
+    return (
+        f'  <circle class="vertex" cx="{cx:.2f}" cy="{cy:.2f}"'
+        f' r="5" fill="{PALETTE[label]}" stroke="#ffffff" stroke-width="1"/>\n'
+        f'  <text class="vlabel" x="{cx + 7:.2f}" y="{cy - 7:.2f}"'
+        f' font-family="sans-serif" font-size="11">{label}</text>'
+    )
+
+
+def _arrow(x1: float, y1: float, x2: float, y2: float) -> str:
+    """A probe arrow from a vertex to its probe target."""
+    return (
+        f'  <line class="arrow" x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"'
+        f' stroke="{ARROW_COLOR}" stroke-width="1.5" marker-end="url(#arrowhead)"/>'
+    )
 
 
 def _frame(plot_w: float, plot_h: float) -> tuple[str, str]:
@@ -220,8 +185,10 @@ def build_trace_document(result: RunResult, objective: str, tolerance: float,
         f"sense: {sense}\n"
         f"tolerance: {format_number(tolerance)}\n"
     )
-    texts, pieces = _PointTexts(), _SvgPieces()
-    tables = "\n".join([_table(g, texts) for g in result.generations])
+    # points share coordinates, so the point cache formats through a number cache
+    point = functools.cache(functools.partial(format_point, number=functools.cache(format_number)))
+    frame, marker, arrow = map(functools.cache, (_frame, _marker, _arrow))
+    tables = "\n".join([_table(g, point) for g in result.generations])
     files = {"trace.txt": header + "\n" + tables}
     seen: dict[int, int] = {}
     for g in result.generations:
@@ -230,7 +197,7 @@ def build_trace_document(result: RunResult, objective: str, tolerance: float,
         ordinal = seen.get(g.index, 0)
         seen[g.index] = ordinal + 1
         name = f"gen-{g.index}.svg" if ordinal == 0 else f"gen-{g.index}-{ordinal}.svg"
-        files[name] = _svg(g, pieces)
+        files[name] = _svg(g, frame, marker, arrow)
     return files
 
 

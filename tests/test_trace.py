@@ -231,8 +231,9 @@ def documents(draw):
 @settings(max_examples=150, deadline=None)
 @given(result=documents())
 def test_document_equals_each_record_rendered_alone(result):
-    # the document renders with one cache shared by its records; -0.0
-    # and 0.0 coordinates share its number keys and must print alike
+    # the document renders through per-document caches of the pieces
+    # that the per-record renderers render uncached; -0.0 and 0.0
+    # coordinates share the number cache's keys and must print alike
     files = build_trace_document(result, "drawn", 0.5, "minimize")
     tables = "\n".join(render_generation_table(g) for g in result.generations)
     assert files.pop("trace.txt") == (
@@ -254,8 +255,8 @@ def test_rendering_is_deterministic():
 
 # sha256 of the sha256sum lines ("<file sha256>  <name>\n") of every file
 # a default-tolerance trace writes, in write order, taken before the
-# renderers cached repeated pieces; the tier1 workflow checks the trig
-# digest against `python -m slmopt.cli trace` on every interpreter
+# renderers cached repeated pieces; the tier1 workflow checks both
+# digests against `python -m slmopt.cli trace` on every interpreter
 TRACE_DIGESTS = {
     ("trig", True): "0fb243f24b226e2d473a5ed0249995799cf3217040d0eebece0886820a30909c",
     ("sphere_min", False): "3f11d22312132baf4999e60b53a3d2f397a99c1fa851081d2217e0ddb1f463ac",
@@ -287,6 +288,23 @@ def test_write_trace_writes_utf8_bytes(tmp_path):
     data = (tmp_path / "trace.txt").read_bytes()
     assert data.startswith("objective: sphère-β\n".encode("utf-8"))
     assert data == files["trace.txt"].encode("utf-8")
+
+
+def test_write_trace_replaces_longer_files(tmp_path):
+    # a trace written over a longer one keeps none of the old bytes
+    spec = registry_lookup("trig")
+    cfg = SlmConfig(sense=spec.sense, tolerance=default_tolerance(spec), explore_all=True)
+    res = run_slm(spec.evaluator, spec.domain, cfg)
+    old = build_trace_document(res, spec.name, cfg.tolerance, spec.sense.value)
+    write_trace(old, str(tmp_path))
+    res, spec = sphere_run(tolerance=0.5)
+    files = build_trace_document(res, spec.name, 0.5, spec.sense.value)
+    assert len(old["trace.txt"]) > len(files["trace.txt"])
+    written = write_trace(files, str(tmp_path))
+    assert [os.path.basename(p) for p in written] == list(files)
+    for path in written:
+        with open(path, "rb") as fh:
+            assert fh.read() == files[os.path.basename(path)].encode("utf-8")
 
 
 def test_write_trace_finishes_short_writes(tmp_path, monkeypatch):
