@@ -45,7 +45,7 @@ from .bench import (
 from .engine import run_slm
 from .geometry import format_box, format_number, format_point
 from .objectives import ObjectiveSpec, builtin_names, registry_lookup
-from .trace import build_trace_document, write_trace
+from .trace import build_trace_document, write_file, write_trace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,8 +227,7 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         sys.stdout.write(text)
     else:
         try:
-            with open(ns.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write_file(ns.out, text)
         except OSError as e:
             raise ValueError(f"cannot write {ns.out}: {e.strerror or e}") from None
     return 0

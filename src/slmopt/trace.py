@@ -201,23 +201,39 @@ def build_trace_document(result: RunResult, objective: str, tolerance: float,
     return files
 
 
-# O_BINARY: Windows opens a file descriptor in text mode without it
-_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+# O_BINARY: Windows opens a file descriptor in text mode without it.
+# No O_TRUNC: see write_trace.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def write_file(path: str, text: str) -> None:
+    """Write text's UTF-8 bytes to path in place, with no text layer in
+    between, then cut off what an older, longer file held past them.
+    ftruncate fails on /dev/null and on pipes, whose st_size is 0, so
+    it runs only when the file holds more bytes than were written."""
+    raw = text.encode()
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        data = memoryview(raw)
+        while data:  # os.write may write fewer bytes than it is given
+            data = data[os.write(fd, data):]
+        if os.fstat(fd).st_size > len(raw):
+            os.ftruncate(fd, len(raw))
+    finally:
+        os.close(fd)
 
 
 def write_trace(files: dict[str, str], directory: str) -> list[str]:
-    """Write each file of a trace document as its text's UTF-8 bytes,
-    with no text layer in between; returns written paths."""
+    """Write each file of a trace document through write_file; returns
+    written paths. A file is rewritten in place, never opened with
+    O_TRUNC: ext4 (auto_da_alloc) starts writeback of each file that
+    was truncated to zero as it closes, which made writing over an
+    earlier trace several times slower than writing it in place. Files
+    of an earlier trace that this one does not name are left as they are."""
     os.makedirs(directory, exist_ok=True)
     written = []
     for name, text in files.items():
         path = os.path.join(directory, name)
-        data = memoryview(text.encode())
-        fd = os.open(path, _WRITE_FLAGS, 0o666)
-        try:
-            while data:  # os.write may write fewer bytes than it is given
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        write_file(path, text)
         written.append(path)
     return written

@@ -434,6 +434,25 @@ def test_bench_out_writes_file(tmp_path, capsys):
     assert target.read_text().startswith("## rosenbrock")
 
 
+def test_bench_out_replaces_a_longer_file(tmp_path, capsys):
+    argv = ("bench", "--function", "sphere_min", "--method", "slm", "--tol", "0.5")
+    rc, payload, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    target = tmp_path / "table.md"
+    target.write_bytes(b"an older, longer table\n" * 200)
+    rc, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert (rc, out, err) == (0, "", "")
+    assert target.read_bytes() == payload.encode("utf-8")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_bench_out_to_dev_null(capsys):
+    # /dev/null cannot be truncated; the writer leaves it as it is
+    rc, out, err = run_cli(capsys, "bench", "--function", "sphere_min",
+                           "--method", "slm", "--tol", "0.5", "--out", "/dev/null")
+    assert (rc, out, err) == (0, "", "")
+
+
 def test_bench_out_to_missing_directory_is_one_line_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.md"
     rc, out, err = run_cli(capsys, "bench", "--function", "sphere_min",

@@ -308,15 +308,57 @@ def test_write_trace_replaces_longer_files(tmp_path):
 
 
 def test_write_trace_finishes_short_writes(tmp_path, monkeypatch):
-    # os.write may write fewer bytes than it is given
-    write = os.write
-    monkeypatch.setattr(slmopt.trace.os, "write", lambda fd, data: write(fd, data[:100]))
+    # os.write may write fewer bytes than it is given, here over a
+    # longer trace that the last short write must still cut off
     res, spec = sphere_run(tolerance=0.5)
     files = build_trace_document(res, spec.name, 0.5, spec.sense.value)
+    write_trace({name: text * 2 for name, text in files.items()}, str(tmp_path))
+    write = os.write
+    monkeypatch.setattr(slmopt.trace.os, "write", lambda fd, data: write(fd, data[:100]))
     write_trace(files, str(tmp_path))
     monkeypatch.undo()
     assert {name: (tmp_path / name).read_bytes() for name in files} == \
         {name: text.encode("utf-8") for name, text in files.items()}
+
+
+@pytest.mark.parametrize("old", (
+    lambda raw: raw + b"stale tail\n" * 40,  # longer
+    lambda raw: bytes(255 - b for b in raw),  # the same length, other bytes
+    lambda raw: raw[: len(raw) // 3],  # shorter
+), ids=("longer", "same-length", "shorter"))
+def test_write_trace_over_existing_files_leaves_exactly_the_new_bytes(old, tmp_path):
+    res, spec = sphere_run(tolerance=0.5)
+    files = build_trace_document(res, spec.name, 0.5, spec.sense.value)
+    new = {name: text.encode("utf-8") for name, text in files.items()}
+    for name, raw in new.items():
+        (tmp_path / name).write_bytes(old(raw))
+    write_trace(files, str(tmp_path))
+    assert {name: (tmp_path / name).read_bytes() for name in files} == new
+
+
+def test_write_trace_rewrites_each_file_in_place(tmp_path, monkeypatch):
+    # a trace written over another keeps each file's inode and never
+    # opens with O_TRUNC, after which ext4 flushes each file as it closes
+    res, spec = sphere_run(tolerance=0.5)
+    files = build_trace_document(res, spec.name, 0.5, spec.sense.value)
+    paths = write_trace({name: text * 2 for name, text in files.items()}, str(tmp_path))
+    inodes = [os.stat(p).st_ino for p in paths]
+    flags = []
+    open_ = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return open_(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(slmopt.trace.os, "open", spy)
+    assert write_trace(files, str(tmp_path)) == paths
+    monkeypatch.undo()
+    assert len(flags) == len(files)
+    assert not any(flag & os.O_TRUNC for flag in flags)
+    assert [os.stat(p).st_ino for p in paths] == inodes
+    assert {name: (tmp_path / name).read_bytes() for name in files} == \
+        {name: text.encode("utf-8") for name, text in files.items()}
+
 
 def test_write_trace_single_path(tmp_path):
     res, spec = sphere_run(tolerance=0.5)
