@@ -52,6 +52,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .geometry import (
@@ -144,13 +145,14 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
     reads and fills the run's store and probes the lattice at half the
     generation's grid step: a single box's own grid, with its lower
     corner's lattice indices from generation 1 on, or the distinct points
-    of several boxes' grids, ordered by corners, in order of first
-    appearance. Returns (box, cells, vertices, complete cells, ranks) per
-    box; a vertex's rank is its value when minimizing and minus its value
-    when maximizing, so lower ranks are better and every selection reads
-    ranks, not the sense."""
+    of several boxes' grids in order of first appearance, each box's
+    vertices read back by position. run_slm passes the frontier already
+    ordered by corners (lo, then hi). Returns (box, cells, vertices,
+    complete cells, ranks) per box; a vertex's rank is its value when
+    minimizing and minus its value when maximizing, so lower ranks are
+    better and every selection reads ranks, not the sense."""
     layouts = []
-    for box in sorted(frontier, key=lambda b: (b.lo, b.hi)):
+    for box in frontier:
         if gen == 0:
             grid: tuple[Point, ...] = corners(box)
             cells: tuple[Cell, ...] = (make_cell((box.lo, box.hi, tuple(range(len(grid))))),)
@@ -164,11 +166,10 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
         per_box = [label_grid(f, grid, step, sense, store, lattice, corner=corner)]
     else:
         position: dict[Point, int] = {}
-        for _, grid, _ in layouts:
-            for p in grid:
-                position.setdefault(p, len(position))
+        getters = [itemgetter(*[position.setdefault(p, len(position)) for p in grid])
+                   for _, grid, _ in layouts]
         labeled = label_grid(f, tuple(position), step, sense, store, lattice)
-        per_box = [tuple(labeled[position[p]] for p in grid) for _, grid, _ in layouts]
+        per_box = [get(labeled) for get in getters]
     minimize = sense is Sense.MINIMIZE
     staged = []
     for (box, _, cells), vertices in zip(layouts, per_box):
@@ -241,7 +242,7 @@ def run_slm(f: Objective, domain: SearchBox, config: SlmConfig) -> RunResult:
         chosen = refine[0] if refine and not config.explore_all else None  # descent has one box
         generations += [_record((gen, box, spacing, vertices, complete, chosen))
                         for box, _, vertices, complete, _ in staged]
-        frontier = [c.box for c in refine]
+        frontier = [c.box for c in sorted(refine)]  # a Cell sorts by lo, then hi
         if not all(map(splittable, frontier)):
             termination = BOX_UNSPLITTABLE
             break

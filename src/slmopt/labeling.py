@@ -17,8 +17,12 @@ box's 3**n subdivide grid at any n: it looks each of the at most 7**n
 probe block points up once and picks each vertex's winner through a
 plan cached per block shape. Otherwise the per-vertex loop labels the
 grid (generation 0's corners, explore-all's generations of several
-boxes, loose point sets), memoizing each axis's candidates: 9**n store
-lookups for a box's 3**n grid. Block over loop per job on CPython 3.11
+boxes, loose point sets): 9**n store lookups for a box's 3**n grid. It
+memoizes each axis's candidates per coordinate in a dict whose misses
+call LatticeAxis.probes, and reads a vertex's candidates as the product
+of its coordinates' entries, looked up in C before the vertex's own
+store lookup, so a coordinate the table has not made raises before its
+vertex is evaluated. Block over loop per job on CPython 3.11
 and 3.13 (BENCH_26.json): sphere4d descent 0.86-0.87, sphere3d
 0.89-0.90. Labeling several boxes box by box took 1.09-1.33 times the
 loop's time on explore-all, so those grids keep the loop.
@@ -104,7 +108,9 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
 
     lattice is the run's lattice, one LatticeAxis per axis, and step the
     probe step in indices, half the grid step of the generation being
-    labeled. A coordinate its axis has not made raises ValueError.
+    labeled. A coordinate its axis has not made raises ValueError, and
+    before its vertex is evaluated: the loop reads a vertex's candidates
+    from its per-axis memos before it looks the vertex up in values.
     On each axis the candidates of x, at index k, are the lattice floats
     at k - step, k and k + step that lie in [0, 2**depth]; a vertex p is
     compared with p, then with their product in lexicographic order, and
@@ -134,22 +140,18 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
         return _label_block(f, grid, sense, values, *block)
     n = len(lattice)
     minimize = sense is Sense.MINIMIZE
-    per_axis = tuple((axis, {}) for axis in lattice)
+    memos = [_ProbeMemo(axis, step) for axis in lattice]
+    lookup = dict.__getitem__
     labeled = []
     for p in grid:
         if len(p) != n:
             raise ValueError("point dimension mismatch")
-        axes = []
-        for x, (axis, memo) in zip(p, per_axis):
-            candidates = memo.get(x)
-            if candidates is None:
-                candidates = memo[x] = axis.probes(step, x)
-            axes.append(candidates)
+        candidates = itertools.product(*map(lookup, memos, p))
         value = values.get(p)
         if value is None:
             value = values[p] = f(p)
         best, best_v = p, value
-        for q in itertools.product(*axes):
+        for q in candidates:
             v = values.get(q)
             if v is None:
                 v = values[q] = f(q)
@@ -162,6 +164,20 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
                     label = i + 1
         labeled.append(_vertex((p, value, best, label)))
     return tuple(labeled)
+
+
+class _ProbeMemo(dict):
+    """One axis's probe candidates per coordinate, made on first lookup
+    by LatticeAxis.probes: a coordinate the table has not made raises
+    ValueError."""
+
+    def __init__(self, axis: LatticeAxis, step: int) -> None:
+        self.axis = axis
+        self.step = step
+
+    def __missing__(self, x: float) -> tuple[float, ...]:
+        candidates = self[x] = self.axis.probes(self.step, x)
+        return candidates
 
 
 _Shape = tuple[tuple[bool, bool], ...]  # per axis: does the block hold k - step, k + 5 step

@@ -13,8 +13,9 @@ Each evaluator unpacks its point, so any length but 2 raises ValueError.
 Every method's objective calls run through these evaluators. Each is
 written for little interpreter work per call, yet does a fixed sequence
 of float operations (eval_shekel states its order), since a form that
-rounds differently (x * x for x ** 2, sum() for a += fold) would change
-results. The tests hold each builtin bit for bit against an oracle.
+rounds differently (x * x for x ** 2, sum() for a left-to-right fold)
+would change results. The tests hold each builtin bit for bit against
+an oracle.
 
 Custom objectives can be added at runtime with register_objective.
 """
@@ -73,11 +74,13 @@ def eval_shekel(p: Sequence[float]) -> float:
 
     Operation order: the five column powers (x1 - a)**6 once, then per
     row its power (x2 - b)**6 and, for its five wells, 1/((j + col) +
-    row) added to a left-to-right += total (sum() compensates from
-    3.12): bit-identical to the well-by-well formula. The body is
-    written out to cut interpreter work only: the column powers are
-    locals (a comprehension is a frame on 3.10 and 3.11) and each j is a
-    float from _SHEKEL_ROWS; x1 + 32.0 is x1 - (-32.0), x1 is x1 - 0.0.
+    row) added to the running total left to right, in one expression
+    per row (sum() compensates from 3.12): bit-identical to the
+    well-by-well formula. The body is written out to cut interpreter
+    work only: the column powers are locals (a comprehension is a frame
+    on 3.10 and 3.11), each j is a float from _SHEKEL_ROWS, and a row's
+    one expression stores total once, not five times; x1 + 32.0 is
+    x1 - (-32.0), x1 is x1 - 0.0.
     """
     x1, x2 = p
     c0 = (x1 + 32.0) ** 6
@@ -88,11 +91,9 @@ def eval_shekel(p: Sequence[float]) -> float:
     total = 0.0
     for a1, j0, j1, j2, j3, j4 in _SHEKEL_ROWS:
         row = (x2 - a1) ** 6
-        total += 1.0 / ((j0 + c0) + row)
-        total += 1.0 / ((j1 + c1) + row)
-        total += 1.0 / ((j2 + c2) + row)
-        total += 1.0 / ((j3 + c3) + row)
-        total += 1.0 / ((j4 + c4) + row)
+        total = (total + 1.0 / ((j0 + c0) + row) + 1.0 / ((j1 + c1) + row)
+                 + 1.0 / ((j2 + c2) + row) + 1.0 / ((j3 + c3) + row)
+                 + 1.0 / ((j4 + c4) + row))
     return 1.0 / (0.002 + total)
 
 

@@ -441,8 +441,13 @@ def test_records_are_exactly_their_types(monkeypatch):
     assert descent.generations[0].chosen == (spec.domain.lo, spec.domain.hi, (0, 1, 2, 3))
     explore, _ = run_builtin("trig", 0.5, explore_all=True)
     assert max(collections.Counter(g.index for g in explore.generations).values()) > 1
+    # and every record's vertices is a tuple of its box's whole grid: the
+    # 2**n corners at generation 0, the 3**n subdivide grid from 1 on
+    n = spec.domain.dimension
     for g in descent.generations + explore.generations:
         assert type(g) is GenerationRecord and len(g) == len(GenerationRecord._fields)
+        assert type(g.vertices) is tuple
+        assert len(g.vertices) == (2 ** n if g.index == 0 else 3 ** n)
         for v in g.vertices:
             assert type(v) is LabeledVertex and len(v) == len(LabeledVertex._fields)
         for c in g.complete_cells + ((g.chosen,) if g.chosen else ()):

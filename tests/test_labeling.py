@@ -618,10 +618,16 @@ def test_probe_point_outside_domain_rejected():
 
 
 def test_label_grid_checks_every_vertex_against_the_domain():
-    # x = 0.5 is a memo hit at the second vertex, but its y is outside
+    # x = 0.5 is a memo hit at the second vertex, but its y is outside;
+    # the second vertex raises before it is evaluated: the first makes its
+    # 9 calls (itself and its 8 other candidates), and no call follows
     lattice = run_lattice(SearchBox((0.0, 0.0), (1.0, 1.0)), 2, [(0.5, 0.5)])
+    calls = []
     with pytest.raises(ValueError, match="2.0 is not a lattice point"):
-        label_grid(lambda p: 0.0, ((0.5, 0.5), (0.5, 2.0)), 1, Sense.MINIMIZE, {}, lattice)
+        label_grid(lambda p: calls.append(p) or 0.0, ((0.5, 0.5), (0.5, 2.0)), 1,
+                   Sense.MINIMIZE, {}, lattice)
+    assert len(calls) == 9 and calls[0] == (0.5, 0.5)
+    assert (0.5, 2.0) not in calls
 
 
 def test_label_grid_rejects_point_of_wrong_dimension():
