@@ -83,9 +83,10 @@ def _parse_point(text: str) -> tuple[float, ...]:
 
 
 def read_config(path: str) -> dict[str, str]:
-    """Flat key = value lines; blank lines and # comments ignored."""
+    """Flat key = value lines; blank lines and # comments ignored. A
+    leading UTF-8 byte order mark is not part of the first key."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as e:
         raise ValueError(f"cannot read config {path}: {e.strerror or e}") from None

@@ -29,9 +29,9 @@ later grid point was a probe of the generation before. run_slm owns a point -> v
 store keyed on the float tuple and hands it to every label_grid call,
 which evaluates and checks only the points missing from it, numbering
 them on from the store's size, so a failing call names the run's
-call number. A generation of one box labels its grid and, from
-generation 1 on, names its lower corner so that label_grid takes the
-block path; several boxes label their distinct grid points together.
+call number. A generation of one box labels its own grid, which from
+generation 1 on label_grid labels from its probe block; several boxes
+label their distinct grid points together.
 Each lattice point is then evaluated once per run and labeled at most
 once per generation, and `evaluations` counts them. 0.0 and -0.0
 compare equal and share one key. First-time evaluations happen in the
@@ -143,11 +143,10 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
                     frontier: Sequence[SearchBox], gen: int, sense: Sense) -> list[_Staged]:
     """Label the grids of all frontier boxes with one label_grid call that
     reads and fills the run's store and probes the lattice at half the
-    generation's grid step: a single box's own grid, with its lower
-    corner's lattice indices from generation 1 on, or the distinct points
-    of several boxes' grids in order of first appearance, each box's
-    vertices read back by position. run_slm passes the frontier already
-    ordered by corners (lo, then hi). Returns (box, cells, vertices,
+    generation's grid step: a single box's own grid, unmerged, or the
+    distinct points of several boxes' grids in order of first appearance,
+    each box's vertices read back by position. run_slm passes the frontier
+    already ordered by corners (lo, then hi). Returns (box, cells, vertices,
     complete cells, ranks) per box; a vertex's rank is its value when
     minimizing and minus its value when maximizing, so lower ranks are
     better and every selection reads ranks, not the sense."""
@@ -161,9 +160,8 @@ def _label_frontier(f: Objective, store: dict[Point, float], lattice: Sequence[L
         layouts.append((box, grid, cells))
     step = lattice[0].top >> (gen + 1)
     if len(layouts) == 1:
-        ((box, grid, _),) = layouts
-        corner = [axis.index[a] for axis, a in zip(lattice, box.lo)] if gen else None
-        per_box = [label_grid(f, grid, step, sense, store, lattice, corner=corner)]
+        ((_, grid, _),) = layouts
+        per_box = [label_grid(f, grid, step, sense, store, lattice)]
     else:
         position: dict[Point, int] = {}
         getters = [itemgetter(*[position.setdefault(p, len(position)) for p in grid])

@@ -11,21 +11,22 @@ before calling f. checked numbers and checks the objective's calls for
 every method, slm and the baselines alike.
 
 label_grid has two paths with one result: the same labels, targets,
-evaluations, call numbers and errors. The caller picks the path. Given
-the lattice indices of a box's lower corner, the block path labels the
-box's 3**n subdivide grid at any n: it looks each of the at most 7**n
-probe block points up once and picks each vertex's winner through a
-plan cached per block shape. Otherwise the per-vertex loop labels the
-grid (generation 0's corners, explore-all's generations of several
-boxes, loose point sets): 9**n store lookups for a box's 3**n grid. It
-memoizes each axis's candidates per coordinate in a dict whose misses
-call LatticeAxis.probes, and reads a vertex's candidates as the product
-of its coordinates' entries, looked up in C before the vertex's own
-store lookup, so a coordinate the table has not made raises before its
-vertex is evaluated. Block over loop per job on CPython 3.11
-and 3.13 (BENCH_26.json): sphere4d descent 0.86-0.87, sphere3d
-0.89-0.90. Labeling several boxes box by box took 1.09-1.33 times the
-loop's time on explore-all, so those grids keep the loop.
+evaluations, call numbers and errors. The path follows from the grid.
+A box's 3**n subdivide grid at any n takes the block path: it looks
+each of the at most 7**n probe block points up once and picks each
+vertex's winner through a plan cached per block shape. Any other grid
+(generation 0's corners, explore-all's generations of several boxes,
+loose point sets) takes the per-vertex loop: 9**n store lookups for a
+box's 3**n grid. It memoizes each axis's candidates per coordinate in a
+dict whose misses call LatticeAxis.probes, and reads a vertex's
+candidates as the product of its coordinates' entries, looked up in C
+before the vertex's own store lookup, so a coordinate the table has not
+made raises before its vertex is evaluated. On perfbench's seed-3
+descent jobs (CPython 3.11.7, in process, medians of 200 passes) the
+loop alone took 1.02-1.12 times the block path's time on each 2-D job,
+1.15-1.17 on sphere3d and 1.23-1.25 on sphere4d. Labeling several
+boxes box by box took 1.09-1.33 times the loop's time on explore-all,
+so those grids keep the loop.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def checked(f: Objective, done: int = 0) -> Objective:
 
 
 def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
-               values: dict[Point, float], lattice: Sequence[LatticeAxis],
-               corner: Sequence[int] | None = None) -> tuple[LabeledVertex, ...]:
+               values: dict[Point, float],
+               lattice: Sequence[LatticeAxis]) -> tuple[LabeledVertex, ...]:
     """Label every grid point, same order as the input grid.
 
     lattice is the run's lattice, one LatticeAxis per axis, and step the
@@ -126,16 +127,17 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
     Calls are numbered on from len(values), so with the run's store a
     failing call names the run's call number.
 
-    Two paths give this result (see the module docstring). corner
-    promises that grid is subdivide's grid of the box whose lower corner
-    has these lattice indices, and step >= 1; run_slm passes it for a
-    generation's single box from generation 1 on. It selects the block
-    path (at most 7**n store lookups); a grid of another length, or one
-    not starting and ending at the corner's floats, raises ValueError.
-    Without a corner, or when two block floats collide, the loop runs.
+    Two paths give this result (see the module docstring). A grid that
+    is one box's, the lexicographic product of the made lattice floats
+    that each axis's LatticeAxis.index puts at k, k + 2 step and
+    k + 4 step for a step >= 1 (run_slm's single box of a generation
+    from 1 on), takes the block path: one store lookup per probe block
+    point, at most 7**n. Any other grid takes the per-vertex loop, and
+    telling the two apart makes no lattice entry. A box's grid whose
+    block floats collide takes the loop too.
     """
     f = checked(f, len(values))
-    block = None if corner is None else _probe_block(grid, step, lattice, corner)
+    block = _probe_block(grid, step, lattice)
     if block is not None:
         return _label_block(f, grid, sense, values, *block)
     n = len(lattice)
@@ -184,25 +186,38 @@ _Shape = tuple[tuple[bool, bool], ...]  # per axis: does the block hold k - step
 _Vertex = tuple[Callable[[list[float]], tuple[float, ...]], tuple[int, ...], tuple[int, ...]]
 
 
-def _probe_block(grid: Sequence[Point], step: int, lattice: Sequence[LatticeAxis],
-                 corner: Sequence[int]) -> tuple[list[list[float]], _Shape] | None:
-    """The probe block of the box whose lower corner has lattice indices
-    corner: per axis, the floats of indices k - step to k + 5 step in
-    [0, 2**depth], made in the loop's probe order, and the block's shape,
-    whether k - step and k + 5 step are in it. None when two block floats
-    of an axis are equal; ValueError unless grid has 3**n points, the
-    first and last at the block floats of k and k + 4 step."""
+def _probe_block(grid: Sequence[Point], step: int, lattice: Sequence[LatticeAxis]
+                 ) -> tuple[list[list[float]], _Shape] | None:
+    """The probe block of grid when grid is one box's subdivide grid:
+    the lexicographic product, per axis, of the made lattice floats that
+    LatticeAxis.index puts at k, k + 2 step and k + 4 step, so that the
+    loop would probe exactly the block's floats. Returns per axis the
+    floats of indices k - step to k + 5 step in [0, 2**depth], made in
+    the loop's probe order, and the block's shape, whether k - step and
+    k + 5 step are in it. None for a step below 1 or any other grid,
+    decided before any lattice entry is made, or when two block floats
+    of an axis are equal."""
+    if step < 1 or len(grid) != 3 ** len(lattice):
+        return None
+    lo, mid, hi = grid[0], grid[len(grid) // 2], grid[-1]
+    ks = []
+    for axis, a, m, b in zip(lattice, lo, mid, hi):
+        index = axis.index
+        k = index.get(a)
+        if k is None or index.get(m) != k + 2 * step or index.get(b) != k + 4 * step:
+            return None
+        ks.append(k)
+    if tuple(grid) != tuple(itertools.product(*zip(lo, mid, hi))):
+        return None
     axes, shape = [], []
-    for axis, k in zip(lattice, corner):
-        xs = [axis[j] for j in range(k - step, k + 6 * step, step) if 0 <= j <= axis.top]
+    for axis, k in zip(lattice, ks):
+        has_lo, has_hi = k >= step, k + 5 * step <= axis.top
+        xs = list(map(axis.__getitem__,
+                      range(k - step if has_lo else k, k + (5 + has_hi) * step, step)))
         if not all(map(operator.lt, xs, xs[1:])):
             return None
         axes.append(xs)
-        shape.append((k >= step, k + 5 * step <= axis.top))
-    first = [xs[lo] for xs, (lo, _) in zip(axes, shape)]
-    last = [xs[lo + 4] for xs, (lo, _) in zip(axes, shape)]
-    if len(grid) != 3 ** len(axes) or list(grid[0]) != first or list(grid[-1]) != last:
-        raise ValueError("the grid is not the 3**n grid of the box at corner")
+        shape.append((has_lo, has_hi))
     return axes, tuple(shape)
 
 

@@ -67,6 +67,18 @@ def test_read_config_rejects_malformed_lines(tmp_path):
     assert "line 1" in str(err.value)
 
 
+def test_config_with_a_byte_order_mark_keeps_its_first_entry(tmp_path, capsys):
+    # editors such as Notepad start a UTF-8 file with a BOM; it is not part
+    # of the first key, so tol = 0.5 still applies
+    text = "tol = 0.5\nfunction = sphere_min\n"
+    plain, marked = tmp_path / "plain.conf", tmp_path / "marked.conf"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    ran = [run_cli(capsys, "optimize", "--config", str(path)) for path in (plain, marked)]
+    assert ran[0][0] == 0 and ran[0][1] == ran[1][1]
+
+
 # ---------------------------------------------------------------------------
 # list-functions
 # ---------------------------------------------------------------------------

@@ -588,11 +588,12 @@ def test_every_grid_point_is_made_before_it_is_labeled(n, lo, width, halvings, e
     centre = tuple(a + (b - a) / 3.0 for a, b in zip(domain.lo, domain.hi))
     grids = []
 
-    def made_first(f, grid, step, sense, values, lattice, corner=None):
+    def made_first(*args):
+        _, grid, _, _, _, lattice = args
         for p in grid:
             assert all(x in axis.index for x, axis in zip(p, lattice)), p
         grids.append(grid)
-        return label_grid(f, grid, step, sense, values, lattice, corner=corner)
+        return label_grid(*args)
 
     cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=tolerance, explore_all=explore_all,
                     cell_budget=cell_budget)
@@ -644,7 +645,7 @@ def test_block_path_changes_no_run_result(n, lo, width, halvings, sense):
         # no float collides on these lattices: every generation from 1 on
         assert len(blocks) == with_blocks[0].generations[-1].index, "boxes take the block path"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(labeling, "_probe_block", lambda grid, step, lattice, corner: None)
+        mp.setattr(labeling, "_probe_block", lambda *a: None)
         assert run() == with_blocks
 
 
@@ -657,33 +658,29 @@ def test_block_path_changes_no_run_result(n, lo, width, halvings, sense):
     explore_all=st.booleans(),
     cell_budget=st.integers(1, 32),
 )
-def test_a_single_box_generation_passes_its_corner(n, lo, width, halvings, explore_all,
-                                                    cell_budget):
-    # run_slm names a box's corner, its lattice indices, exactly when a
-    # generation from 1 on has one box; generation 0's corners and several
-    # boxes' merged grids take none
+def test_a_single_box_generation_takes_the_block_path(n, lo, width, halvings, explore_all,
+                                                     cell_budget):
+    # label_grid's block path runs exactly once in a generation from 1 on
+    # that has one box, whose grid it recognises from the grid's points;
+    # generation 0's corners and several boxes' merged grids take the loop
     domain = SearchBox(lo[:n], [a + w for a, w in zip(lo, width[:n])])
     centre = tuple(a + (b - a) / 3.0 for a, b in zip(domain.lo, domain.hi))
     cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=max(domain.widths()) / 2 ** halvings,
                     explore_all=explore_all, cell_budget=cell_budget)
-    corners_passed = []
+    blocks = []  # per label_grid call, its _label_block calls
+    label_block = labeling._label_block
 
-    def spy(*args, **kwargs):
-        corners_passed.append(kwargs.get("corner"))
-        return label_grid(*args, **kwargs)
+    def spy(*args):
+        blocks[-1] += 1
+        return label_block(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "label_grid", spy)
+        mp.setattr(engine, "label_grid", lambda *a: blocks.append(0) or label_grid(*a))
+        mp.setattr(labeling, "_label_block", spy)
         res = run_slm(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)), domain, cfg)
-    tables = lattice_floats(domain, lattice_depth(domain, cfg))
-    per_generation = collections.defaultdict(list)
-    for record in res.generations:
-        per_generation[record.index].append(record.box)
-    expected = [list(lattice_indices([boxes[0].lo], tables)[0])
-                if gen and len(boxes) == 1 else None
-                for gen, boxes in sorted(per_generation.items())]
-    assert corners_passed == expected
-    assert explore_all or all(c is not None for c in corners_passed[1:])
+    boxes = collections.Counter(record.index for record in res.generations)
+    assert blocks == [int(gen > 0 and count == 1) for gen, count in sorted(boxes.items())]
+    assert explore_all or blocks[1:] == [1] * (len(blocks) - 1)
 
 
 def test_deep_run_evaluates_each_point_once():

@@ -411,8 +411,7 @@ def test_box_grids_match_lattice_vertex_in_the_loops_call_order(n, data, depth, 
         label_block = labeling._label_block
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(labeling, "_label_block", spy)
-            out = label_grid(g, grid, step, sense, values, run_lattice(domain, depth, grid),
-                             corner=ks)
+            out = label_grid(g, grid, step, sense, values, run_lattice(domain, depth, grid))
         assert len(blocks) == 1, "the grid takes the block path"
         return out, values
 
@@ -446,7 +445,7 @@ def test_box_grids_match_lattice_vertex_in_the_loops_call_order(n, data, depth, 
 def test_box_grid_evaluates_its_own_points():
     # the grid's -0.0 is the lattice's 0.0: f and the store get the grid's
     # own point, as from the per-vertex loop
-    def run(n, corner):
+    def run(n):
         domain = SearchBox((-1.0,) * n, (1.0,) * n)
         grid = tuple(itertools.product((-1.0, -0.0, 1.0), repeat=n))
         calls = []
@@ -456,8 +455,7 @@ def test_box_grid_evaluates_its_own_points():
             return math.copysign(1.0, p[0]) + sum(p[1:])
 
         values = {}
-        out = label_grid(f, grid, 1, Sense.MINIMIZE, values, run_lattice(domain, 2, grid),
-                         corner=corner)
+        out = label_grid(f, grid, 1, Sense.MINIMIZE, values, run_lattice(domain, 2, grid))
         return repr((out, calls, list(values.items())))
 
     for n in (2, 3):
@@ -466,9 +464,11 @@ def test_box_grid_evaluates_its_own_points():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(labeling, "_label_block",
                        lambda *args: blocks.append(args) or label_block(*args))
-            with_blocks = run(n, (0,) * n)
+            with_blocks = run(n)
         assert len(blocks) == 1, "the grid takes the block path"
-        assert run(n, None) == with_blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(labeling, "_probe_block", lambda *a: None)
+            assert run(n) == with_blocks
 
 
 def _ulps_above(x, count):
@@ -486,12 +486,13 @@ def _ulps_above(x, count):
     quantized=st.booleans(),
     failure=st.sampled_from(("raise", "nan")),
 )
-def test_a_box_corner_changes_no_label_call_or_error(n, data, depth, sense, quantized, failure):
-    # label_grid given a box's corner, as run_slm reads it from the
-    # lattice's reverse map, against label_grid given none: the same
-    # labels, call order, store and failing call. An axis a few ulps wide
-    # makes lattice floats collide, so the corner may land on a colliding
-    # index; such a grid falls back to the per-vertex loop
+def test_a_grid_labels_calls_fills_the_store_and_fails_as_the_loop_does(n, data, depth, sense,
+                                                                        quantized, failure):
+    # label_grid against its per-vertex loop alone (_probe_block patched to
+    # None): the same labels, call order, store, failing call and, when
+    # the grid is labeled, the same lattice entries. A box's grid takes the
+    # block path unless two of its block floats collide, as they often do
+    # on an axis a few ulps wide; any other grid takes the loop
     top = 2 ** depth
     step = 2 ** data.draw(st.integers(0, depth - 2))
     boxes = top // (4 * step)  # boxes of this size per axis
@@ -528,7 +529,6 @@ def test_a_box_corner_changes_no_label_call_or_error(n, data, depth, sense, quan
     per_axis = [(axis[k], axis[k + 2 * step], axis[k + 4 * step]) for axis, k in zip(axes, ks)]
     assume(all(a < m < b for a, m, b in per_axis))  # a box subdivide can halve
     grid = tuple(itertools.product(*per_axis))
-    corner = [axis.index[x] for axis, x in zip(axes, grid[0])]
     centre = [a + (b - a) / 3.0 for a, b in zip(lo, hi)]
     scale = [b - a for a, b in zip(lo, hi)]  # each axis's width, so ulp-wide axes count
 
@@ -541,7 +541,7 @@ def test_a_box_corner_changes_no_label_call_or_error(n, data, depth, sense, quan
     label_grid(lambda p: stored.setdefault(p, f(p)), grid, step, sense, {}, lattice())
     stored = {q: v for q, v in stored.items() if rng.random() < 0.3}
 
-    def label(g, points, corner):
+    def label(g, points, block=True):
         calls = []
 
         def counted(p):
@@ -549,19 +549,26 @@ def test_a_box_corner_changes_no_label_call_or_error(n, data, depth, sense, quan
             return g(p, len(calls))
 
         values = dict(stored)
+        axes = lattice()
         blocks = []
         label_block = labeling._label_block
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(labeling, "_label_block",
                        lambda *args: blocks.append(args) or label_block(*args))
+            if not block:
+                mp.setattr(labeling, "_probe_block", lambda *a: None)
             try:
-                out = label_grid(counted, points, step, sense, values, lattice(), corner=corner)
+                out = label_grid(counted, points, step, sense, values, axes)
+                made = [(dict(axis), axis.index) for axis in axes]
             except ObjectiveEvaluationError as e:
-                out = (e.point, e.evaluation)
-        return repr((out, calls, list(values.items()))), len(blocks)
+                out, made = (e.point, e.evaluation), None
+        return repr((out, calls, list(values.items()), made)), len(blocks)
 
-    with_corner, blocks = label(lambda p, _: f(p), grid, corner)
-    assert (with_corner, 0) == label(lambda p, _: f(p), grid, None)
+    def f_only(p, _):
+        return f(p)
+
+    labeled, blocks = label(f_only, grid)
+    assert (labeled, 0) == label(f_only, grid, block=False)
     if not any(isinstance(w, int) for w in widths):
         assert blocks == 1, "no lattice float collides: the grid takes the block path"
     fail_at = data.draw(st.integers(1, 3 ** n))
@@ -571,19 +578,78 @@ def test_a_box_corner_changes_no_label_call_or_error(n, data, depth, sense, quan
             return 1.0 / 0.0 if failure == "raise" else math.nan
         return f(p)
 
-    assert label(failing, grid, corner)[0] == label(failing, grid, None)[0]
-    if blocks:
-        # a grid that does not start or end at the corner, or lacks a
-        # point, breaks the promise
-        for points in (grid[1:], grid[:-1], grid[::-1], grid[:1] + grid[2:], ()):
-            with pytest.raises(ValueError, match="not the 3\\*\\*n grid of the box at corner"):
-                label_grid(lambda p: f(p), points, step, sense, {}, lattice(), corner=corner)
+    assert label(failing, grid)[0] == label(failing, grid, block=False)[0]
+    # a grid that lacks its first, last or an interior point, or is
+    # reversed or empty, is no box's grid
+    for points in (grid[1:], grid[:-1], grid[::-1], grid[:1] + grid[2:], ()):
+        assert label(f_only, points) == (label(f_only, points, block=False)[0], 0)
+
+
+def test_step_zero_grid_takes_the_loop():
+    # three copies of one point pass as a box's grid at step 0, whose
+    # probe block has no extent; the loop labels it, each point its own winner
+    axis = LatticeAxis(0.0, 1.0, 2)
+    p = (axis[2],)
+    blocks = []
+    label_block = labeling._label_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "_label_block",
+                   lambda *args: blocks.append(args) or label_block(*args))
+        out = label_grid(lambda q: q[0], (p,) * 3, 0, Sense.MINIMIZE, {}, (axis,))
+    assert out == ((p, 0.5, p, 0),) * 3
+    assert blocks == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_rejected_box_sized_grid_leaves_the_lattice_as_the_loop_does(n):
+    # 3**n grids that are no box's grid, labeled at step 1 on depth-4 axes
+    # that have made only indices 0, 16, 8, 4, 6, 5 and 2. Telling a box's
+    # grid apart makes no lattice entry: one made there, such as 7 and 9
+    # (k + 2 step and k + 4 step for a grid starting at index 5), could let
+    # a later call pass a coordinate the loop alone rejects as unmade. On
+    # an axis one ulp wide, indices 0 to 8 share one float, so copies of
+    # that point read as a box's grid until the block floats are made
+    def made_axes(lo, hi):
+        axes = tuple(LatticeAxis(lo, hi, 4) for _ in range(n))
+        for axis in axes:
+            axis[5], axis[2]
+        return axes
+
+    x4, x5, x6, x8 = (made_axes(0.0, 1.0)[0][k] for k in (4, 5, 6, 8))
+    box = tuple(itertools.product((x4, x6, x8), repeat=n))
+    grids = {
+        "one point": ((x5,) * n,) * 3 ** n,
+        "not in box order": tuple(itertools.product((x5, x4, x6), repeat=n)),
+        "reversed": box[::-1],
+        "first two swapped": box[1::-1] + box[2:],
+    }
+
+    def label(points, block, bounds=(0.0, 1.0)):
+        axes = made_axes(*bounds)
+        calls, values, blocks = [], {}, []
+        label_block = labeling._label_block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(labeling, "_label_block",
+                       lambda *args: blocks.append(args) or label_block(*args))
+            if not block:
+                mp.setattr(labeling, "_probe_block", lambda *a: None)
+            out = label_grid(lambda p: calls.append(p) or sum(p), points, 1, Sense.MAXIMIZE,
+                             values, axes)
+        return (out, calls, list(values.items()), [(dict(a), a.index) for a in axes]), len(blocks)
+
+    for name, points in grids.items():
+        assert len(points) == 3 ** n
+        assert label(points, True) == (label(points, False)[0], 0), name
+    one_ulp = (1.0, math.nextafter(1.0, 2.0))
+    points = ((1.0,) * n,) * 3 ** n
+    assert label(points, True, one_ulp) == (label(points, False, one_ulp)[0], 0)
+    assert label(box, True) == (label(box, False)[0], 1), "the box's own grid takes the block path"
 
 
 def test_colliding_block_floats_fall_back_to_the_loop():
     # on [1, 1 + 6 ulps] at depth 3, index 3's midpoint rounds to index 2's
-    # float: the box at corner 0 halves, but its probe block has a repeated
-    # float, so label_grid labels it with the per-vertex loop
+    # float: the box at indices 0 to 4 halves, but its probe block has a
+    # repeated float, so label_grid labels it with the per-vertex loop
     axis = LatticeAxis(1.0, _ulps_above(1.0, 6), 3)
     grid = ((axis[0],), (axis[2],), (axis[4],))
     assert axis[0] < axis[2] < axis[4] and axis[3] == axis[2]
@@ -592,10 +658,33 @@ def test_colliding_block_floats_fall_back_to_the_loop():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(labeling, "_label_block",
                    lambda *args: blocks.append(args) or label_block(*args))
-        out = label_grid(lambda p: -p[0], grid, 1, Sense.MINIMIZE, {}, (axis,), corner=[0])
+        out = label_grid(lambda p: -p[0], grid, 1, Sense.MINIMIZE, {}, (axis,))
     assert blocks == []
     assert out == label_grid(lambda p: -p[0], grid, 1, Sense.MINIMIZE, {},
                              (LatticeAxis(1.0, axis[8], 3),))
+
+
+def test_a_grid_on_a_float_an_earlier_index_made_takes_the_loop():
+    # on [1, 1 + 10 ulps] at depth 4, making index 9 makes index 10 first,
+    # with the same float: the grid at indices 5, 9 and 13 is a product of
+    # lattice floats k, k + 2 step and k + 4 step, but the loop probes its
+    # middle point around index 10, not 9, so only the loop labels it
+    def label(block):
+        axis = LatticeAxis(1.0, _ulps_above(1.0, 10), 4)
+        grid = tuple((axis[k],) for k in (5, 9, 13))
+        assert axis.index[grid[1][0]] == 10
+        blocks = []
+        label_block = labeling._label_block
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(labeling, "_label_block",
+                       lambda *args: blocks.append(args) or label_block(*args))
+            if not block:
+                mp.setattr(labeling, "_probe_block", lambda *a: None)
+            out = label_grid(lambda p: -p[0], grid, 2, Sense.MINIMIZE, {}, (axis,))
+        return out, dict(axis), len(blocks)
+
+    assert label(True) == label(False)
+    assert label(True)[2] == 0
 
 
 def test_label_grid_rejects_a_coordinate_off_the_lattice():
