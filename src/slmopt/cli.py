@@ -9,7 +9,9 @@ once, on an add_help=False parent parser: `shared` (--tol, --explore-all,
 optimize and bench. A flat key=value config file (--config) can
 hold any long flag name without the leading dashes; each entry acts as a
 --key=value flag placed before the command line's flags, so it goes
-through the flag's type and choices, and explicit flags always win.
+through the flag's type and choices, and explicit flags always win. A
+key that only other subcommands take is ignored, so one file can serve
+several subcommands; a key no subcommand takes is an error.
 Diagnostics go to stderr, payload to stdout or files, exit status is 0
 on success and 2 on any error. Every error, whether a usage error, a bad
 config value (named with its file, even if a flag overrides it) or any
@@ -145,19 +147,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_keys(ns: argparse.Namespace) -> set[str]:
+    """The config keys a parsed subcommand has flags for; --config and
+    --help are never read from a file."""
+    return {dest.replace("_", "-") for dest in vars(ns)} - {"subcommand", "config"}
+
+
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse argv; with --config, parse again with the file's entries as
     --key=value flags between the subcommand and the command line's
     flags. Argparse keeps a flag's last value, so flags win, and every
     entry goes through its flag's type and choices even when a flag
-    overrides it. Keys the subcommand has no flag for are ignored."""
+    overrides it. Keys only other subcommands have flags for are
+    ignored; a key no subcommand has a flag for is an error."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     path = getattr(ns, "config", None)
     if path is None:
         return ns
-    flags = {dest.replace("_", "-") for dest in vars(ns)} - {"subcommand", "config"}
-    entries = {key: value for key, value in read_config(path).items() if key in flags}
+    config = read_config(path)
+    known = set().union(*(_config_keys(parser.parse_args([name])) for name in _COMMANDS))
+    for key in config:
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r} in {path}")
+    flags = _config_keys(ns)
+    entries = {key: value for key, value in config.items() if key in flags}
     try:
         tokens = [f"--{key}={value}" for key, value in entries.items() if key != "explore-all"]
         if "explore-all" in entries and _parse_bool(entries["explore-all"]):

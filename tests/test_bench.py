@@ -25,6 +25,7 @@ from slmopt.labeling import Sense
 from slmopt.objectives import ObjectiveSpec, builtin_names, register_objective, registry_lookup
 
 from bench_reference import mask_wall_time, parse_csv, parse_json_lines
+from pins import PAYLOAD_DIGESTS
 
 
 def small_spec(**kw):
@@ -220,15 +221,6 @@ def test_row_encodings_are_pinned():
         '"wall_time_ms": 2.5, "seed": 4}\n')
     [back] = parse_csv(emit_csv([row]))
     assert back == row and isinstance(back.iterations, int)
-
-
-# sha256 of each payload of `bench --function all --repeats 3`'s matrix,
-# every builtin by every method at its defaults, with wall_time_ms zeroed,
-# taken when the emitters read rows through dataclasses.asdict
-PAYLOAD_DIGESTS = {
-    "csv": "6972193b5a880bbe97822c16cd56b5d66031856e47f8ee4f83119a2e75472c7c",
-    "json-lines": "105df2b354c2bd35df7f53d042632f1c61d3ea2f76b1ffd4b88bbda547b18c3a",
-}
 
 
 def test_payloads_are_byte_stable():

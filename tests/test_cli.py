@@ -1,6 +1,7 @@
 """Command-line front end: flags, config files, payload/diagnostic split."""
 
 import argparse
+import hashlib
 import math
 import os
 import re
@@ -20,6 +21,7 @@ from slmopt.objectives import (
 )
 
 from bench_reference import mask_wall_time, parse_csv, parse_json_lines
+from pins import STDOUT_DIGESTS, TRACE_DIGESTS, manifest_digest
 
 # child interpreters import the same slmopt as this one, installed or not
 SRC_DIR = os.path.dirname(os.path.dirname(slmopt.__file__))
@@ -603,6 +605,29 @@ def test_bench_ignores_config_keys_it_has_no_flag_for(tmp_path, capsys):
     assert mask_wall_time(parse_json_lines(configured)) == mask_wall_time(parse_json_lines(plain))
 
 
+def test_a_config_shared_between_subcommands_runs_each(tmp_path, capsys):
+    # format is bench's flag only, and optimize ignores it
+    path = tmp_path / "run.conf"
+    path.write_text("format = csv\ntol = 0.5\n")
+    optimize = ("optimize", "--function", "sphere_min")
+    assert run_cli(capsys, *optimize, "--config", str(path)) == \
+        run_cli(capsys, *optimize, "--tol", "0.5")
+    bench = ("bench", "--function", "sphere_min", "--method", "slm,rs", "--iterations", "30")
+    rc, configured, err = run_cli(capsys, *bench, "--config", str(path))
+    _, flagged, _ = run_cli(capsys, *bench, "--format", "csv", "--tol", "0.5")
+    assert (rc, err) == (0, "")
+    assert mask_wall_time(parse_csv(configured)) == mask_wall_time(parse_csv(flagged))
+
+
+@pytest.mark.parametrize("key", ("tols", "config", "help"))
+def test_a_config_key_no_subcommand_takes_is_an_error(key, tmp_path, capsys):
+    # a typo is not ignored; a file's --config or --help is never applied
+    path = tmp_path / "run.conf"
+    path.write_text(f"{key} = 0.5\nfunction = sphere_min\n")
+    assert run_cli(capsys, "optimize", "--config", str(path)) == \
+        (2, "", f"error: unknown config key {key!r} in {path}\n")
+
+
 def test_bench_payload_is_byte_deterministic(capsys):
     args = ("bench", "--function", "sphere_min,rosenbrock",
             "--method", "slm,rs,sa", "--iterations", "60",
@@ -744,3 +769,23 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == SPHERE_LINE
+
+
+@pytest.mark.parametrize("name, explore_all", TRACE_DIGESTS)
+def test_trace_process_writes_the_pinned_bytes(name, explore_all, tmp_path):
+    # the second run into the same --out rewrites every file in place,
+    # over the bytes the first one left
+    argv = [sys.executable, "-m", "slmopt.cli", "trace", "--function", name,
+            "--out", str(tmp_path / "trace"), *(("--explore-all",) if explore_all else ())]
+    for run in (1, 2):
+        proc = subprocess.run(argv, capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert manifest_digest(proc.stdout.splitlines()) == TRACE_DIGESTS[name, explore_all], run
+
+
+@pytest.mark.parametrize("argv", STDOUT_DIGESTS, ids=" ".join)
+def test_process_stdout_is_pinned(argv):
+    proc = subprocess.run([sys.executable, "-m", "slmopt.cli", *argv],
+                          capture_output=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_DIGESTS[argv]

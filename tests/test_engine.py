@@ -2,7 +2,6 @@
 
 import collections
 import functools
-import hashlib
 import itertools
 import math
 
@@ -25,6 +24,7 @@ from slmopt.geometry import MAX_BOUND, Cell, SearchBox, subdivide
 from slmopt.labeling import LabeledVertex, ObjectiveEvaluationError, Sense, label_grid
 from slmopt.objectives import builtin_names, registry_lookup
 
+from pins import DESCENT_COSTS, RUN_PINS, SPHERE_PINS, run_pin
 from slm_reference import lattice_depth, lattice_floats, lattice_indices, reference_run
 
 TRIG_FAMILY = tuple(
@@ -118,10 +118,8 @@ def test_generation_bound_matches_runs():
         assert res.generations[-1].index == k
 
 
-@pytest.mark.parametrize("n, evaluations", ((1, 24), (2, 212), (3, 1578), (4, 11120)))
+@pytest.mark.parametrize("n, evaluations", DESCENT_COSTS.items())
 def test_descent_cost_per_dimension(n, evaluations):
-    # the paper claims O(log_2^n) time: generations grow as log2(width / tol),
-    # but the evaluations per generation grow about 7x per added dimension
     centre = tuple(0.1 * (i + 1) for i in range(n))
     res = run_slm(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)),
                   SearchBox((-2.0,) * n, (2.0,) * n),
@@ -254,10 +252,10 @@ def test_evaluation_budget_per_generation():
 # ---------------------------------------------------------------------------
 
 def test_explore_all_finds_separated_minima():
+    # RUN_PINS["trig", True]'s run, which pins its candidate count
     res, spec = run_builtin("trig", 14.0 / 2 ** 10, explore_all=True,
                             cell_budget=32)
     assert res.termination == TOLERANCE_REACHED
-    assert len(res.candidates) == 32
     ranked = sorted(res.candidates, key=lambda pv: (pv[1], pv[0]))
     assert list(res.candidates) == ranked
     for point, value in res.candidates:
@@ -500,16 +498,6 @@ def assert_store_invisible(f, domain, cfg):
     return res
 
 
-# distinct points per builtin at its default tolerance: (descent, explore-all)
-DISTINCT_POINTS = {
-    "sphere_min": (372, 2626),
-    "trig": (304, 6994),
-    "sphere_max": (268, 1145),
-    "rosenbrock": (372, 2612),
-    "shekel": (372, 4718),
-}
-
-
 @pytest.mark.parametrize("explore_all", (False, True))
 @pytest.mark.parametrize("name", builtin_names())
 def test_point_store_changes_no_result(name, explore_all):
@@ -517,7 +505,7 @@ def test_point_store_changes_no_result(name, explore_all):
     cfg = SlmConfig(sense=spec.sense, tolerance=default_tolerance(spec),
                     explore_all=explore_all)
     res = assert_store_invisible(spec.evaluator, spec.domain, cfg)
-    assert res.evaluations == DISTINCT_POINTS[name][explore_all]
+    assert res.evaluations == RUN_PINS[name, explore_all].evaluations
 
 
 def assert_one_key_per_lattice_point(res, seen, domain, cfg):
@@ -783,57 +771,15 @@ def test_maximizing_minus_f_mirrors_minimizing_f(n, data, halvings, explore_all,
     assert seen(run(lambda p: -f(p), Sense.MAXIMIZE), -1.0) == seen(run(f, Sense.MINIMIZE), 1.0)
 
 
-# sha256 of every float, label and box a builtin run produces at its
-# default tolerance; speed work must leave each one bit for bit.
-# rosenbrock's and shekel's moved when probes came from the lattice
-# table: probe targets are now the lattice floats, not x + h sums
-RUN_DIGESTS = {
-    ("sphere_min", False): "14bb25d20103ba5efaf458ec7522da15c1bc3bc4f0db9fb9ed07f1b825212b4b",
-    ("sphere_min", True): "aa0eb696e87ef0a9eebfc4216be6b1b85295d35fb2c6b22e0d31c2e507e5799f",
-    ("trig", False): "81737effffad6d795f9f43a2b73e483aa2940bcacf383587ba5a4bec67b9295d",
-    ("trig", True): "7f705f342adcda2d91e881346a94375ce1300c21b8f9892b5916d6a79c01e5b4",
-    ("sphere_max", False): "0616b7c1efc00878bd2aa7df119b2ee154b96ce468e16fa0badb5550038d5f27",
-    ("sphere_max", True): "be820cedb8c5a44dd682d6e183f647f3ca494d11d6e5e8c95b66c75ad5f3257d",
-    ("rosenbrock", False): "041fd5e8bdf0e2bec33e940e3646a9882f7edea3ca015f4b0f88dac544c72c79",
-    ("rosenbrock", True): "b7b5088e18042b6477d5e22e0d4a00424e749bbc1acbf5e41b00ed331b194614",
-    ("shekel", False): "55d5af45da0d3469952faf847cf20d5456b8b90b36db4be79eaf9064b01c808d",
-    ("shekel", True): "69b1ad433d8ba21ad2da4fe5964158e2d4856a99b888c5d5f13ead016dfad532",
-}
-
-
-# The same digest of shifted-sphere descents at tolerance width/64 on
-# [-2, 2]^n, n = 3 and 4, where every generation after the first labels
-# one box's 3**n grid. At each n one centre is inside; the other lies
-# within a cell of two domain faces, so the last boxes are flush with them.
-SPHERE_DIGESTS = {
-    (0.3, -0.7, 1.1):
-        "062a6a9b0026ed4fa3d54f93e449498ab83ddabdb9f9812c9e4a786a575ab5c1",
-    (1.97, -0.4, -1.99):
-        "7d806511d2a0d488b4fe3cf82cdfa29b1af5db2d5e437d4341aa00d37f9d3b20",
-    (0.3, -0.7, 1.1, -0.2):
-        "ffded090300e91e782be6494aa3fce86354942ba9f0ea1536a3bf7f114db99b7",
-    (1.97, -0.4, 0.6, -1.99):
-        "d8218acb973cb9c65d0d2f372fa0b339050f879eeb962b3224a81ccd6a7b4e7c",
-}
-
-
-def run_digest(res):
-    parts = [res.best_point, res.best_value, res.termination, res.candidates]
-    for g in res.generations:
-        parts.append((g.box, g.spacing, g.chosen and g.chosen.box,
-                      [(v.point, v.value, v.probe_target, v.label) for v in g.vertices]))
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("explore_all", (False, True))
 @pytest.mark.parametrize("name", builtin_names())
 def test_builtin_runs_are_bit_stable(name, explore_all):
     res, _ = run_builtin(name, default_tolerance(registry_lookup(name)),
                          explore_all=explore_all)
-    assert run_digest(res) == RUN_DIGESTS[name, explore_all]
+    assert run_pin(res) == RUN_PINS[name, explore_all]
 
 
-@pytest.mark.parametrize("centre", SPHERE_DIGESTS, ids=str)
+@pytest.mark.parametrize("centre", SPHERE_PINS, ids=str)
 def test_shifted_sphere_descents_are_bit_stable(centre):
     def f(p):
         total = 0.0  # not sum(), which rounds differently from Python 3.12 on
@@ -844,7 +790,7 @@ def test_shifted_sphere_descents_are_bit_stable(centre):
     n = len(centre)
     res = run_slm(f, SearchBox((-2.0,) * n, (2.0,) * n),
                   SlmConfig(sense=Sense.MINIMIZE, tolerance=4.0 / 64))
-    assert run_digest(res) == SPHERE_DIGESTS[centre]
+    assert run_pin(res) == SPHERE_PINS[centre]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Every `$ slmopt ...` example in README.md prints what the README shows,
 every `python` block runs, every `slmopt.<module>.<name>` its prose
-names exists, the evaluation counts it cites are the pinned ones, and the
+names exists, the evaluation counts it cites are the pinned ones, the
 library imports nothing beyond the standard library ("Runtime
 dependencies: none", pyproject's `dependencies = []`) and parses at
-pyproject's `requires-python` floor."""
+pyproject's `requires-python` floor, and each digest pin is written in
+one file only."""
 
 import ast
+import collections
 import importlib
 import re
 import shlex
@@ -16,11 +18,13 @@ import pytest
 
 import slmopt
 from slmopt.cli import main
+from slmopt.objectives import builtin_names
 
-from test_engine import DISTINCT_POINTS
+from pins import RUN_PINS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PYPROJECT = README.with_name("pyproject.toml")
+TIER1 = README.with_name(".github") / "workflows" / "tier1.yml"
 LIBRARY = sorted(Path(slmopt.__file__).parent.glob("*.py"))
 FENCED = re.compile(r"^```([^\n]*)\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
@@ -109,6 +113,19 @@ def test_readme_cites_the_pinned_evaluation_counts():
     cited = re.search(r"explore-all makes (.*?); descent makes (.*?) in the same order\.", prose)
     explore = {name: int(count)
                for count, name in re.findall(r"(\d+)(?: evaluations)? on (\w+)", cited[1])}
-    assert explore == {name: pins[1] for name, pins in DISTINCT_POINTS.items()}
+    assert explore == {name: RUN_PINS[name, True].evaluations for name in builtin_names()}
     assert [int(count) for count in re.findall(r"\d+", cited[2])] == \
-        [pins[0] for pins in DISTINCT_POINTS.values()]
+        [RUN_PINS[name, False].evaluations for name in builtin_names()]
+
+
+def test_each_digest_pin_is_written_in_one_file():
+    """A 64-hex-digit literal (a sha256 pin) in tests/ or the tier-1
+    workflow appears in one file only: tests/pins.py holds every slm
+    result pin, so a copy in a test or a CI step fails here. A table may
+    repeat a digest."""
+    files = collections.defaultdict(set)
+    for path in [*README.with_name("tests").glob("*.py"), TIER1]:
+        for digest in re.findall(r"\b[0-9a-f]{64}\b", path.read_text(encoding="utf-8")):
+            files[digest].add(path.name)
+    assert files
+    assert {digest: sorted(names) for digest, names in files.items() if len(names) > 1} == {}

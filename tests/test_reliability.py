@@ -1,7 +1,8 @@
 """SLM on shifted spheres whose minimum is not a lattice point.
 
-The miss counts are measured facts of the current labeling, not a goal:
-a change that moves them must update them on purpose and say why.
+The miss counts (tests/pins.py) are measured facts of the current
+labeling, not a goal: a change that moves them must update them on
+purpose and say why.
 
 Protocol: centres come from one random.Random(1), in order 60 for
 n = 1, 60 for n = 2 and 20 for n = 3, each coordinate uniform in
@@ -17,6 +18,8 @@ import pytest
 from slmopt.engine import SlmConfig, run_slm
 from slmopt.geometry import SearchBox
 from slmopt.labeling import Sense
+
+from pins import MISSES
 
 TOLERANCE = 4.0 / 2**10
 _RNG = random.Random(1)
@@ -37,13 +40,7 @@ def misses(n, explore_all):
     return count
 
 
-@pytest.mark.parametrize(("explore_all", "n", "expected"), (
-    (False, 1, 19),
-    (False, 2, 40),
-    (False, 3, 19),
-    (True, 1, 19),
-    (True, 2, 38),
-    (True, 3, 16),
-))
+@pytest.mark.parametrize(("explore_all", "n", "expected"),
+                         [(*key, count) for key, count in MISSES.items()])
 def test_shifted_sphere_misses_are_pinned(explore_all, n, expected):
     assert misses(n, explore_all) == expected

@@ -1,6 +1,5 @@
 """Trace rendering: text tables, SVG drawings, file layout."""
 
-import hashlib
 import math
 import os
 import xml.etree.ElementTree as ET
@@ -26,6 +25,8 @@ from slmopt.trace import (
     render_generation_table,
     write_trace,
 )
+
+from pins import TRACE_DIGESTS, manifest_digest
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -252,24 +253,6 @@ def test_rendering_is_deterministic():
 # ---------------------------------------------------------------------------
 # File layout
 # ---------------------------------------------------------------------------
-
-# sha256 of the sha256sum lines ("<file sha256>  <name>\n") of every file
-# a default-tolerance trace writes, in write order, taken before the
-# renderers cached repeated pieces; the tier1 workflow checks both
-# digests against `python -m slmopt.cli trace` on every interpreter
-TRACE_DIGESTS = {
-    ("trig", True): "0fb243f24b226e2d473a5ed0249995799cf3217040d0eebece0886820a30909c",
-    ("sphere_min", False): "3f11d22312132baf4999e60b53a3d2f397a99c1fa851081d2217e0ddb1f463ac",
-}
-
-
-def manifest_digest(paths):
-    lines = []
-    for path in paths:
-        with open(path, "rb") as fh:
-            lines.append(f"{hashlib.sha256(fh.read()).hexdigest()}  {os.path.basename(path)}\n")
-    return hashlib.sha256("".join(lines).encode()).hexdigest()
-
 
 @pytest.mark.parametrize("name, explore_all", TRACE_DIGESTS)
 def test_default_traces_are_byte_stable(name, explore_all, tmp_path):
