@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .geometry import Point, SearchBox
+from .geometry import Point, SearchBox, _Frozen
 from .labeling import checked
 from .objectives import ObjectiveSpec
 
@@ -49,24 +48,24 @@ COOLING_RATIO = 0.95
 CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
+class BaselineConfig(_Frozen):
+    __slots__ = ("iterations", "seed", "initial_point")
     iterations: int
     seed: int
-    initial_point: Point | None = None
+    initial_point: Point | None
 
-    def __post_init__(self) -> None:
-        if self.iterations < 1:
+    def __init__(self, iterations: int, seed: int, initial_point: Point | None = None) -> None:
+        if iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be nonnegative")
         # an infinite coordinate clamps to a bound; NaN has no place to go
-        if self.initial_point is not None and any(math.isnan(float(v)) for v in self.initial_point):
-            raise ValueError(f"initial point {tuple(self.initial_point)!r} has a NaN coordinate")
+        if initial_point is not None and any(math.isnan(float(v)) for v in initial_point):
+            raise ValueError(f"initial point {tuple(initial_point)!r} has a NaN coordinate")
+        self._set(iterations, seed, initial_point)
 
 
-@dataclass(frozen=True)
-class OptimRunResult:
+class OptimRunResult(NamedTuple):
     best_point: Point
     best_value: float
     evaluations: int

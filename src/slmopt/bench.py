@@ -11,14 +11,10 @@ All output is byte-deterministic except the wall_time_ms column.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 import time
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .baselines import (
     BaselineConfig,
@@ -28,8 +24,8 @@ from .baselines import (
     random_search_walk,
     simulated_annealing,
 )
-from .engine import RunResult, SlmConfig, run_slm
-from .geometry import Point, format_point
+from .engine import DEFAULT_MAX_GENERATIONS, RunResult, SlmConfig, run_slm
+from .geometry import Point, _Frozen, format_point
 from .objectives import ObjectiveSpec, registry_lookup
 
 DEFAULT_ITERATIONS = {"rs": 1000, "rsw": 500, "sa": 150}
@@ -41,8 +37,7 @@ _BASELINE_FNS = {
 METHODS = ("slm",) + tuple(_BASELINE_FNS)
 
 
-@dataclass(frozen=True)
-class AlgorithmSpec:
+class AlgorithmSpec(_Frozen):
     """One column of the benchmark matrix.
 
     kind is one of METHODS. iterations applies to the baselines
@@ -52,22 +47,26 @@ class AlgorithmSpec:
     side / 2**10).
     """
 
+    __slots__ = ("kind", "iterations", "tolerance", "explore_all", "initial_point",
+                 "max_generations")
     kind: str
-    iterations: int | None = None
-    tolerance: float | None = None
-    explore_all: bool = False
-    initial_point: Point | None = None
-    max_generations: int = SlmConfig.max_generations
+    iterations: int | None
+    tolerance: float | None
+    explore_all: bool
+    initial_point: Point | None
+    max_generations: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in METHODS:
-            raise ValueError(f"unknown method {self.kind!r}; expected one of {', '.join(METHODS)}")
-        if self.initial_point is not None and self.kind in ("slm", "rs"):
-            raise ValueError(f"{self.kind} takes no initial point; only rsw and sa start from one")
+    def __init__(self, kind: str, iterations: int | None = None, tolerance: float | None = None,
+                 explore_all: bool = False, initial_point: Point | None = None,
+                 max_generations: int = DEFAULT_MAX_GENERATIONS) -> None:
+        if kind not in METHODS:
+            raise ValueError(f"unknown method {kind!r}; expected one of {', '.join(METHODS)}")
+        if initial_point is not None and kind in ("slm", "rs"):
+            raise ValueError(f"{kind} takes no initial point; only rsw and sa start from one")
+        self._set(kind, iterations, tolerance, explore_all, initial_point, max_generations)
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     algorithm: str
     objective: str
     iterations: int
@@ -184,29 +183,32 @@ def emit_markdown(rows: Sequence[BenchRow]) -> str:
     return "\n".join(out)
 
 
-FIELD_NAMES = tuple(f.name for f in fields(BenchRow))
-# a row's field values in FIELD_NAMES order; dataclasses.asdict would
-# also deep-copy every tuple
-_field_values = attrgetter(*FIELD_NAMES)
+FIELD_NAMES = BenchRow._fields
 _TEXT_FIELDS = ("algorithm", "objective")
 
 
+# json and csv load here, not at import: a process that emits no csv or
+# json-lines payload does not pay for them.
 def emit_csv(rows: Sequence[BenchRow]) -> str:
     """algorithm and objective are plain cells; every other cell is the
     field's JSON text (vectors as arrays, floats in repr digits), so a
     reader recovers every field exactly."""
+    import csv
+    import json
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(FIELD_NAMES)
     writer.writerows([[value if name in _TEXT_FIELDS else json.dumps(value)
-                       for name, value in zip(FIELD_NAMES, _field_values(row))]
+                       for name, value in zip(FIELD_NAMES, row)]
                       for row in rows])
     return buf.getvalue()
 
 
 def emit_json_lines(rows: Sequence[BenchRow]) -> str:
-    return "".join([json.dumps(dict(zip(FIELD_NAMES, _field_values(row)))) + "\n"
-                    for row in rows])
+    import json
+
+    return "".join([json.dumps(dict(zip(FIELD_NAMES, row))) + "\n" for row in rows])
 
 
 _EMITTERS = {"markdown": emit_markdown, "csv": emit_csv, "json-lines": emit_json_lines}

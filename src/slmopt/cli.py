@@ -44,7 +44,7 @@ from .bench import (
     run_method,
     slm_config,
 )
-from .engine import run_slm
+from .engine import DEFAULT_MAX_GENERATIONS, run_slm
 from .geometry import format_box, format_number, format_point
 from .objectives import ObjectiveSpec, builtin_names, registry_lookup
 from .trace import build_trace_document, write_file, write_trace
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config")
     one_run = argparse.ArgumentParser(add_help=False)  # optimize, trace
     one_run.add_argument("--function")
-    one_run.add_argument("--max-generations", type=int, default=AlgorithmSpec.max_generations)
+    one_run.add_argument("--max-generations", type=int, default=DEFAULT_MAX_GENERATIONS)
     baseline = argparse.ArgumentParser(add_help=False)  # optimize, bench
     baseline.add_argument("--iterations", type=int)
 
@@ -191,7 +191,7 @@ def _algorithm(ns: argparse.Namespace, kind: str) -> AlgorithmSpec:
     if kind == "slm":
         return AlgorithmSpec(kind, tolerance=ns.tol, explore_all=ns.explore_all,
                              max_generations=getattr(ns, "max_generations",
-                                                     AlgorithmSpec.max_generations),
+                                                     DEFAULT_MAX_GENERATIONS),
                              initial_point=initial)
     return AlgorithmSpec(kind, iterations=ns.iterations, initial_point=initial)
 

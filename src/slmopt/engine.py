@@ -61,6 +61,7 @@ from .geometry import (
     Point,
     SearchBox,
     Spacing,
+    _Frozen,
     corners,
     make_cell,
     splittable,
@@ -81,21 +82,27 @@ _Staged = tuple[SearchBox, tuple[Cell, ...], tuple[LabeledVertex, ...], tuple[Ce
                 list[float]]
 
 
-@dataclass(frozen=True)
-class SlmConfig:
+DEFAULT_MAX_GENERATIONS = 60
+
+
+class SlmConfig(_Frozen):
+    __slots__ = ("sense", "tolerance", "max_generations", "explore_all", "cell_budget")
     sense: Sense
     tolerance: float
-    max_generations: int = 60
-    explore_all: bool = False
-    cell_budget: int = 32
+    max_generations: int
+    explore_all: bool
+    cell_budget: int
 
-    def __post_init__(self) -> None:
-        if not 0 < self.tolerance < math.inf:
+    def __init__(self, sense: Sense, tolerance: float,
+                 max_generations: int = DEFAULT_MAX_GENERATIONS, explore_all: bool = False,
+                 cell_budget: int = 32) -> None:
+        if not 0 < tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.max_generations < 1:
+        if max_generations < 1:
             raise ValueError("max_generations must be at least 1")
-        if self.cell_budget < 1:
+        if cell_budget < 1:
             raise ValueError("cell_budget must be at least 1")
+        self._set(sense, tolerance, max_generations, explore_all, cell_budget)
 
 
 class GenerationRecord(NamedTuple):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 Point = tuple[float, ...]
@@ -22,26 +21,71 @@ Spacing = tuple[float, ...]
 MAX_BOUND = sys.float_info.max / 2
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class _Frozen:
+    """Base of the value classes that check their fields when made:
+    SearchBox, SlmConfig, BaselineConfig and AlgorithmSpec. A subclass
+    names its fields in __slots__, in constructor order, and its __init__
+    sets them, through _set or object.__setattr__, once they pass its
+    checks. As on a frozen dataclass, a field cannot be assigned, equal
+    fields make equal objects with equal hashes, and repr lists the
+    fields. A copy or unpickled object is rebuilt through the
+    constructor, so it is checked too."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, *values: object) -> None:
+        """Set every field, in __slots__ order; for __init__ alone."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class SearchBox(_Frozen):
     """Closed axis-aligned box, -MAX_BOUND <= lo[i] < hi[i] <= MAX_BOUND in
     every dimension: there the sum and difference of any two floats are
     finite, and so is every width, centre and midpoint. Every box is
     checked when it is made."""
 
+    __slots__ = ("lo", "hi")
     lo: Point
     hi: Point
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", tuple(map(float, self.lo)))
-        object.__setattr__(self, "hi", tuple(map(float, self.hi)))
-        if len(self.lo) != len(self.hi):
+    def __init__(self, lo: Sequence[float], hi: Sequence[float]) -> None:
+        lo = tuple(map(float, lo))
+        hi = tuple(map(float, hi))
+        if len(lo) != len(hi):
             raise ValueError("lo and hi must have the same length")
-        if not self.lo:
+        if not lo:
             raise ValueError("box needs at least one dimension")
-        for a, b in zip(self.lo, self.hi):
+        for a, b in zip(lo, hi):
             if not -MAX_BOUND <= a < b <= MAX_BOUND:
                 raise ValueError(f"bounds ({a!r}, {b!r}) need -M <= lo < hi <= M = {MAX_BOUND!r}")
+        # set directly, not through _set: the run makes a box per refined cell
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def dimension(self) -> int:

@@ -5,7 +5,6 @@ BenchRows, so the round trips can be checked for equality.
 test_bench and test_cli import it."""
 
 import csv
-import dataclasses
 import io
 import json
 
@@ -40,4 +39,4 @@ def parse_json_lines(text):
 def mask_wall_time(rows):
     """The rows with wall_time_ms zeroed, the one field that differs
     between runs of the same bench."""
-    return [dataclasses.replace(row, wall_time_ms=0.0) for row in rows]
+    return [row._replace(wall_time_ms=0.0) for row in rows]

@@ -67,6 +67,29 @@ def test_box_rejects_bounds_outside_the_finite_range(lo, hi):
         SearchBox((0.0, lo), (1.0, hi))
 
 
+EDGE_FLOATS = (MAX_BOUND, -MAX_BOUND, math.nextafter(MAX_BOUND, math.inf),
+               math.nextafter(-MAX_BOUND, -math.inf), 0.0, -0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(axes=st.lists(st.tuples(*[st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))] * 2),
+                     max_size=3),
+       extra=st.lists(st.floats(-1.0, 1.0), max_size=1))
+def test_box_accepts_exactly_the_bounds_its_rule_allows(axes, extra):
+    """The docstring's rule: -MAX_BOUND <= lo[i] < hi[i] <= MAX_BOUND in
+    every dimension, of which there is at least one. extra makes hi one
+    coordinate longer than lo."""
+    lo = [a for a, _ in axes]
+    hi = [b for _, b in axes] + extra
+    allowed = bool(axes) and not extra and all(-MAX_BOUND <= a < b <= MAX_BOUND for a, b in axes)
+    try:
+        box = SearchBox(lo, hi)
+    except ValueError:
+        assert not allowed
+    else:
+        assert allowed and (box.lo, box.hi) == (tuple(lo), tuple(hi))
+
+
 def test_largest_box_has_finite_widths_centre_and_grid():
     box = SearchBox((-MAX_BOUND, -MAX_BOUND), (MAX_BOUND, MAX_BOUND))
     assert box.widths() == (2 * MAX_BOUND,) * 2
