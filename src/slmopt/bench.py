@@ -1,8 +1,9 @@
 """Algorithm x objective benchmark matrix with deterministic emitters.
 
 Rows are produced objective-major, then algorithm, then seed. The
-subdivision search is deterministic, so its rows repeat identically
-across seeds; the baselines consume the seed. Markdown output mirrors
+subdivision search takes no seed, so it runs once per objective and its
+one row, wall time included, is emitted once per seed; the baselines run
+once per seed and consume it. Markdown output mirrors
 the comparison-table layout (Algorithm | Iterations | Optimal point |
 Deviation); csv and json-lines are lossless and round-trip every field,
 which the tests check with their own reader (tests/bench_reference.py).
@@ -112,7 +113,8 @@ def run_method(ospec: ObjectiveSpec, algo: AlgorithmSpec,
                seed: int) -> tuple[RunResult | OptimRunResult, int]:
     """The one run path: run one method on one objective. Returns the
     result and its iteration count: the last generation index for slm,
-    which ignores the seed, and the configured iterations for a baseline."""
+    which ignores the seed (run_bench runs it once for all seeds), and
+    the configured iterations for a baseline."""
     if algo.kind == "slm":
         res = run_slm(ospec.evaluator, ospec.domain, slm_config(ospec, algo))
         return res, res.generations[-1].index
@@ -139,11 +141,13 @@ def _run_one(ospec: ObjectiveSpec, algo: AlgorithmSpec, seed: int) -> BenchRow:
 def run_bench(objectives: Sequence[str], algorithms: Sequence[AlgorithmSpec],
               repeats: int = 1) -> list[BenchRow]:
     """One row per (objective, algorithm, seed), in that nesting order,
-    with seeds range(repeats). An empty matrix, repeats below 1, an
-    unknown objective name, an objective with no known optimum to
-    measure deviation from, a method setting its config rejects or an
-    initial point of another dimension than an objective's aborts
-    before any run starts."""
+    with seeds range(repeats). slm takes no seed, so it runs once per
+    objective and spec and its row, wall_time_ms included, is repeated
+    with each seed; each baseline runs once per seed. An empty matrix,
+    repeats below 1, an unknown objective name, an objective with no
+    known optimum to measure deviation from, a method setting its config
+    rejects or an initial point of another dimension than an objective's
+    aborts before any run starts."""
     if not objectives:
         raise ValueError("bench needs at least one objective")
     if not algorithms:
@@ -160,8 +164,15 @@ def run_bench(objectives: Sequence[str], algorithms: Sequence[AlgorithmSpec],
                 slm_config(ospec, algo)
             else:  # seed 0 stands for every seed; _initial checks a start point
                 _initial(ospec, baseline_config(algo, seed=0))
-    return [_run_one(ospec, algo, seed) for ospec in specs
-            for algo in algorithms for seed in range(repeats)]
+    rows = []
+    for ospec in specs:
+        for algo in algorithms:
+            if algo.kind == "slm":
+                row = _run_one(ospec, algo, 0)
+                rows += [row._replace(seed=seed) for seed in range(repeats)]
+            else:
+                rows += [_run_one(ospec, algo, seed) for seed in range(repeats)]
+    return rows
 
 
 def emit_markdown(rows: Sequence[BenchRow]) -> str:

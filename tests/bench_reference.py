@@ -1,6 +1,7 @@
 """The test suite's one reader of bench payloads, coded apart from
 slmopt.bench: emit_csv's text and emit_json_lines' lines back to
-BenchRows, so the round trips can be checked for equality.
+BenchRows, so the round trips can be checked for equality. Also a
+reference matrix that runs every method once per seed, slm included.
 
 test_bench and test_cli import it."""
 
@@ -8,7 +9,8 @@ import csv
 import io
 import json
 
-from slmopt.bench import FIELD_NAMES, BenchRow
+from slmopt.bench import FIELD_NAMES, BenchRow, deviation, run_method
+from slmopt.objectives import registry_lookup
 
 TEXT_CELLS = ("algorithm", "objective")
 
@@ -40,3 +42,14 @@ def mask_wall_time(rows):
     """The rows with wall_time_ms zeroed, the one field that differs
     between runs of the same bench."""
     return [row._replace(wall_time_ms=0.0) for row in rows]
+
+
+def run_bench_per_seed(objectives, algorithms, repeats):
+    """run_bench's rows, wall_time_ms zeroed, from one run_method call per
+    (objective, algorithm, seed): slm runs once for each seed as well.
+    Checks no input."""
+    specs = [registry_lookup(name) for name in objectives]
+    return [BenchRow(algo.kind, ospec.name, iterations, res.best_point, res.best_value,
+                     deviation(res.best_point, [p for p, _ in ospec.known_optima]), 0.0, seed)
+            for ospec in specs for algo in algorithms for seed in range(repeats)
+            for res, iterations in [run_method(ospec, algo, seed)]]

@@ -148,16 +148,22 @@ TRACE_DIGESTS = {
 # sha256 of the stdout of `python -m slmopt.cli` with these arguments.
 # shekel explore-all runs label_grid's per-vertex loop on generations of
 # several boxes, and every call goes through the Shekel kernel, whose
-# operation order the digest holds bit for bit on every interpreter
+# operation order the digest holds bit for bit on every interpreter. The
+# bench markdown payload has no wall-time column; it was taken when bench
+# still ran slm once per seed
 STDOUT_DIGESTS = {
     ("optimize", "--function", "shekel", "--explore-all"):
         "6f2887a418e555491a07d6535de08f2bd0bef8490abf7e24dd4c391c3efe0d71",
+    ("bench", "--function", "all", "--repeats", "3"):
+        "2ee77d9228d5a891a9d543c6dc62c750afcae7defd161cd41dd15948db9b8c63",
 }
 
 
 # sha256 of each payload of `bench --function all --repeats 3`'s matrix,
 # every builtin by every method at its defaults, with wall_time_ms zeroed,
-# taken when the emitters read rows through dataclasses.asdict
+# taken when the emitters read rows through dataclasses.asdict; checked in
+# process and on the payloads of `python -m slmopt.cli bench`, parsed and
+# re-emitted with wall_time_ms zeroed
 PAYLOAD_DIGESTS = {
     "csv": "6972193b5a880bbe97822c16cd56b5d66031856e47f8ee4f83119a2e75472c7c",
     "json-lines": "105df2b354c2bd35df7f53d042632f1c61d3ea2f76b1ffd4b88bbda547b18c3a",

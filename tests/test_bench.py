@@ -5,7 +5,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import slmopt.bench
 from slmopt.bench import (
     DEFAULT_ITERATIONS,
     FIELD_NAMES,
@@ -24,7 +27,7 @@ from slmopt.geometry import SearchBox
 from slmopt.labeling import Sense
 from slmopt.objectives import ObjectiveSpec, builtin_names, register_objective, registry_lookup
 
-from bench_reference import mask_wall_time, parse_csv, parse_json_lines
+from bench_reference import mask_wall_time, parse_csv, parse_json_lines, run_bench_per_seed
 from pins import PAYLOAD_DIGESTS
 
 
@@ -141,9 +144,60 @@ def test_row_order_is_objective_major():
 def test_slm_rows_ignore_the_seed():
     spec = small_spec(repeats=3)
     rows = [r for r in run_bench(**spec) if r.algorithm == "slm"]
-    assert len(rows) == 3
-    assert len({r.found_point for r in rows}) == 1
-    assert len({r.iterations for r in rows}) == 1
+    # one run stands for every seed, its wall time included
+    assert rows == [rows[0]._replace(seed=seed) for seed in range(3)]
+
+
+def test_slm_runs_once_per_objective_and_spec(monkeypatch):
+    calls = []
+    names = {registry_lookup(n).evaluator: n for n in ("sphere_min", "rosenbrock")}
+    run_slm = slmopt.bench.run_slm
+
+    def slm_spy(evaluator, domain, cfg):
+        calls.append(("slm", names[evaluator], cfg.tolerance))
+        return run_slm(evaluator, domain, cfg)
+
+    def baseline_spy(kind, fn):
+        def spy(ospec, cfg):
+            calls.append((kind, ospec.name, cfg.seed))
+            return fn(ospec, cfg)
+        return spy
+
+    monkeypatch.setattr(slmopt.bench, "run_slm", slm_spy)
+    for kind, fn in list(slmopt.bench._BASELINE_FNS.items()):
+        monkeypatch.setitem(slmopt.bench._BASELINE_FNS, kind, baseline_spy(kind, fn))
+    rows = run_bench(("sphere_min", "rosenbrock"),
+                     (AlgorithmSpec("slm", tolerance=0.25), AlgorithmSpec("rs", iterations=20),
+                      AlgorithmSpec("slm", tolerance=0.0625)),
+                     repeats=3)
+    assert calls == [call for name in ("sphere_min", "rosenbrock") for call in (
+        ("slm", name, 0.25), ("rs", name, 0), ("rs", name, 1), ("rs", name, 2),
+        ("slm", name, 0.0625))]
+    slm = [r for r in rows if r.algorithm == "slm"]
+    assert slm == [row._replace(seed=seed) for row in slm[::3] for seed in range(3)]
+
+
+# small enough that an example runs in milliseconds; the two slm specs
+# stop at their generation caps before the default tolerance
+METHOD_POOL = (
+    AlgorithmSpec("slm", max_generations=5),
+    AlgorithmSpec("slm", explore_all=True, max_generations=3),
+    AlgorithmSpec("rs", iterations=30),
+    AlgorithmSpec("rsw", iterations=20),
+    AlgorithmSpec("sa", iterations=10),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    repeats=st.integers(1, 4),
+    objectives=st.permutations(builtin_names()).flatmap(
+        lambda names: st.integers(1, len(names)).map(lambda k: names[:k])),
+    algorithms=st.lists(st.sampled_from(METHOD_POOL), min_size=1, max_size=5),
+)
+def test_bench_rows_equal_one_run_per_seed(repeats, objectives, algorithms):
+    assert (mask_wall_time(run_bench(objectives, algorithms, repeats))
+            == run_bench_per_seed(objectives, algorithms, repeats))
 
 
 def test_slm_iterations_are_generation_count():

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import slmopt
+from slmopt.bench import emit_table
 from slmopt.cli import _parse_point, build_parser, main, read_config
 from slmopt.geometry import SearchBox, format_point
 from slmopt.labeling import Sense
@@ -21,7 +22,7 @@ from slmopt.objectives import (
 )
 
 from bench_reference import mask_wall_time, parse_csv, parse_json_lines
-from pins import STDOUT_DIGESTS, TRACE_DIGESTS, manifest_digest
+from pins import PAYLOAD_DIGESTS, STDOUT_DIGESTS, TRACE_DIGESTS, manifest_digest
 
 # child interpreters import the same slmopt as this one, installed or not
 SRC_DIR = os.path.dirname(os.path.dirname(slmopt.__file__))
@@ -789,3 +790,14 @@ def test_process_stdout_is_pinned(argv):
                           capture_output=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("fmt, parse", (("csv", parse_csv), ("json-lines", parse_json_lines)),
+                         ids=("csv", "json-lines"))
+def test_bench_process_payloads_are_pinned(fmt, parse):
+    proc = subprocess.run([sys.executable, "-m", "slmopt.cli", "bench", "--function", "all",
+                           "--repeats", "3", "--format", fmt],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    payload = emit_table(mask_wall_time(parse(proc.stdout)), fmt)
+    assert hashlib.sha256(payload.encode()).hexdigest() == PAYLOAD_DIGESTS[fmt]
