@@ -29,9 +29,9 @@ later grid point was a probe of the generation before. run_slm owns a point -> v
 store keyed on the float tuple and hands it to every label_grid call,
 which evaluates and checks only the points missing from it, numbering
 them on from the store's size, so a failing call names the run's
-call number. A generation of one box labels its own grid, which from
-generation 1 on label_grid labels from its probe block; several boxes
-label their distinct grid points together.
+call number. A generation of one box labels its own grid, one of
+several boxes their distinct grid points together, on the labeling
+path slmopt.labeling's docstring gives.
 Each lattice point is then evaluated once per run and labeled at most
 once per generation, and `evaluations` counts them. 0.0 and -0.0
 compare equal and share one key. First-time evaluations happen in the

@@ -11,22 +11,32 @@ before calling f. checked numbers and checks the objective's calls for
 every method, slm and the baselines alike.
 
 label_grid has two paths with one result: the same labels, targets,
-evaluations, call numbers and errors. The path follows from the grid.
-A box's 3**n subdivide grid at any n takes the block path: it looks
-each of the at most 7**n probe block points up once and picks each
-vertex's winner through a plan cached per block shape. Any other grid
-(generation 0's corners, explore-all's generations of several boxes,
-loose point sets) takes the per-vertex loop: 9**n store lookups for a
-box's 3**n grid. It memoizes each axis's candidates per coordinate in a
-dict whose misses call LatticeAxis.probes, and reads a vertex's
-candidates as the product of its coordinates' entries, looked up in C
-before the vertex's own store lookup, so a coordinate the table has not
-made raises before its vertex is evaluated. On perfbench's seed-3
-descent jobs (CPython 3.11.7, in process, medians of 200 passes) the
-loop alone took 1.02-1.12 times the block path's time on each 2-D job,
-1.15-1.17 on sphere3d and 1.23-1.25 on sphere4d. Labeling several
-boxes box by box took 1.09-1.33 times the loop's time on explore-all,
-so those grids keep the loop.
+evaluations, call numbers, errors and lattice entries. The path
+follows from the grid and the step alone, and telling the paths apart
+makes no lattice entry. A grid that is one box's 3**n subdivide grid
+at any n, the lexicographic product, per axis, of the made lattice
+floats that LatticeAxis.index puts at k, k + 2 step and k + 4 step for
+a step >= 1, takes the block path (_probe_block, then _label_block):
+it looks each of the at most 7**n probe block points up in the store
+once and picks each vertex's winner through a plan cached per block
+shape. A box's grid whose probe block repeats a float, as on an axis a
+few ulps wide, and every other grid take the per-vertex loop. In a
+run, descent's one box from generation 1 on and explore-all's
+single-box generations take the block path; generation 0's corners
+and explore-all's generations of several boxes, whose distinct points
+the engine labels together, take the loop.
+
+The loop makes 9**n store lookups for a box's 3**n grid. It memoizes
+each axis's candidates per coordinate in a dict whose misses call
+LatticeAxis.probes, and reads a vertex's candidates as the product of
+its coordinates' entries, looked up in C before the vertex's own store
+lookup, so a coordinate the table has not made raises before its
+vertex is evaluated. On perfbench's seed-3 descent jobs (CPython
+3.11.7, in process, medians of 200 passes) the loop alone took
+1.02-1.12 times the block path's time on each 2-D job, 1.15-1.17 on
+sphere3d and 1.23-1.25 on sphere4d. Labeling several boxes box by box
+took 1.09-1.33 times the loop's time on explore-all, so those grids
+keep the loop.
 """
 
 from __future__ import annotations
@@ -109,15 +119,14 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
 
     lattice is the run's lattice, one LatticeAxis per axis, and step the
     probe step in indices, half the grid step of the generation being
-    labeled. A coordinate its axis has not made raises ValueError, and
-    before its vertex is evaluated: the loop reads a vertex's candidates
-    from its per-axis memos before it looks the vertex up in values.
-    On each axis the candidates of x, at index k, are the lattice floats
-    at k - step, k and k + step that lie in [0, 2**depth]; a vertex p is
-    compared with p, then with their product in lexicographic order, and
-    ties keep the incumbent. The label is 0 when p wins, else i + 1 for
-    the largest i with winner[i] < p[i]: the displacement rule, since
-    inside MAX_BOUND winner[i] - p[i] < 0 exactly when winner[i] < p[i].
+    labeled. A coordinate its axis has not made raises ValueError,
+    before its vertex is evaluated. On each axis the candidates of x, at
+    index k, are the lattice floats at k - step, k and k + step that lie
+    in [0, 2**depth]; a vertex p is compared with p, then with their
+    product in lexicographic order, and ties keep the incumbent. The
+    label is 0 when p wins, else i + 1 for the largest i with
+    winner[i] < p[i]: the displacement rule, since inside MAX_BOUND
+    winner[i] - p[i] < 0 exactly when winner[i] < p[i].
 
     values is the caller's point -> value store. f is called, and its
     value checked, only for points missing from it, and each new point
@@ -127,14 +136,8 @@ def label_grid(f: Objective, grid: Sequence[Point], step: int, sense: Sense,
     Calls are numbered on from len(values), so with the run's store a
     failing call names the run's call number.
 
-    Two paths give this result (see the module docstring). A grid that
-    is one box's, the lexicographic product of the made lattice floats
-    that each axis's LatticeAxis.index puts at k, k + 2 step and
-    k + 4 step for a step >= 1 (run_slm's single box of a generation
-    from 1 on), takes the block path: one store lookup per probe block
-    point, at most 7**n. Any other grid takes the per-vertex loop, and
-    telling the two apart makes no lattice entry. A box's grid whose
-    block floats collide takes the loop too.
+    Two paths give this result; the module docstring says which grid
+    takes which.
     """
     f = checked(f, len(values))
     block = _probe_block(grid, step, lattice)
@@ -188,15 +191,12 @@ _Vertex = tuple[Callable[[list[float]], tuple[float, ...]], tuple[int, ...], tup
 
 def _probe_block(grid: Sequence[Point], step: int, lattice: Sequence[LatticeAxis]
                  ) -> tuple[list[list[float]], _Shape] | None:
-    """The probe block of grid when grid is one box's subdivide grid:
-    the lexicographic product, per axis, of the made lattice floats that
-    LatticeAxis.index puts at k, k + 2 step and k + 4 step, so that the
-    loop would probe exactly the block's floats. Returns per axis the
-    floats of indices k - step to k + 5 step in [0, 2**depth], made in
-    the loop's probe order, and the block's shape, whether k - step and
-    k + 5 step are in it. None for a step below 1 or any other grid,
-    decided before any lattice entry is made, or when two block floats
-    of an axis are equal."""
+    """The probe block of grid when the module docstring's rule sends
+    grid to the block path, else None, decided before any lattice entry
+    is made: per axis the floats of indices k - step to k + 5 step in
+    [0, 2**depth], the ones the loop would probe, made in its probe
+    order, and the block's shape, whether k - step and k + 5 step are
+    in it."""
     if step < 1 or len(grid) != 3 ** len(lattice):
         return None
     lo, mid, hi = grid[0], grid[len(grid) // 2], grid[-1]

@@ -16,12 +16,22 @@ lattice_floats asserts that a domain's lattice floats are distinct, so
 the reference cannot model a box a few ulps wide, where halving repeats
 floats. The ulp-wide properties in test_engine,
 test_every_grid_point_is_made_before_it_is_labeled and
-test_block_path_changes_no_run_result, keep their own checks.
+test_block_path_changes_no_run_result, keep their own checks; ulps_above
+builds such widths.
+
+label_paths, the one test harness of label_grid's two paths, counts
+block-path runs and can switch the block path off; the model above
+uses none of it.
 
 test_engine, test_labeling and test_acceptance import it."""
 
+import contextlib
 import itertools
+import math
 
+import pytest
+
+from slmopt import labeling
 from slmopt.engine import (
     BOX_UNSPLITTABLE,
     GENERATION_CAP,
@@ -116,6 +126,33 @@ def run_lattice(domain, depth, points):
     for p, ks in zip(points, lattice_indices(points, tables)):
         assert tuple(axis[k] for axis, k in zip(axes, ks)) == p
     return axes
+
+
+def ulps_above(x, count):
+    """The float count ulps above x."""
+    for _ in range(count):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@contextlib.contextmanager
+def label_paths(loop_only=False):
+    """Watch label_grid's two paths (see slmopt.labeling's docstring):
+    yields the list of block-path runs, each run's arguments, and with
+    loop_only sends every grid to the per-vertex loop. The only test
+    code that names labeling's path functions."""
+    runs = []
+    label_block = labeling._label_block
+
+    def spy(*args):
+        runs.append(args)
+        return label_block(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(labeling, "_label_block", spy)
+        if loop_only:
+            mp.setattr(labeling, "_probe_block", lambda *args: None)
+        yield runs
 
 
 def _rank(value, sense):

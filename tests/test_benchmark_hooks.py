@@ -3,9 +3,11 @@ perfbench/workloads.py) imports or rebinds. A rename of any of them breaks
 `perfbench/run.py`, so it fails here first. Also what a fresh `import
 slmopt`, which the benchmark times as setup_s, loads."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,8 +24,12 @@ SRC_DIR = os.path.dirname(os.path.dirname(slmopt.__file__))
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, (SRC_DIR, os.environ.get("PYTHONPATH"))))}
 
-# perfbench times `import slmopt` as the load of these modules
-IMPORT_MODULES = ("geometry", "labeling", "objectives", "engine", "baselines", "bench", "trace")
+# perfbench times `import slmopt` as the load of these modules; read from
+# perfbench/run.py's own assignment, without importing run.py
+RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+IMPORT_MODULES = ast.literal_eval(next(
+    node.value for node in ast.parse(RUN_PY.read_text(encoding="utf-8")).body
+    if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "IMPORT_MODULES"))
 
 HOOKS = (
     (slmopt.engine, ("label_grid", "subdivide", "corners", "splittable",

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from slmopt import engine, labeling
+from slmopt import engine
 from slmopt.bench import default_tolerance
 from slmopt.engine import (
     BOX_UNSPLITTABLE,
@@ -25,7 +25,14 @@ from slmopt.labeling import LabeledVertex, ObjectiveEvaluationError, Sense, labe
 from slmopt.objectives import builtin_names, registry_lookup
 
 from pins import DESCENT_COSTS, RUN_PINS, SPHERE_PINS, run_pin
-from slm_reference import lattice_depth, lattice_floats, lattice_indices, reference_run
+from slm_reference import (
+    label_paths,
+    lattice_depth,
+    lattice_floats,
+    lattice_indices,
+    reference_run,
+    ulps_above,
+)
 
 TRIG_FAMILY = tuple(
     (float(x1), float(x2)) for x1 in (-6, -2, 2, 6) for x2 in (-3, 1, 5)
@@ -424,16 +431,14 @@ def test_records_are_read_only(pick, field):
     assert getattr(record, field) is record[type(record)._fields.index(field)]
 
 
-def test_records_are_exactly_their_types(monkeypatch):
+def test_records_are_exactly_their_types():
     # run records are built with tuple.__new__ on their class, which skips
     # the NamedTuple's arity check: each is its class with every field
-    blocks = []
-    label_block = labeling._label_block
-    monkeypatch.setattr(labeling, "_label_block", lambda *a: blocks.append(a) or label_block(*a))
     # descent labels one box per generation, on the block path from
     # generation 1 on, and chooses generation 0's one cell; explore-all
     # labels generations of several boxes on the per-vertex loop
-    descent, spec = run_builtin("trig", 0.5)
+    with label_paths() as blocks:
+        descent, spec = run_builtin("trig", 0.5)
     assert [g.index for g in descent.generations] == list(range(len(descent.generations)))
     assert len(blocks) == len(descent.generations) - 1
     assert descent.generations[0].chosen == (spec.domain.lo, spec.domain.hi, (0, 1, 2, 3))
@@ -545,12 +550,6 @@ def test_float_keys_are_lattice_points_on_random_boxes(n, data, halvings, explor
     assert_one_key_per_lattice_point(res, seen, domain, cfg)
 
 
-def _ulps_above(x, count):
-    for _ in range(count):
-        x = math.nextafter(x, math.inf)
-    return x
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 3),
@@ -569,7 +568,7 @@ def test_every_grid_point_is_made_before_it_is_labeled(n, lo, width, halvings, e
                                                        cell_budget):
     # LatticeAxis.probes finds only floats its table has made; run_slm
     # relies on every grid coordinate being one when its generation starts
-    hi = [_ulps_above(a, w) if isinstance(w, int) else a + w for a, w in zip(lo, width)]
+    hi = [ulps_above(a, w) if isinstance(w, int) else a + w for a, w in zip(lo, width)]
     domain = SearchBox(lo[:n], hi[:n])
     tolerance = max(domain.widths()) / 2 ** halvings
     assume(tolerance > 0)
@@ -606,7 +605,7 @@ def test_block_path_changes_no_run_result(n, lo, width, halvings, sense):
     # each generation's single box takes label_grid's block path, unless
     # two of its block floats collide; the per-vertex loop must give the
     # same run, call for call
-    hi = [_ulps_above(a, w) if isinstance(w, int) else a + w for a, w in zip(lo, width)]
+    hi = [ulps_above(a, w) if isinstance(w, int) else a + w for a, w in zip(lo, width)]
     domain = SearchBox(lo[:n], hi[:n])
     centre = tuple(a + (b - a) / 3.0 for a, b in zip(domain.lo, domain.hi))
     cfg = SlmConfig(sense=sense, tolerance=max(domain.widths()) / 2 ** halvings)
@@ -623,17 +622,12 @@ def test_block_path_changes_no_run_result(n, lo, width, halvings, sense):
 
         return run_slm(f, domain, cfg), calls
 
-    blocks = []
-    label_block = labeling._label_block
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(labeling, "_label_block",
-                   lambda *args: blocks.append(args) or label_block(*args))
+    with label_paths() as blocks:
         with_blocks = run()
     if not any(isinstance(w, int) for w in width[:n]):
         # no float collides on these lattices: every generation from 1 on
         assert len(blocks) == with_blocks[0].generations[-1].index, "boxes take the block path"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(labeling, "_probe_block", lambda *a: None)
+    with label_paths(loop_only=True):
         assert run() == with_blocks
 
 
@@ -655,17 +649,11 @@ def test_a_single_box_generation_takes_the_block_path(n, lo, width, halvings, ex
     centre = tuple(a + (b - a) / 3.0 for a, b in zip(domain.lo, domain.hi))
     cfg = SlmConfig(sense=Sense.MINIMIZE, tolerance=max(domain.widths()) / 2 ** halvings,
                     explore_all=explore_all, cell_budget=cell_budget)
-    blocks = []  # per label_grid call, its _label_block calls
-    label_block = labeling._label_block
-
-    def spy(*args):
-        blocks[-1] += 1
-        return label_block(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "label_grid", lambda *a: blocks.append(0) or label_grid(*a))
-        mp.setattr(labeling, "_label_block", spy)
+    before = []  # per label_grid call, the block-path runs before it
+    with label_paths() as runs, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "label_grid", lambda *a: before.append(len(runs)) or label_grid(*a))
         res = run_slm(lambda p: sum((x - c) ** 2 for x, c in zip(p, centre)), domain, cfg)
+    blocks = [b - a for a, b in zip(before, before[1:] + [len(runs)])]  # per label_grid call
     boxes = collections.Counter(record.index for record in res.generations)
     assert blocks == [int(gen > 0 and count == 1) for gen, count in sorted(boxes.items())]
     assert explore_all or blocks[1:] == [1] * (len(blocks) - 1)

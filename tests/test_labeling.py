@@ -10,7 +10,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from slmopt import labeling
 from slmopt.geometry import LatticeAxis, SearchBox, corners
 from slmopt.labeling import (
     ObjectiveEvaluationError,
@@ -23,9 +22,11 @@ from slmopt.objectives import eval_rosenbrock, eval_sphere_min
 from slm_reference import (
     index_step,
     label_of,
+    label_paths,
     lattice_floats,
     lattice_vertex,
     run_lattice,
+    ulps_above,
 )
 
 SPHERE_DOMAIN = SearchBox((-2.0, -2.0), (2.0, 2.0))
@@ -401,16 +402,8 @@ def test_box_grids_match_lattice_vertex_in_the_loops_call_order(n, data, depth, 
     missing = [q for q in first_reached if q not in stored]
 
     def label(g):
-        blocks = []
-
-        def spy(*args):
-            blocks.append(args)
-            return label_block(*args)
-
         values = dict(stored)
-        label_block = labeling._label_block
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(labeling, "_label_block", spy)
+        with label_paths() as blocks:
             out = label_grid(g, grid, step, sense, values, run_lattice(domain, depth, grid))
         assert len(blocks) == 1, "the grid takes the block path"
         return out, values
@@ -459,22 +452,11 @@ def test_box_grid_evaluates_its_own_points():
         return repr((out, calls, list(values.items())))
 
     for n in (2, 3):
-        blocks = []
-        label_block = labeling._label_block
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(labeling, "_label_block",
-                       lambda *args: blocks.append(args) or label_block(*args))
+        with label_paths() as blocks:
             with_blocks = run(n)
         assert len(blocks) == 1, "the grid takes the block path"
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(labeling, "_probe_block", lambda *a: None)
+        with label_paths(loop_only=True):
             assert run(n) == with_blocks
-
-
-def _ulps_above(x, count):
-    for _ in range(count):
-        x = math.nextafter(x, math.inf)
-    return x
 
 
 @settings(max_examples=60, deadline=None)
@@ -488,8 +470,8 @@ def _ulps_above(x, count):
 )
 def test_a_grid_labels_calls_fills_the_store_and_fails_as_the_loop_does(n, data, depth, sense,
                                                                         quantized, failure):
-    # label_grid against its per-vertex loop alone (_probe_block patched to
-    # None): the same labels, call order, store, failing call and, when
+    # label_grid against its per-vertex loop alone (label_paths with
+    # loop_only): the same labels, call order, store, failing call and, when
     # the grid is labeled, the same lattice entries. A box's grid takes the
     # block path unless two of its block floats collide, as they often do
     # on an axis a few ulps wide; any other grid takes the loop
@@ -504,7 +486,7 @@ def test_a_grid_labels_calls_fills_the_store_and_fails_as_the_loop_does(n, data,
     widths = data.draw(st.tuples(*[st.one_of(st.floats(0.01, 100.0),
                                              st.integers(2 * boxes, 8 * boxes))
                                    for _ in range(n)]))
-    hi = [_ulps_above(a, w) if isinstance(w, int) else a + w for a, w in zip(lo, widths)]
+    hi = [ulps_above(a, w) if isinstance(w, int) else a + w for a, w in zip(lo, widths)]
     ks = []
     for _ in range(n):
         face = data.draw(st.sampled_from(("lo", "hi", "any")))
@@ -550,13 +532,7 @@ def test_a_grid_labels_calls_fills_the_store_and_fails_as_the_loop_does(n, data,
 
         values = dict(stored)
         axes = lattice()
-        blocks = []
-        label_block = labeling._label_block
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(labeling, "_label_block",
-                       lambda *args: blocks.append(args) or label_block(*args))
-            if not block:
-                mp.setattr(labeling, "_probe_block", lambda *a: None)
+        with label_paths(loop_only=not block) as blocks:
             try:
                 out = label_grid(counted, points, step, sense, values, axes)
                 made = [(dict(axis), axis.index) for axis in axes]
@@ -590,11 +566,7 @@ def test_step_zero_grid_takes_the_loop():
     # probe block has no extent; the loop labels it, each point its own winner
     axis = LatticeAxis(0.0, 1.0, 2)
     p = (axis[2],)
-    blocks = []
-    label_block = labeling._label_block
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(labeling, "_label_block",
-                   lambda *args: blocks.append(args) or label_block(*args))
+    with label_paths() as blocks:
         out = label_grid(lambda q: q[0], (p,) * 3, 0, Sense.MINIMIZE, {}, (axis,))
     assert out == ((p, 0.5, p, 0),) * 3
     assert blocks == []
@@ -622,17 +594,15 @@ def test_a_rejected_box_sized_grid_leaves_the_lattice_as_the_loop_does(n):
         "not in box order": tuple(itertools.product((x5, x4, x6), repeat=n)),
         "reversed": box[::-1],
         "first two swapped": box[1::-1] + box[2:],
+        # at n = 2 its first, middle and last points are the box's, so
+        # only the whole-grid comparison turns it down
+        "two inner points swapped": box[:1] + box[2:0:-1] + box[3:],
     }
 
     def label(points, block, bounds=(0.0, 1.0)):
         axes = made_axes(*bounds)
-        calls, values, blocks = [], {}, []
-        label_block = labeling._label_block
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(labeling, "_label_block",
-                       lambda *args: blocks.append(args) or label_block(*args))
-            if not block:
-                mp.setattr(labeling, "_probe_block", lambda *a: None)
+        calls, values = [], {}
+        with label_paths(loop_only=not block) as blocks:
             out = label_grid(lambda p: calls.append(p) or sum(p), points, 1, Sense.MAXIMIZE,
                              values, axes)
         return (out, calls, list(values.items()), [(dict(a), a.index) for a in axes]), len(blocks)
@@ -650,14 +620,10 @@ def test_colliding_block_floats_fall_back_to_the_loop():
     # on [1, 1 + 6 ulps] at depth 3, index 3's midpoint rounds to index 2's
     # float: the box at indices 0 to 4 halves, but its probe block has a
     # repeated float, so label_grid labels it with the per-vertex loop
-    axis = LatticeAxis(1.0, _ulps_above(1.0, 6), 3)
+    axis = LatticeAxis(1.0, ulps_above(1.0, 6), 3)
     grid = ((axis[0],), (axis[2],), (axis[4],))
     assert axis[0] < axis[2] < axis[4] and axis[3] == axis[2]
-    blocks = []
-    label_block = labeling._label_block
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(labeling, "_label_block",
-                   lambda *args: blocks.append(args) or label_block(*args))
+    with label_paths() as blocks:
         out = label_grid(lambda p: -p[0], grid, 1, Sense.MINIMIZE, {}, (axis,))
     assert blocks == []
     assert out == label_grid(lambda p: -p[0], grid, 1, Sense.MINIMIZE, {},
@@ -670,16 +636,10 @@ def test_a_grid_on_a_float_an_earlier_index_made_takes_the_loop():
     # lattice floats k, k + 2 step and k + 4 step, but the loop probes its
     # middle point around index 10, not 9, so only the loop labels it
     def label(block):
-        axis = LatticeAxis(1.0, _ulps_above(1.0, 10), 4)
+        axis = LatticeAxis(1.0, ulps_above(1.0, 10), 4)
         grid = tuple((axis[k],) for k in (5, 9, 13))
         assert axis.index[grid[1][0]] == 10
-        blocks = []
-        label_block = labeling._label_block
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(labeling, "_label_block",
-                       lambda *args: blocks.append(args) or label_block(*args))
-            if not block:
-                mp.setattr(labeling, "_probe_block", lambda *a: None)
+        with label_paths(loop_only=not block) as blocks:
             out = label_grid(lambda p: -p[0], grid, 2, Sense.MINIMIZE, {}, (axis,))
         return out, dict(axis), len(blocks)
 
