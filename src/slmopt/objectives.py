@@ -12,10 +12,15 @@ Each evaluator unpacks its point, so any length but 2 raises ValueError.
 
 Every method's objective calls run through these evaluators. Each is
 written for little interpreter work per call, yet does a fixed sequence
-of float operations (eval_shekel states its order), since a form that
-rounds differently (x * x for x ** 2, sum() for a left-to-right fold)
-would change results. The tests hold each builtin bit for bit against
-an oracle.
+of float operations (eval_shekel states its order), and the tests hold
+each builtin bit for bit against an int-exponent oracle, on and off its
+domain, exceptions included. A float exponent keeps those bits: CPython
+turns the int exponent of x ** 2 into exactly 2.0 before the one
+float_pow call that x ** 2.0 makes, so both hand libm's pow the same
+doubles, and skipping the conversion is all the float form saves.
+x * x and math.pow stay out, since either can round differently:
+float_pow raises |x| for a negative base, math.pow hands x to pow as it
+is. So does sum() for a left-to-right fold, which compensates from 3.12.
 
 Custom objectives can be added at runtime with register_objective.
 """
@@ -41,7 +46,7 @@ class ObjectiveSpec:
 
 def eval_sphere_min(p: Sequence[float]) -> float:
     x1, x2 = p
-    return x1 ** 2 + (x2 - 0.4) ** 2
+    return x1 ** 2.0 + (x2 - 0.4) ** 2.0
 
 
 _cos, _sin, _PI = math.cos, math.sin, math.pi
@@ -54,15 +59,7 @@ def eval_trig(p: Sequence[float]) -> float:
 
 def eval_rosenbrock(p: Sequence[float]) -> float:
     x0, x1 = p
-    return 100.0 * (x0 ** 2 - x1) ** 2 + (1.0 - x0) ** 2
-
-
-# well j = 1..25 sits at column (j-1) mod 5, row (j-1) div 5 of the
-# centres -32, -16, 0, 16, 32; each row is its centre and its five j
-_SHEKEL_ROWS = tuple(
-    (a1,) + tuple(float(5 * r + c) for c in range(1, 6))
-    for r, a1 in enumerate((-32.0, -16.0, 0.0, 16.0, 32.0))
-)
+    return 100.0 * (x0 ** 2.0 - x1) ** 2.0 + (1.0 - x0) ** 2.0
 
 
 def eval_shekel(p: Sequence[float]) -> float:
@@ -72,29 +69,43 @@ def eval_shekel(p: Sequence[float]) -> float:
     ranges over roughly (0.99, 500.05), and bottoms out at
     f(-32,-32) = 0.998004 in the deepest well.
 
-    Operation order: the five column powers (x1 - a)**6 once, then per
-    row its power (x2 - b)**6 and, for its five wells, 1/((j + col) +
-    row) added to the running total left to right, in one expression
-    per row (sum() compensates from 3.12): bit-identical to the
-    well-by-well formula. The body is written out to cut interpreter
-    work only: the column powers are locals (a comprehension is a frame
-    on 3.10 and 3.11), each j is a float from _SHEKEL_ROWS, and a row's
-    one expression stores total once, not five times; x1 + 32.0 is
-    x1 - (-32.0), x1 is x1 - 0.0.
+    Well j = 1..25 sits at column (j-1) mod 5, row (j-1) div 5 of the
+    centres -32, -16, 0, 16, 32. Operation order: the five column powers
+    (x1 - a)**6.0 and the five row powers (x2 - b)**6.0 once each, then
+    the 25 terms 1/((j + col) + row), row-major, added left to right in
+    one expression: bit-identical to the well-by-well formula folded
+    from 0.0, since 0.0 + t is t for the first term t >= 0. The body is
+    straight-line to cut interpreter work only: no loop and no unpacking
+    of a well table, each j a float literal; x1 + 32.0 is x1 - (-32.0),
+    x1 is x1 - 0.0, -0.0 included.
     """
     x1, x2 = p
-    c0 = (x1 + 32.0) ** 6
-    c1 = (x1 + 16.0) ** 6
-    c2 = x1 ** 6
-    c3 = (x1 - 16.0) ** 6
-    c4 = (x1 - 32.0) ** 6
-    total = 0.0
-    for a1, j0, j1, j2, j3, j4 in _SHEKEL_ROWS:
-        row = (x2 - a1) ** 6
-        total = (total + 1.0 / ((j0 + c0) + row) + 1.0 / ((j1 + c1) + row)
-                 + 1.0 / ((j2 + c2) + row) + 1.0 / ((j3 + c3) + row)
-                 + 1.0 / ((j4 + c4) + row))
-    return 1.0 / (0.002 + total)
+    c0 = (x1 + 32.0) ** 6.0
+    c1 = (x1 + 16.0) ** 6.0
+    c2 = x1 ** 6.0
+    c3 = (x1 - 16.0) ** 6.0
+    c4 = (x1 - 32.0) ** 6.0
+    r0 = (x2 + 32.0) ** 6.0
+    r1 = (x2 + 16.0) ** 6.0
+    r2 = x2 ** 6.0
+    r3 = (x2 - 16.0) ** 6.0
+    r4 = (x2 - 32.0) ** 6.0
+    return 1.0 / (0.002
+                  + (1.0 / ((1.0 + c0) + r0) + 1.0 / ((2.0 + c1) + r0)
+                     + 1.0 / ((3.0 + c2) + r0) + 1.0 / ((4.0 + c3) + r0)
+                     + 1.0 / ((5.0 + c4) + r0)
+                     + 1.0 / ((6.0 + c0) + r1) + 1.0 / ((7.0 + c1) + r1)
+                     + 1.0 / ((8.0 + c2) + r1) + 1.0 / ((9.0 + c3) + r1)
+                     + 1.0 / ((10.0 + c4) + r1)
+                     + 1.0 / ((11.0 + c0) + r2) + 1.0 / ((12.0 + c1) + r2)
+                     + 1.0 / ((13.0 + c2) + r2) + 1.0 / ((14.0 + c3) + r2)
+                     + 1.0 / ((15.0 + c4) + r2)
+                     + 1.0 / ((16.0 + c0) + r3) + 1.0 / ((17.0 + c1) + r3)
+                     + 1.0 / ((18.0 + c2) + r3) + 1.0 / ((19.0 + c3) + r3)
+                     + 1.0 / ((20.0 + c4) + r3)
+                     + 1.0 / ((21.0 + c0) + r4) + 1.0 / ((22.0 + c1) + r4)
+                     + 1.0 / ((23.0 + c2) + r4) + 1.0 / ((24.0 + c3) + r4)
+                     + 1.0 / ((25.0 + c4) + r4)))
 
 
 # cos(pi*x1/2) = -1 at x1 = 2 mod 4 and sin(pi*x2/2) = 1 at x2 = 1 mod 4;

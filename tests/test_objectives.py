@@ -212,6 +212,45 @@ def test_builtin_matches_oracle_on_every_explore_point(name):
         assert_same_bits(value, ORACLES[name](*p), p)
 
 
+def outcome(f, *args):
+    """f's value, or the type and args of the error it raised."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), err.args
+
+
+# any finite float, with the scales of the domains drawn as often as the
+# rest: far out, the powers overflow and every term of shekel is 0.0
+finite = st.one_of(st.floats(-1e3, 1e3),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@pytest.mark.parametrize("name", ("sphere_min", "trig", "rosenbrock", "shekel"))
+@settings(max_examples=300, deadline=None)
+@given(point=st.tuples(finite, finite))
+def test_builtin_matches_oracle_on_any_finite_point(name, point):
+    # off the domain too: the oracle's bits, or its exception type and args
+    # (OverflowError from a power, ValueError from cos or sin of inf)
+    got = outcome(registry_lookup(name).evaluator, point)
+    want = outcome(ORACLES[name], *point)
+    if isinstance(want, float):
+        assert isinstance(got, float), point
+        assert_same_bits(got, want, point)
+    else:
+        assert got == want, point
+
+
+@pytest.mark.parametrize("name", ("sphere_min", "trig", "rosenbrock", "shekel"))
+def test_int_points_evaluate_as_their_float_points(name):
+    # an int coordinate gives its float's bits; every power and product of
+    # these stays below 2**53, where int arithmetic is exact as well
+    f = registry_lookup(name).evaluator
+    for x in range(-100, 101):
+        for y in range(-100, 101):
+            assert_same_bits(f((x, y)), f((float(x), float(y))), (x, y))
+
+
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
